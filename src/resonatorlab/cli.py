@@ -14,11 +14,9 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import __version__
 from .core import EnvironmentParams, FrequencyTrace, LinearResonatorParams, PowerSweep
@@ -43,7 +41,14 @@ from .kerrfit import (
     model_s21_kerr,
     single_photon_power,
 )
-from .linfit import FitOptions, LinearFitResult, fit_linear, model_s21_linear, photon_number
+from .linfit import (
+    FitOptions,
+    LinearFitResult,
+    fit_linear,
+    model_s21_linear,
+    photon_number,
+    segment_trace,
+)
 from .reports import (
     dump_report,
     error_report,
@@ -58,44 +63,6 @@ logger = logging.getLogger("resonatorlab")
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
-
-
-def segment_trace(
-    trace: FrequencyTrace,
-    prominence_db: float = 3.0,
-    window_linewidths: float = 20.0,
-    baseline_percentile: float = 50.0,
-) -> list[FrequencyTrace]:
-    """Split a multi-resonator scan into single-dip windows.
-
-    Dips must reach ``prominence_db`` below the background (estimated as
-    the ``baseline_percentile`` of the magnitude in dB); each window spans
-    ``window_linewidths`` estimated linewidths (the dip's full width at
-    half prominence) centered on the dip.
-    """
-    mag_db = 20.0 * np.log10(np.maximum(np.abs(trace.values), 1e-300))
-    baseline = float(np.percentile(mag_db, baseline_percentile))
-    peaks, props = find_peaks(
-        -mag_db,
-        height=prominence_db - baseline,
-        prominence=prominence_db,
-        width=1,
-        rel_height=0.5,
-    )
-    segments = []
-    for peak, width in zip(peaks, props["widths"]):
-        half = int(round(width * window_linewidths / 2.0))
-        lo = max(peak - half, 0)
-        hi = min(peak + half + 1, len(trace))
-        segments.append(
-            FrequencyTrace(
-                frequencies=trace.frequencies[lo:hi],
-                values=trace.values[lo:hi],
-                drive_power=trace.drive_power,
-                metadata=dict(trace.metadata),
-            )
-        )
-    return segments
 
 
 def _q_sigma(q: float, f_r: float, kappa: float, cov: np.ndarray, kappa_index: int) -> float | None:
@@ -221,14 +188,10 @@ def _handle_fit_linear(opts) -> tuple[dict, dict]:
     return _linear_payload(fit), _trace_plots(trace, model)
 
 
-def _fit_slices(sweep: PowerSweep, fit_opts: FitOptions, jobs: int) -> list[LinearFitResult]:
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        return list(pool.map(lambda t: fit_linear(t, fit_opts), sweep.traces))
-
-
 def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
-    fits = _fit_slices(sweep, _fit_options(opts), opts["jobs"])
+    fit_opts = _fit_options(opts)
+    fits = [fit_linear(t, fit_opts) for t in sweep.traces]
     reference = fits[0].resonator
     slices = []
     for trace, fit in zip(sweep.traces, fits):
@@ -585,7 +548,6 @@ DEFAULTS: dict[str, dict] = {
     },
     "fit-power-sweep": {
         "csv": None,
-        "jobs": 4,
         "global_calibration": False,
         "wing_fraction": 0.1,
         "max_iterations": 200,
@@ -706,7 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fit-power-sweep", help="per-power linear fits and Q_i vs photon table")
     p.add_argument("csv", help="power-sweep CSV (power_dbm column required)")
-    p.add_argument("--jobs", type=int, default=None, help="concurrent per-trace fits")
     p.add_argument(
         "--global-calibration",
         action=argparse.BooleanOptionalAction,

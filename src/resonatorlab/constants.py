@@ -1,19 +1,26 @@
 """Physical constants used throughout the package.
 
-All values come from scipy's CODATA table. No other module should define
-its own copies; importing from here keeps the unit conventions in one place.
+``PLANCK`` and ``ELEMENTARY_CHARGE`` are exact in the 2019 SI.
+``HBAR = h/(2 pi)`` and ``FLUX_QUANTUM = h/(2e)`` are derived from them.
+``VACUUM_PERMITTIVITY`` is the CODATA 2022 recommended value. All five equal
+scipy's ``scipy.constants`` values; they are written out so that importing
+the package does not parse scipy's CODATA table. No other module should
+define its own copies; importing from here keeps the unit conventions in
+one place.
 """
 
-from scipy.constants import (
-    e as ELEMENTARY_CHARGE,  # C
-    epsilon_0 as VACUUM_PERMITTIVITY,  # F/m
-    h as PLANCK,  # J s
-    hbar as HBAR,  # J s
-)
-from scipy.constants import physical_constants as _physical_constants
+import math
 
+#: Planck constant [J s], exact.
+PLANCK = 6.62607015e-34
+#: Elementary charge [C], exact.
+ELEMENTARY_CHARGE = 1.602176634e-19
+#: Reduced Planck constant h/(2 pi) [J s].
+HBAR = PLANCK / (2 * math.pi)
 #: Superconducting magnetic flux quantum h/(2e) [Wb].
-FLUX_QUANTUM = _physical_constants["mag. flux quantum"][0]
+FLUX_QUANTUM = PLANCK / (2 * ELEMENTARY_CHARGE)
+#: Vacuum electric permittivity [F/m], CODATA 2022.
+VACUUM_PERMITTIVITY = 8.8541878188e-12
 
 __all__ = [
     "ELEMENTARY_CHARGE",

@@ -284,8 +284,10 @@ def combine_linear_fits(fits: Sequence[LinearFitResult]) -> LinearFitResult:
     Used to pool the sub-single-photon slices of a power sweep into one set
     of stage-1 parameters before the nonlinear fit. Parameters are combined
     independently (cross-correlations are dropped), which is adequate for an
-    initialization/anchoring role; zero-uncertainty fits fall back to a plain
-    mean. ``n_photons`` is not meaningful for pooled powers and is ``None``.
+    initialization/anchoring role; zero-uncertainty fits fall back to equal
+    weights. The background phase ``alpha`` is pooled as an angle, by the
+    weighted circular mean. ``n_photons`` is not meaningful for pooled powers
+    and is ``None``.
     """
     fits = list(fits)
     if not fits:
@@ -306,11 +308,17 @@ def combine_linear_fits(fits: Sequence[LinearFitResult]) -> LinearFitResult:
         sigmas = np.array([f.uncertainties[name] for f in fits])
         if np.all(sigmas > 0.0):
             weights = 1.0 / sigmas**2
-            combined[name] = float(np.sum(weights * values) / np.sum(weights))
             uncertainties[name] = float(1.0 / math.sqrt(np.sum(weights)))
         else:
-            combined[name] = float(values.mean())
+            weights = np.ones_like(values)
             uncertainties[name] = 0.0
+        if name == "alpha":
+            # Circular mean, so that fits on either side of +-pi pool near pi.
+            combined[name] = math.atan2(
+                float(np.sum(weights * np.sin(values))), float(np.sum(weights * np.cos(values)))
+            )
+        else:
+            combined[name] = float(np.sum(weights * values) / np.sum(weights))
     resonator = LinearResonatorParams(
         f_r=combined["f_r"],
         kappa_c=combined["kappa_c"],

@@ -38,6 +38,7 @@ __all__ = [
     "circle_fit",
     "fit_linear",
     "photon_number",
+    "segment_trace",
 ]
 
 #: Order of the free parameters in covariance matrices and uncertainty maps.
@@ -475,3 +476,44 @@ def photon_number(res: LinearResonatorParams, p_feedline: float) -> float:
     p_watts = dbm_to_watts(p_feedline)
     omega0 = 2.0 * math.pi * res.f_r
     return 2.0 * res.kappa_c / res.kappa_l**2 * p_watts / (HBAR * omega0)
+
+
+def segment_trace(
+    trace: FrequencyTrace,
+    prominence_db: float = 3.0,
+    window_linewidths: float = 20.0,
+    baseline_percentile: float = 50.0,
+) -> list[FrequencyTrace]:
+    """Split a multi-resonator scan into single-dip windows.
+
+    Dips must reach ``prominence_db`` below the background (estimated as
+    the ``baseline_percentile`` of the magnitude in dB); each window spans
+    ``window_linewidths`` estimated linewidths (the dip's full width at
+    half prominence) centered on the dip.
+    """
+    # scipy.signal is imported here so that only dip segmentation pays its import time.
+    from scipy.signal import find_peaks
+
+    mag_db = 20.0 * np.log10(np.maximum(np.abs(trace.values), 1e-300))
+    baseline = float(np.percentile(mag_db, baseline_percentile))
+    peaks, props = find_peaks(
+        -mag_db,
+        height=prominence_db - baseline,
+        prominence=prominence_db,
+        width=1,
+        rel_height=0.5,
+    )
+    segments = []
+    for peak, width in zip(peaks, props["widths"]):
+        half = int(round(width * window_linewidths / 2.0))
+        lo = max(peak - half, 0)
+        hi = min(peak + half + 1, len(trace))
+        segments.append(
+            FrequencyTrace(
+                frequencies=trace.frequencies[lo:hi],
+                values=trace.values[lo:hi],
+                drive_power=trace.drive_power,
+                metadata=dict(trace.metadata),
+            )
+        )
+    return segments

@@ -234,7 +234,7 @@ class TestPowerSweepAndKerr:
         return path
 
     def test_fit_power_sweep_table(self, sweep_csv, capsys):
-        code, doc = run_cli(capsys, "fit-power-sweep", str(sweep_csv), "--jobs", "2")
+        code, doc = run_cli(capsys, "fit-power-sweep", str(sweep_csv))
         assert code == 0
         validate_report(doc)
         slices = doc["results"]["slices"]

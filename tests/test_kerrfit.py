@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -271,3 +272,18 @@ class TestFitKerr:
         pooled = rl.kerrfit.combine_linear_fits(fits)
         assert pooled.uncertainties["f_r"] < min(f.uncertainties["f_r"] for f in fits)
         assert pooled.resonator.f_r == pytest.approx(res.f_r, abs=4 * fits[0].uncertainties["f_r"])
+
+    def test_combine_linear_fits_pools_alpha_as_an_angle(self, sample_resonator, environment):
+        res = sample_resonator
+        fit = rl.fit_linear(
+            rl.generate_linear_trace(
+                res, environment, grid_around(res, points=1001), -150.0, rl.NoiseSpec(snr_db=40, seed=0)
+            )
+        )
+        fits = [
+            dataclasses.replace(fit, environment=dataclasses.replace(fit.environment, alpha=alpha))
+            for alpha in (math.pi - 0.01, -math.pi + 0.01)
+        ]
+        pooled = rl.kerrfit.combine_linear_fits(fits).environment.alpha
+        # a plain mean of the two pools near 0, the wrong side of the circle
+        assert abs(math.remainder(pooled - math.pi, TWO_PI)) < 0.02
