@@ -5,7 +5,6 @@ calibration, in-plane-field tuning fits and array design calculations.
 
 from .constants import ELEMENTARY_CHARGE, FLUX_QUANTUM, HBAR, PLANCK, VACUUM_PERMITTIVITY
 from .core import (
-    ComplexSample,
     EnvironmentParams,
     FieldSweepPoint,
     FrequencyTrace,

@@ -20,7 +20,15 @@ import numpy as np
 
 from . import __version__
 from .core import EnvironmentParams, FrequencyTrace, LinearResonatorParams, PowerSweep
-from .designer import ArraySpec, JunctionSpec, loaded_capacitance_from_frequency, quarter_wave
+from .designer import (
+    ArraySpec,
+    JunctionSpec,
+    extra_inductance_for_total,
+    f_bare_vs_n,
+    loaded_capacitance_from_frequency,
+    quarter_wave,
+    quarter_wave_inductance,
+)
 from .errors import DataError, ResonatorLabError
 from .fieldmodel import (
     FieldModelParams,
@@ -350,15 +358,7 @@ def _handle_design(opts) -> tuple[dict, dict]:
         raise ValueError("give either --l-total or --extra-inductance, not both")
     extra = opts["extra_inductance"] or 0.0
     if opts["l_total"] is not None:
-        from .designer import junction_electrical
-
-        _, l_j, _ = junction_electrical(junction)
-        extra = opts["l_total"] - opts["n_junctions"] * l_j
-        if extra < 0.0:
-            raise ValueError(
-                f"--l-total {opts['l_total']} H is below the junction contribution "
-                f"{opts['n_junctions'] * l_j} H"
-            )
+        extra = extra_inductance_for_total(junction, opts["n_junctions"], opts["l_total"])
     array = ArraySpec(
         n_junctions=opts["n_junctions"],
         junction=junction,
@@ -377,7 +377,7 @@ def _handle_design(opts) -> tuple[dict, dict]:
         "plasma_frequency_hz": report.plasma_frequency,
         "l_total_h": report.l_total,
         "l_eq_h": report.l_eq,
-        "l_eq_default_mapping_h": 8.0 / math.pi**2 * report.l_total,
+        "l_eq_default_mapping_h": quarter_wave_inductance(report.l_total),
         "l_eq_overridden": opts["l_eq_override"] is not None,
         "c_eq_f": report.c_eq,
         "f_bare_hz": report.f_bare,
@@ -392,22 +392,9 @@ def _handle_design(opts) -> tuple[dict, dict]:
             "z_eq_loaded_ohm": math.sqrt(report.l_eq / c_loaded),
         }
     n_values = np.arange(1, 2 * opts["n_junctions"] + 1)
-    f_scaling = [
-        quarter_wave(
-            ArraySpec(
-                n_junctions=int(n),
-                junction=junction,
-                total_length=opts["array_length"],
-                c_per_length=opts["c_per_length"],
-                extra_inductance=extra,
-            ),
-            l_eq_override=None,
-        ).f_bare
-        for n in n_values
-    ]
     plots = {
         "f_bare_vs_n": plot_group(
-            "n_junctions", n_values, series("f_bare_hz", f_scaling)
+            "n_junctions", n_values, series("f_bare_hz", f_bare_vs_n(array, n_values))
         )
     }
     return results, plots
@@ -524,122 +511,119 @@ def _handle_synth(opts) -> tuple[dict, dict]:
     return results, plots
 
 
-HANDLERS = {
-    "fit-linear": _handle_fit_linear,
-    "fit-power-sweep": _handle_fit_power_sweep,
-    "fit-kerr": _handle_fit_kerr,
-    "fit-field": _handle_fit_field,
-    "design": _handle_design,
-    "predict-field": _handle_predict_field,
-    "synth": _handle_synth,
+# Each subcommand's handler, help line and options, every option declared
+# once: the parser's flags, the built-in defaults and the config-file whitelist
+# and type check all come from here. Each option is ``key: (kind, default,
+# help)``; ``kind`` is float, int, bool (a --x/--no-x flag), a tuple of
+# choices, or str (a required flag). ``csv`` and ``kind`` are positional.
+POSITIONAL = ("csv", "kind")
+
+_FIT_OPTIONS = {
+    "wing_fraction": (float, 0.1, "fraction of samples per wing for the delay estimate"),
+    "max_iterations": (int, 200, None),
 }
 
-# Built-in defaults, also the whitelist of config-file keys per subcommand.
-DEFAULTS: dict[str, dict] = {
-    "fit-linear": {
-        "csv": None,
-        "power_dbm": None,
-        "wing_fraction": 0.1,
-        "max_iterations": 200,
-        "segment": False,
-        "prominence_db": 3.0,
-        "window_linewidths": 20.0,
-        "baseline_percentile": 50.0,
-    },
-    "fit-power-sweep": {
-        "csv": None,
-        "global_calibration": False,
-        "wing_fraction": 0.1,
-        "max_iterations": 200,
-    },
-    "fit-kerr": {
-        "csv": None,
-        "branch": "lowest",
-        "k_init": None,
-        "mask_bistable": False,
-        "free_all": False,
-        "stage1_max_photons": None,
-        "wing_fraction": 0.1,
-        "max_iterations": 200,
-    },
-    "fit-field": {
-        "csv": None,
-        "f0_init": None,
-        "b_crit_init": None,
-        "b_phi0_init": None,
-    },
-    "design": {
-        "r_normal": 1250.0,
-        "width": 520e-9,
-        "length": 760e-9,
-        "t_ox": 1e-9,
-        "epsilon_r": 9.0,
-        "delta0_ev": 180e-6,
-        "n_junctions": 46,
-        "array_length": 207e-6,
-        "c_per_length": 0.057e-15 / 1e-6,
-        "extra_inductance": None,
-        "l_total": None,
-        "l_eq_override": None,
-        "f_loaded": None,
-    },
-    "predict-field": {
-        "london_depth": 16e-9,
-        "pippard_length": 1600e-9,
-        "bulk_critical_field": 10e-3,
-        "d1": 35e-9 / SQRT2,
-        "d2": 130e-9 / SQRT2,
-        "width": 520e-9,
-        "t_ox": 1e-9,
-        "f0": None,
-    },
-    "synth": {
-        "kind": None,
-        "out_csv": None,
-        "f_r": 6.117e9,
-        "q_c": 1500.0,
-        "q_i": 15800.0,
-        "phi0": 0.0,
-        "amplitude": 1.0,
-        "alpha": 0.0,
-        "tau": 0.0,
-        "f_center": None,
-        "span_hz": None,
-        "span_linewidths": 20.0,
-        "points": 2001,
-        "power_dbm": -140.0,
-        "kerr_hz": 0.0,
-        "phi": None,
-        "branch": "lowest",
-        "power_min": -150.0,
-        "power_max": -115.0,
-        "power_step": 2.5,
-        "f0": 7.0e9,
-        "b_crit": 66e-3,
-        "b_phi0": 102e-3,
-        "b_min": 0.0,
-        "b_max": 60e-3,
-        "b_points": 13,
-        "sigma_f": 5e6,
-        "snr_db": None,
-        "seed": 0,
-    },
+COMMANDS: dict[str, tuple] = {
+    "fit-linear": (_handle_fit_linear, "fit one trace to the linear notch model", {
+        "csv": (str, None, "trace CSV (freq_hz + re/im or mag_db/phase_rad)"),
+        "power_dbm": (float, None, "feedline power; overrides any file value"),
+        **_FIT_OPTIONS,
+        "segment": (bool, False, "detect and fit every dip in a multi-resonator scan"),
+        "prominence_db": (float, 3.0, "dip detection threshold below the background"),
+        "window_linewidths": (float, 20.0, "window width per dip, in estimated linewidths"),
+        "baseline_percentile": (float, 50.0, "magnitude percentile used as the background"),
+    }),
+    "fit-power-sweep": (_handle_fit_power_sweep, "per-power linear fits and Q_i vs photon table", {
+        "csv": (str, None, "power-sweep CSV (power_dbm column required)"),
+        "global_calibration": (
+            bool, False, "photon numbers from the lowest-power fit instead of per-slice parameters"
+        ),
+        **_FIT_OPTIONS,
+    }),
+    "fit-kerr": (_handle_fit_kerr, "two-stage self-Kerr fit of a 2-D power sweep", {
+        "csv": (str, None, "power-sweep CSV (power_dbm column required)"),
+        "branch": (BRANCH_RULES, "lowest", None),
+        "k_init": (float, None, "initial Kerr coefficient [Hz]"),
+        "mask_bistable": (bool, False, None),
+        "free_all": (bool, False, None),
+        "stage1_max_photons": (
+            float,
+            None,
+            "pool all slices below this occupation for stage 1 (default: lowest slice only)",
+        ),
+        **_FIT_OPTIONS,
+    }),
+    "fit-field": (_handle_fit_field, "fit f_r(B) tuning data to the thin-film model", {
+        "csv": (str, None, "field CSV (field_t, fr_hz, sigma_hz)"),
+        "f0_init": (float, None, "initial zero-field resonance [Hz]"),
+        "b_crit_init": (float, None, "initial in-plane critical field [T]"),
+        "b_phi0_init": (float, None, "initial flux-quantum field [T]"),
+    }),
+    "design": (_handle_design, "JJ-array quarter-wave design report", {
+        "r_normal": (float, 1250.0, "normal-state resistance per junction [Ohm]"),
+        "width": (float, 520e-9, "junction width [m]"),
+        "length": (float, 760e-9, "junction length [m]"),
+        "t_ox": (float, 1e-9, "barrier thickness [m]"),
+        "epsilon_r": (float, 9.0, "barrier relative permittivity"),
+        "delta0_ev": (float, 180e-6, "superconducting gap [eV]"),
+        "n_junctions": (int, 46, None),
+        "array_length": (float, 207e-6, "physical array length [m]"),
+        "c_per_length": (float, 0.057e-15 / 1e-6, "capacitance to ground per unit length [F/m]"),
+        "extra_inductance": (float, None, "spurious series inductance [H]"),
+        "l_total": (float, None, "total array inductance [H]; sets extra-inductance"),
+        "l_eq_override": (float, None, "pin the lumped equivalent inductance [H]"),
+        "f_loaded": (float, None, "loaded resonance [Hz] for the loaded C_eq/Z_eq block"),
+    }),
+    "predict-field": (_handle_predict_field, "thin-film critical-field and B_phi0 predictions", {
+        "london_depth": (float, 16e-9, "London penetration depth [m]"),
+        "pippard_length": (float, 1600e-9, "Pippard coherence length [m]"),
+        "bulk_critical_field": (float, 10e-3, "bulk critical field [T]"),
+        "d1": (
+            float,
+            35e-9 / SQRT2,
+            "bottom lead thickness [m] (nominal/sqrt(2) for 45-degree evaporation)",
+        ),
+        "d2": (
+            float,
+            130e-9 / SQRT2,
+            "top lead thickness [m] (nominal/sqrt(2) for 45-degree evaporation)",
+        ),
+        "width": (float, 520e-9, "junction width [m]"),
+        "t_ox": (float, 1e-9, "barrier thickness [m]"),
+        "f0": (float, None, "zero-field resonance [Hz]; adds a predicted tuning curve"),
+    }),
+    "synth": (_handle_synth, "generate synthetic data and write it as CSV", {
+        "kind": (("linear", "kerr", "field"), None, None),
+        "out_csv": (str, None, "where to write the generated CSV"),
+        "f_r": (float, 6.117e9, "resonance frequency [Hz]"),
+        "q_c": (float, 1500.0, "external quality factor"),
+        "q_i": (float, 15800.0, "internal quality factor"),
+        "phi0": (float, 0.0, "impedance-mismatch phase [rad]"),
+        "amplitude": (float, 1.0, "background amplitude"),
+        "alpha": (float, 0.0, "global phase [rad]"),
+        "tau": (float, 0.0, "cable delay [s]"),
+        "f_center": (float, None, "grid center [Hz] (default: f_r)"),
+        "span_hz": (float, None, "grid span [Hz]"),
+        "span_linewidths": (float, 20.0, "grid span in linewidths (if --span-hz unset)"),
+        "points": (int, 2001, None),
+        "power_dbm": (float, -140.0, "drive power for kind=linear"),
+        "kerr_hz": (float, 0.0, "self-Kerr coefficient [Hz] for kind=kerr"),
+        "phi": (float, None, "nonlinear mismatch phase [rad] (default: phi0)"),
+        "branch": (BRANCH_RULES, "lowest", None),
+        "power_min": (float, -150.0, "sweep start power [dBm]"),
+        "power_max": (float, -115.0, "sweep stop power [dBm]"),
+        "power_step": (float, 2.5, "sweep power step [dB]"),
+        "f0": (float, 7.0e9, "zero-field resonance [Hz] for kind=field"),
+        "b_crit": (float, 66e-3, "critical field [T]"),
+        "b_phi0": (float, 102e-3, "flux-quantum field [T]"),
+        "b_min": (float, 0.0, "lowest field [T]"),
+        "b_max": (float, 60e-3, "highest field [T]"),
+        "b_points": (int, 13, None),
+        "sigma_f": (float, 5e6, "resonance scatter [Hz]"),
+        "snr_db": (float, None, "background SNR [dB]; omit for noiseless"),
+        "seed": (int, 0, None),
+    }),
 }
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--config", help="JSON config file; explicit flags win")
-    sub.add_argument(
-        "--timestamp",
-        action="store_true",
-        help="include a generated_at field (breaks byte-level report reproducibility)",
-    )
-    sub.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
-
-
-def _float_opt(sub, name, help_text):
-    sub.add_argument(name, type=float, default=None, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -649,134 +633,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command")
-
-    p = subs.add_parser("fit-linear", help="fit one trace to the linear notch model")
-    p.add_argument("csv", help="trace CSV (freq_hz + re/im or mag_db/phase_rad)")
-    _float_opt(p, "--power-dbm", "feedline power; overrides any file value")
-    _float_opt(p, "--wing-fraction", "fraction of samples per wing for the delay estimate")
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument(
-        "--segment",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="detect and fit every dip in a multi-resonator scan",
-    )
-    _float_opt(p, "--prominence-db", "dip detection threshold below the background")
-    _float_opt(p, "--window-linewidths", "window width per dip, in estimated linewidths")
-    _float_opt(p, "--baseline-percentile", "magnitude percentile used as the background")
-    _add_common(p)
-
-    p = subs.add_parser("fit-power-sweep", help="per-power linear fits and Q_i vs photon table")
-    p.add_argument("csv", help="power-sweep CSV (power_dbm column required)")
-    p.add_argument(
-        "--global-calibration",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="photon numbers from the lowest-power fit instead of per-slice parameters",
-    )
-    _float_opt(p, "--wing-fraction", "fraction of samples per wing for the delay estimate")
-    p.add_argument("--max-iterations", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("fit-kerr", help="two-stage self-Kerr fit of a 2-D power sweep")
-    p.add_argument("csv", help="power-sweep CSV (power_dbm column required)")
-    p.add_argument("--branch", choices=BRANCH_RULES, default=None)
-    _float_opt(p, "--k-init", "initial Kerr coefficient [Hz]")
-    p.add_argument("--mask-bistable", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--free-all", action=argparse.BooleanOptionalAction, default=None)
-    _float_opt(
-        p,
-        "--stage1-max-photons",
-        "pool all slices below this occupation for stage 1 (default: lowest slice only)",
-    )
-    _float_opt(p, "--wing-fraction", "fraction of samples per wing for the delay estimate")
-    p.add_argument("--max-iterations", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("fit-field", help="fit f_r(B) tuning data to the thin-film model")
-    p.add_argument("csv", help="field CSV (field_t, fr_hz, sigma_hz)")
-    _float_opt(p, "--f0-init", "initial zero-field resonance [Hz]")
-    _float_opt(p, "--b-crit-init", "initial in-plane critical field [T]")
-    _float_opt(p, "--b-phi0-init", "initial flux-quantum field [T]")
-    _add_common(p)
-
-    p = subs.add_parser("design", help="JJ-array quarter-wave design report")
-    _float_opt(p, "--r-normal", "normal-state resistance per junction [Ohm]")
-    _float_opt(p, "--width", "junction width [m]")
-    _float_opt(p, "--length", "junction length [m]")
-    _float_opt(p, "--t-ox", "barrier thickness [m]")
-    _float_opt(p, "--epsilon-r", "barrier relative permittivity")
-    _float_opt(p, "--delta0-ev", "superconducting gap [eV]")
-    p.add_argument("--n-junctions", type=int, default=None)
-    _float_opt(p, "--array-length", "physical array length [m]")
-    _float_opt(p, "--c-per-length", "capacitance to ground per unit length [F/m]")
-    _float_opt(p, "--extra-inductance", "spurious series inductance [H]")
-    _float_opt(p, "--l-total", "total array inductance [H]; sets extra-inductance")
-    _float_opt(p, "--l-eq-override", "pin the lumped equivalent inductance [H]")
-    _float_opt(p, "--f-loaded", "loaded resonance [Hz] for the loaded C_eq/Z_eq block")
-    _add_common(p)
-
-    p = subs.add_parser("predict-field", help="thin-film critical-field and B_phi0 predictions")
-    _float_opt(p, "--london-depth", "London penetration depth [m]")
-    _float_opt(p, "--pippard-length", "Pippard coherence length [m]")
-    _float_opt(p, "--bulk-critical-field", "bulk critical field [T]")
-    _float_opt(p, "--d1", "bottom lead thickness [m] (nominal/sqrt(2) for 45-degree evaporation)")
-    _float_opt(p, "--d2", "top lead thickness [m] (nominal/sqrt(2) for 45-degree evaporation)")
-    _float_opt(p, "--width", "junction width [m]")
-    _float_opt(p, "--t-ox", "barrier thickness [m]")
-    _float_opt(p, "--f0", "zero-field resonance [Hz]; adds a predicted tuning curve")
-    _add_common(p)
-
-    p = subs.add_parser("synth", help="generate synthetic data and write it as CSV")
-    p.add_argument("kind", choices=("linear", "kerr", "field"))
-    p.add_argument("--out-csv", required=True, help="where to write the generated CSV")
-    _float_opt(p, "--f-r", "resonance frequency [Hz]")
-    _float_opt(p, "--q-c", "external quality factor")
-    _float_opt(p, "--q-i", "internal quality factor")
-    _float_opt(p, "--phi0", "impedance-mismatch phase [rad]")
-    _float_opt(p, "--amplitude", "background amplitude")
-    _float_opt(p, "--alpha", "global phase [rad]")
-    _float_opt(p, "--tau", "cable delay [s]")
-    _float_opt(p, "--f-center", "grid center [Hz] (default: f_r)")
-    _float_opt(p, "--span-hz", "grid span [Hz]")
-    _float_opt(p, "--span-linewidths", "grid span in linewidths (if --span-hz unset)")
-    p.add_argument("--points", type=int, default=None)
-    _float_opt(p, "--power-dbm", "drive power for kind=linear")
-    _float_opt(p, "--kerr-hz", "self-Kerr coefficient [Hz] for kind=kerr")
-    _float_opt(p, "--phi", "nonlinear mismatch phase [rad] (default: phi0)")
-    p.add_argument("--branch", choices=BRANCH_RULES, default=None)
-    _float_opt(p, "--power-min", "sweep start power [dBm]")
-    _float_opt(p, "--power-max", "sweep stop power [dBm]")
-    _float_opt(p, "--power-step", "sweep power step [dB]")
-    _float_opt(p, "--f0", "zero-field resonance [Hz] for kind=field")
-    _float_opt(p, "--b-crit", "critical field [T]")
-    _float_opt(p, "--b-phi0", "flux-quantum field [T]")
-    _float_opt(p, "--b-min", "lowest field [T]")
-    _float_opt(p, "--b-max", "highest field [T]")
-    p.add_argument("--b-points", type=int, default=None)
-    _float_opt(p, "--sigma-f", "resonance scatter [Hz]")
-    _float_opt(p, "--snr-db", "background SNR [dB]; omit for noiseless")
-    p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
-
+    for command, (_, help_line, options) in COMMANDS.items():
+        p = subs.add_parser(command, help=help_line)
+        for key, (kind, _, help_text) in options.items():
+            kw = {"help": help_text}
+            if isinstance(kind, tuple):
+                kw["choices"] = kind
+            elif kind is bool:
+                kw["action"] = argparse.BooleanOptionalAction
+            elif kind is not str:
+                kw["type"] = kind
+            if key in POSITIONAL:
+                p.add_argument(key, **kw)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), required=kind is str, **kw)
+        p.add_argument("--out", help="write the report here instead of stdout")
+        p.add_argument("--config", help="JSON config file; explicit flags win")
+        p.add_argument(
+            "--timestamp",
+            action="store_true",
+            help="include a generated_at field (breaks byte-level report reproducibility)",
+        )
+        p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
     return parser
 
 
+def _config_value_ok(kind, default, value) -> bool:
+    """Whether a config-file value has the JSON type of its option.
+
+    ``null`` only where the default is ``null``; an int passes for a float
+    option (and is kept as an int); a bool is never a number.
+    """
+    if value is None:
+        return default is None
+    if isinstance(kind, tuple):
+        return value in kind
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _resolve_options(args: argparse.Namespace) -> dict:
-    defaults = DEFAULTS[args.command]
+    _, _, options = COMMANDS[args.command]
     config = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise DataError("config file must hold a JSON object")
-        unknown = set(config) - set(defaults)
+        unknown = set(config) - set(options)
         if unknown:
             raise DataError(
                 f"config keys not recognized for {args.command}: {sorted(unknown)}"
             )
+        for key, value in config.items():
+            kind, default, _ = options[key]
+            if not _config_value_ok(kind, default, value):
+                expected = f"one of {list(kind)}" if isinstance(kind, tuple) else kind.__name__
+                raise DataError(
+                    f"config key {key!r} for {args.command} must be {expected}, got {value!r}"
+                )
     opts = {}
-    for key, default in defaults.items():
+    for key, (_, default, _) in options.items():
         value = getattr(args, key, None)
         if value is None:
             value = config.get(key, default)
@@ -797,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         opts = _resolve_options(args)
-        results, plots = HANDLERS[args.command](opts)
+        results, plots = COMMANDS[args.command][0](opts)
         timestamp = (
             datetime.now(timezone.utc).isoformat() if getattr(args, "timestamp", False) else None
         )

@@ -25,7 +25,6 @@ from .constants import PLANCK
 from .errors import DomainError
 
 __all__ = [
-    "ComplexSample",
     "FrequencyTrace",
     "PowerSweep",
     "FieldSweepPoint",
@@ -71,20 +70,6 @@ def _freeze_array(values, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ComplexSample:
-    """One point of a transmission trace: drive frequency and complex S21."""
-
-    frequency: float  # Hz
-    value: complex  # dimensionless
-
-    def __post_init__(self):
-        if not (self.frequency > 0.0 and math.isfinite(self.frequency)):
-            raise ValueError(f"frequency must be positive and finite, got {self.frequency}")
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError(f"transmission value must be finite, got {self.value}")
-
-
-@dataclass(frozen=True)
 class FrequencyTrace:
     """A complex S21 sweep versus frequency at fixed drive power.
 
@@ -119,13 +104,6 @@ class FrequencyTrace:
 
     def __len__(self) -> int:
         return self.frequencies.size
-
-    @property
-    def samples(self) -> tuple[ComplexSample, ...]:
-        return tuple(
-            ComplexSample(float(f), complex(v))
-            for f, v in zip(self.frequencies, self.values)
-        )
 
     @property
     def span(self) -> float:

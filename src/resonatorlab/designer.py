@@ -10,7 +10,7 @@ equivalents and the array's self-Kerr estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constants import ELEMENTARY_CHARGE, FLUX_QUANTUM, PLANCK, VACUUM_PERMITTIVITY
 from .kerrfit import kerr_from_array
@@ -22,6 +22,9 @@ __all__ = [
     "junction_electrical",
     "junction_capacitive",
     "quarter_wave",
+    "quarter_wave_inductance",
+    "extra_inductance_for_total",
+    "f_bare_vs_n",
     "loaded_capacitance_from_frequency",
 ]
 
@@ -110,6 +113,22 @@ def junction_capacitive(spec: JunctionSpec) -> tuple[float, float, float]:
     return c_j, e_c, plasma
 
 
+def quarter_wave_inductance(l_total: float) -> float:
+    """Textbook lumped quarter-wave inductance, ``L_eq = (8/pi^2) L_total``."""
+    return 8.0 / math.pi**2 * l_total
+
+
+def extra_inductance_for_total(junction: JunctionSpec, n_junctions: int, l_total: float) -> float:
+    """Series inductance beyond ``n_junctions`` junctions that makes the array total ``l_total``."""
+    _, l_j, _ = junction_electrical(junction)
+    extra = l_total - n_junctions * l_j
+    if extra < 0.0:
+        raise ValueError(
+            f"--l-total {l_total} H is below the junction contribution {n_junctions * l_j} H"
+        )
+    return extra
+
+
 def quarter_wave(array: ArraySpec, l_eq_override: float | None = None) -> ArrayDesignReport:
     """Full design report for a quarter-wave array resonator.
 
@@ -125,7 +144,7 @@ def quarter_wave(array: ArraySpec, l_eq_override: float | None = None) -> ArrayD
     c_j, e_c, plasma = junction_capacitive(spec)
     l_total = array.n_junctions * l_j + array.extra_inductance
     c_total = array.c_per_length * array.total_length
-    l_eq = l_eq_override if l_eq_override is not None else 8.0 / math.pi**2 * l_total
+    l_eq = l_eq_override if l_eq_override is not None else quarter_wave_inductance(l_total)
     c_eq = c_total / 2.0
     f_bare = 1.0 / (2.0 * math.pi * math.sqrt(l_eq * c_eq))
     z_eq = math.sqrt(l_eq / c_eq)
@@ -144,6 +163,11 @@ def quarter_wave(array: ArraySpec, l_eq_override: float | None = None) -> ArrayD
         z_eq=z_eq,
         kerr_estimate=kerr_from_array(e_c, array.n_junctions),
     )
+
+
+def f_bare_vs_n(array: ArraySpec, n_values) -> list[float]:
+    """Bare fundamental frequency of ``array`` rebuilt with each junction count in ``n_values``."""
+    return [quarter_wave(replace(array, n_junctions=int(n))).f_bare for n in n_values]
 
 
 def loaded_capacitance_from_frequency(f_loaded: float, l_eq: float) -> float:

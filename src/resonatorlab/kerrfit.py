@@ -231,30 +231,6 @@ def _kerr_values(
     return background * resonant
 
 
-def _kerr_response(
-    res: LinearResonatorParams,
-    env: EnvironmentParams,
-    kerr: float,
-    phi: float,
-    f: np.ndarray,
-    p_feedline: float,
-    branch: str,
-) -> np.ndarray:
-    return _kerr_values(
-        res.f_r,
-        res.kappa_c,
-        res.kappa_int,
-        kerr,
-        phi,
-        env.amplitude,
-        env.alpha,
-        env.tau,
-        f,
-        p_feedline,
-        branch,
-    )
-
-
 def model_s21_kerr(
     params: KerrParams,
     f: float | np.ndarray,
@@ -272,8 +248,19 @@ def model_s21_kerr(
     if branch not in BRANCH_RULES:
         raise ValueError(f"unknown branch rule {branch!r}; expected one of {BRANCH_RULES}")
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    out = _kerr_response(
-        params.linear, params.environment, params.kerr, params.phi, f_arr, p_feedline, branch
+    res, env = params.linear, params.environment
+    out = _kerr_values(
+        res.f_r,
+        res.kappa_c,
+        res.kappa_int,
+        params.kerr,
+        params.phi,
+        env.amplitude,
+        env.alpha,
+        env.tau,
+        f_arr,
+        p_feedline,
+        branch,
     )
     return out if np.ndim(f) else complex(out[0])
 

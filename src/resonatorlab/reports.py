@@ -14,12 +14,7 @@ import numpy as np
 from jsonschema import validate as _js_validate
 
 from . import __version__
-from .errors import (
-    ConvergenceError,
-    DataError,
-    DomainError,
-    ResonatorLabError,
-)
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -116,8 +111,6 @@ def exit_code_for(exc: BaseException) -> int:
         return EXIT_DOMAIN
     if isinstance(exc, ConvergenceError):
         return EXIT_CONVERGENCE
-    if isinstance(exc, (DataError, ValueError, OSError, ResonatorLabError)):
-        return EXIT_DATA
     return EXIT_DATA
 
 

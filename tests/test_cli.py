@@ -121,6 +121,51 @@ class TestConfig:
             csvs.append(path.read_bytes())
         assert csvs[0] == csvs[1]
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"wing_fraction": None},
+            {"max_iterations": "abc"},
+            {"max_iterations": 2.5},
+            {"segment": "no"},
+        ],
+    )
+    def test_wrong_typed_config_value_is_data_error(self, tmp_path, capsys, config):
+        csv = synth_linear_csv(tmp_path, capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, doc = run_cli(capsys, "fit-linear", str(csv), "--config", str(cfg))
+        assert code == 2
+        assert doc["error"]["type"] == "DataError"
+
+    def test_int_for_float_option_is_kept_as_given(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_i": 5000}))
+        code, doc = run_cli(
+            capsys, "synth", "linear", "--out-csv", str(tmp_path / "x.csv"), "--config", str(cfg)
+        )
+        assert code == 0
+        assert doc["inputs"]["q_i"] == 5000 and isinstance(doc["inputs"]["q_i"], int)
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            (
+                ["fit-linear", "CSV"],
+                ["--power-dbm", "-130", "--wing-fraction", "0.15", "--max-iterations", "50"],
+            ),
+            (["design"], ["--l-total", "78.9e-9", "--l-eq-override", "67e-9", "--f-loaded", "7.02e9"]),
+        ],
+    )
+    def test_report_inputs_rerun_the_identical_analysis(self, tmp_path, capsys, command, flags):
+        csv = synth_linear_csv(tmp_path, capsys)
+        command = [str(csv) if a == "CSV" else a for a in command]
+        first, again, cfg = (tmp_path / n for n in ("first.json", "again.json", "inputs.json"))
+        assert main([*command, *flags, "--out", str(first)]) == 0
+        cfg.write_text(json.dumps(json.loads(first.read_text())["inputs"]))
+        assert main([*command, "--config", str(cfg), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
 
 class TestErrors:
     def test_missing_file_is_data_error(self, capsys):
