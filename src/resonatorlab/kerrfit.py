@@ -56,6 +56,10 @@ __all__ = [
 
 BRANCH_RULES = ("lowest", "highest", "sweep-continuation")
 
+#: Reduced drive below which :func:`photon_cubic_roots` starts Newton from the
+#: linear root instead of using the closed form.
+XI_NEWTON = 1e-8
+
 
 @dataclass(frozen=True)
 class KerrParams:
@@ -115,7 +119,15 @@ def photon_cubic_roots(delta, xi) -> np.ndarray:
     linear = x == 0.0
     roots[linear, 0] = 0.5 / (d[linear] ** 2 + 0.25)
 
-    cubic = ~linear
+    # Below XI_NEWTON the only real root lies within a relative ~xi of the
+    # linear root, while the closed form below loses it to cancellation in
+    # t - b/3 (all digits by xi ~ 1e-14); Newton from the linear root is exact.
+    small = ~linear & (x < XI_NEWTON)
+    if np.any(small):
+        ds, xs = d[small], x[small]
+        roots[small, 0] = _polish((0.5 / (ds * ds + 0.25))[:, None], ds, xs)[:, 0]
+
+    cubic = x >= XI_NEWTON
     if np.any(cubic):
         dd = d[cubic]
         xx = x[cubic]

@@ -4,9 +4,9 @@ The fit proceeds in the classic staged fashion: estimate and remove the
 cable delay, fit a circle to the delay-corrected data, fit the phase
 winding around the circle center, translate the geometry into model
 parameters, then refine all seven parameters with a Levenberg-Marquardt
-pass on the complex residuals. The refinement and the covariance use the
-closed-form Jacobian of the model, so neither depends on a finite-difference
-step rule of the optimizer.
+pass on the complex residuals. The phase fit, the refinement and the
+covariance use closed-form Jacobians, so none of them depends on a
+finite-difference step rule of the optimizer.
 """
 
 from __future__ import annotations
@@ -146,8 +146,9 @@ def _refine_delay(freqs: np.ndarray, values: np.ndarray, tau0: float, span: floa
         method="bounded",
         options={"xatol": 1e-5 / span},
     )
+    # The bounded search returns the cost it evaluated at its optimum.
     tau = float(sol.x)
-    return tau if cost(tau) <= cost(tau0) else tau0
+    return tau if sol.fun <= cost(tau0) else tau0
 
 
 def _wrap_angle(angle: float) -> float:
@@ -160,8 +161,25 @@ def _wrap_half_pi(phi: float) -> float:
     return float(-((-phi + math.pi / 2) % math.pi) + math.pi / 2)
 
 
-def _phase_model(f, theta0, q_l, f_r):
-    return theta0 + 2.0 * np.arctan(2.0 * q_l * (f / f_r - 1.0))
+def _phase_problem(freqs: np.ndarray, theta: np.ndarray):
+    """Residual and closed-form Jacobian of the phase-winding fit.
+
+    The model is ``theta0 + 2 arctan(2 Q_L x)`` with ``x = f/f_r - 1`` and
+    parameters ``(theta0, Q_L, f_r)``; with ``g = 2 / (1 + (2 Q_L x)^2)`` its
+    derivatives are ``1``, ``2 x g`` and ``-2 Q_L f / f_r^2 g``.
+    """
+
+    def residual(p):
+        theta0, q_l, f_r = p
+        return theta0 + 2.0 * np.arctan(2.0 * q_l * (freqs / f_r - 1.0)) - theta
+
+    def jacobian(p):
+        _, q_l, f_r = p
+        x = freqs / f_r - 1.0
+        g = 2.0 / (1.0 + (2.0 * q_l * x) ** 2)
+        return np.column_stack([np.ones_like(x), 2.0 * x * g, -2.0 * q_l * freqs / f_r**2 * g])
+
+    return residual, jacobian
 
 
 def _smooth(z: np.ndarray, window: int) -> np.ndarray:
@@ -191,9 +209,7 @@ def _fit_phase(freqs: np.ndarray, z_centered: np.ndarray, f_r0: float, q_l0: flo
     window += 1 - window % 2  # keep it odd
     z_centered = _smooth(z_centered, window)
     theta = np.unwrap(np.angle(z_centered))
-
-    def residual(p):
-        return _phase_model(freqs, *p) - theta
+    residual, jacobian = _phase_problem(freqs, theta)
 
     best = None
     i0 = int(np.argmin(np.abs(freqs - f_r0)))
@@ -201,9 +217,9 @@ def _fit_phase(freqs: np.ndarray, z_centered: np.ndarray, f_r0: float, q_l0: flo
         p0 = np.array([theta[i0], q_l0 * factor, f_r0])
         try:
             sol = least_squares(
-                residual, p0, x_scale=[1.0, q_l0 * factor, f_r0], method="lm"
+                residual, p0, jac=jacobian, x_scale=[1.0, q_l0 * factor, f_r0], method="lm"
             )
-        except Exception:
+        except ValueError:  # non-finite residuals at this start
             continue
         if best is None or sol.cost < best.cost:
             best = sol

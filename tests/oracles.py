@@ -46,6 +46,50 @@ def scanned_roots(delta, xi, linear_nodes=12001, log_nodes=8001):
     return _refine(nodes, delta, xi)
 
 
+def scanned_roots_many(deltas, xis, linear_nodes=12001, log_nodes=8001, chunk=32):
+    """:func:`scanned_roots` for many ``(delta, xi)`` pairs, one list entry each.
+
+    Pairs are scanned a chunk at a time, with the same per-pair nodes,
+    sign-change test and bisection as the scalar oracle.
+    """
+    deltas = np.asarray(deltas, dtype=float).ravel()
+    xis = np.asarray(xis, dtype=float).ravel()
+    bounds = np.array([root_bound(d, x) for d, x in zip(deltas, xis)])
+    out = [None] * deltas.size
+    for has_log in (False, True):
+        pairs = np.flatnonzero((bounds > LINEAR_NODE_MAX) == has_log)
+        for start in range(0, pairs.size, chunk):
+            sel = pairs[start : start + chunk]
+            bound = bounds[sel]
+            nodes = np.linspace(0.0, np.minimum(LINEAR_NODE_MAX, bound), linear_nodes, axis=1)
+            if has_log:
+                log = np.geomspace(LINEAR_NODE_MAX, bound, log_nodes, axis=1)
+                nodes = np.concatenate([nodes, log[:, 1:]], axis=1)
+            for i, roots in zip(sel, _refine_rows(nodes, deltas[sel], xis[sel])):
+                out[i] = roots
+    return out
+
+
+def _refine_rows(nodes, deltas, xis, iterations=90):
+    """:func:`_refine` over the rows of ``nodes``, row ``k`` at ``(deltas[k], xis[k])``."""
+    values = cubic_value(nodes, deltas[:, None], xis[:, None])
+    sign = np.sign(values)
+    exact_rows, exact_cols = np.nonzero(values == 0.0)
+    rows, flips = np.nonzero((sign[:, :-1] * sign[:, 1:]) < 0.0)
+    mids = _bisect(
+        nodes[rows, flips],
+        nodes[rows, flips + 1],
+        values[rows, flips],
+        deltas[rows],
+        xis[rows],
+        iterations,
+    )
+    return [
+        np.sort(np.concatenate([nodes[k, exact_cols[exact_rows == k]], mids[rows == k]]))
+        for k in range(nodes.shape[0])
+    ]
+
+
 def _refine(nodes, delta, xi, iterations=90):
     values = cubic_value(nodes, delta, xi)
     sign = np.sign(values)
@@ -53,7 +97,12 @@ def _refine(nodes, delta, xi, iterations=90):
     flips = np.flatnonzero((sign[:-1] * sign[1:]) < 0.0)
     lo = nodes[flips].astype(float)
     hi = nodes[flips + 1].astype(float)
-    flo = values[flips]
+    mids = _bisect(lo, hi, values[flips], delta, xi, iterations)
+    return np.sort(np.concatenate([exact, mids]))
+
+
+def _bisect(lo, hi, flo, delta, xi, iterations):
+    """Midpoints of the sign-change brackets ``[lo, hi]`` after ``iterations`` halvings."""
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         fmid = cubic_value(mid, delta, xi)
@@ -61,5 +110,4 @@ def _refine(nodes, delta, xi, iterations=90):
         hi = np.where(take_left, mid, hi)
         lo = np.where(take_left, lo, mid)
         flo = np.where(take_left, flo, fmid)
-    roots = np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
-    return roots
+    return 0.5 * (lo + hi)

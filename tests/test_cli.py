@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,17 @@ class TestPowerSweepAndKerr:
         )
         assert code == 0
         return path
+
+    def test_fit_kerr_on_default_sweep_raises_no_runtime_warning(self, tmp_path, capsys):
+        # the default sweep has K = 0, so the fit tries K near 0, where the
+        # photon cubic must still give finite roots
+        path = tmp_path / "default.csv"
+        assert run_cli(capsys, "synth", "kerr", "--out-csv", str(path))[0] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, doc = run_cli(capsys, "fit-kerr", str(path))
+        assert code == 0
+        assert doc["results"]["kerr_sigma_hz"] is not None
 
     def test_fit_power_sweep_table(self, sweep_csv, capsys):
         code, doc = run_cli(capsys, "fit-power-sweep", str(sweep_csv))

@@ -70,6 +70,18 @@ class TestPhotonCubic:
             scale = np.maximum(0.5, np.abs((delta**2 + 0.25) * roots))
             assert np.all(res < 1e-12 * scale)
 
+    def test_tiny_xi_roots_match_bracketing_oracle(self):
+        # the closed form loses the small root to cancellation below xi ~ 1e-14
+        rng = np.random.default_rng(8)
+        deltas = rng.uniform(-5.0, 5.0, 200)
+        xis = 10.0 ** rng.uniform(-30.0, -12.0, 200)
+        roots = rl.photon_cubic_roots(deltas, xis)
+        for delta, xi, row in zip(deltas, xis, roots):
+            mine = row[np.isfinite(row)]
+            oracle = scanned_roots(delta, xi)
+            assert mine.size == oracle.size == 1, (delta, xi)
+            np.testing.assert_allclose(mine, oracle, rtol=1e-7, atol=1e-12)
+
 
 class TestKerrModel:
     def test_zero_kerr_reduces_to_linear(self, sample_resonator, environment):

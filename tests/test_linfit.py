@@ -6,7 +6,13 @@ import pytest
 
 import resonatorlab as rl
 from conftest import buried_dip_trace, grid_around, linewidth_hz, resonator
-from resonatorlab.linfit import _central_jacobian, _refinement_problem
+from resonatorlab.linfit import (
+    _central_jacobian,
+    _fit_phase,
+    _phase_problem,
+    _refinement_problem,
+    circle_fit,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -279,6 +285,46 @@ def test_refinement_jacobian_matches_central_differences(
     column_error = np.abs(analytic - numeric).max(axis=0) / np.abs(numeric).max(axis=0)
     for name, err in zip(rl.linfit.PARAM_NAMES, column_error):
         assert err < 1e-5, name
+
+
+def test_phase_jacobian_matches_central_differences(sample_resonator, environment):
+    res, env = sample_resonator, environment
+    grid = grid_around(res, span_linewidths=15.0, points=2001)
+    trace = rl.generate_linear_trace(res, env, grid, -140.0, rl.NoiseSpec(snr_db=40, seed=7))
+    z = trace.values * np.exp(2j * np.pi * grid * env.tau)
+    center, _ = circle_fit(z)
+    f_r0 = float(grid[np.argmin(np.abs(trace.values))])
+    q_l0 = 5.0 * f_r0 / trace.span
+    optimum = np.array(_fit_phase(grid, z - center, f_r0, q_l0))
+    assert optimum[2] == pytest.approx(res.f_r, abs=linewidth_hz(res) / 20)
+    theta = np.unwrap(np.angle(z - center))
+    residual, jacobian = _phase_problem(grid, theta)
+    off_factor_start = np.array([theta[grid.size // 2], 25.0 * q_l0, f_r0])
+    for p in (optimum, off_factor_start):
+        analytic = jacobian(p)
+        # f_r steps on the scale of the model's linewidth f_r / Q_L
+        numeric = _central_jacobian(residual, p, np.array([1.0, p[1], p[2] / p[1]]))
+        assert analytic.shape == (grid.size, 3)
+        column_error = np.abs(analytic - numeric).max(axis=0) / np.abs(numeric).max(axis=0)
+        for name, err in zip(("theta0", "q_l", "f_r"), column_error):
+            assert err < 1e-5, name
+
+
+@pytest.mark.parametrize(
+    "error, expected", [(ValueError, rl.ConvergenceError), (ZeroDivisionError, ZeroDivisionError)]
+)
+def test_phase_stage_skips_only_value_errors(sample_resonator, environment, monkeypatch, error, expected):
+    # least_squares raises ValueError for non-finite residuals at a start;
+    # that start is skipped, and any other error propagates
+    grid = grid_around(sample_resonator, points=401)
+    trace = rl.generate_linear_trace(sample_resonator, environment, grid, -140.0)
+
+    def failing_least_squares(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(rl.linfit, "least_squares", failing_least_squares)
+    with pytest.raises(expected):
+        rl.fit_linear(trace)
 
 
 def test_phase_stage_off_the_trace_raises_convergence_error():
