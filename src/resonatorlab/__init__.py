@@ -52,7 +52,6 @@ from .kerrfit import (
     model_s21_kerr,
     photon_cubic_roots,
     single_photon_power,
-    solve_photon_cubic,
 )
 from .linfit import (
     FitOptions,

@@ -287,8 +287,7 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
         model = model_s21_kerr(params, freqs, p, opts["branch"])
         dip_data.append(freqs[int(np.argmin(np.abs(trace.values)))])
         dip_model.append(freqs[int(np.argmin(np.abs(model)))])
-    top = sweep.traces[-1]
-    top_model = model_s21_kerr(params, freqs, top.drive_power, opts["branch"])
+    # the loop ends on the highest-power slice, and trace/model hold it
     plots = {
         "dip_trajectory": plot_group(
             "power_dbm",
@@ -299,8 +298,8 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
         "highest_power_slice": plot_group(
             "freq_hz",
             freqs,
-            series("data_mag", np.abs(top.values)),
-            series("model_mag", np.abs(top_model)),
+            series("data_mag", np.abs(trace.values)),
+            series("model_mag", np.abs(model)),
         ),
     }
     return results, plots

@@ -1,5 +1,6 @@
-"""Kerr-nonlinear notch model: per-point photon cubic, branch selection and
-the two-stage power-sweep fit for the self-Kerr coefficient.
+"""Kerr-nonlinear notch model: photon cubic, branch selection, one forward
+model of a whole power sweep with its Jacobian, and the two-stage
+power-sweep fit for the self-Kerr coefficient.
 
 Conventions. ``K`` is the self-Kerr coefficient in Hz; positive ``K``
 softens the resonator, so the dip moves to lower frequency as the drive
@@ -14,10 +15,13 @@ reduced drive is ``xi = |alpha_in|^2 kappa_c K_ang / kappa_L^3`` with
 ``K_ang = 2 pi K`` and ``|alpha_in|^2 = P[W]/(hbar omega_d)``; the
 renormalized photon number ``n`` solves
 
-    1/2 = (delta^2 + 1/4) n - 2 delta xi n^2 + xi^2 n^3.
+    F(n) = xi^2 n^3 - 2 delta xi n^2 + (delta^2 + 1/4) n - 1/2 = 0.
 
 The cubic is invariant under ``(delta, xi) -> (-delta, -xi)``, which is how
 negative ``K`` is folded into a non-negative ``xi`` for the root solver.
+Derivatives of ``n`` follow by implicit differentiation, ``dn/dv = -F_v/F_n``
+(Yurke & Buks, J. Lightwave Technol. 24, 5054 (2006); Swenson et al.,
+J. Appl. Phys. 113, 104501 (2013)).
 """
 
 from __future__ import annotations
@@ -38,14 +42,13 @@ from .core import (
     watts_to_dbm,
 )
 from .errors import ConvergenceError, DataError
-from .linfit import LinearFitResult, _central_jacobian, _scaled_pinv, photon_number
+from .linfit import PARAM_NAMES, LinearFitResult, _scaled_pinv, photon_number
 
 __all__ = [
     "BRANCH_RULES",
     "KerrParams",
     "KerrFitOptions",
     "KerrFitResult",
-    "solve_photon_cubic",
     "photon_cubic_roots",
     "model_s21_kerr",
     "combine_linear_fits",
@@ -59,6 +62,9 @@ BRANCH_RULES = ("lowest", "highest", "sweep-continuation")
 #: Reduced drive below which :func:`photon_cubic_roots` starts Newton from the
 #: linear root instead of using the closed form.
 XI_NEWTON = 1e-8
+
+#: Parameter vector of :func:`_sweep_model`: the linear parameters, then (K, phi).
+SWEEP_PARAM_NAMES = PARAM_NAMES + ("kerr", "phi")
 
 
 @dataclass(frozen=True)
@@ -81,12 +87,9 @@ class KerrParams:
 class KerrFitOptions:
     branch: str = "lowest"
     k_init: float | None = None  # Hz; default: dip-trajectory slope estimate
-    mask_bistable: bool = False  # drop above-bifurcation points from the fit
+    mask_bistable: bool = False  # drop the points with three roots at the start K
     free_all: bool = False  # diagnostic mode: also free the linear parameters
-    propagate_linear_uncertainty: bool = True  # fold stage-1 sigmas into sigma_K
     max_iterations: int = 200
-    cost_tol: float = 1e-12
-    step_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -185,14 +188,6 @@ def _polish(n: np.ndarray, delta: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return n
 
 
-def solve_photon_cubic(delta: float, xi: float) -> np.ndarray:
-    """Real non-negative roots for one ``(delta, xi)`` pair, ascending."""
-    if xi < 0.0:
-        raise ValueError("xi must be non-negative; fold the sign of K into delta")
-    row = photon_cubic_roots(np.array(delta, float), np.array(xi, float))
-    return row[np.isfinite(row)]
-
-
 def _select_branch(roots: np.ndarray, branch: str) -> np.ndarray:
     """Pick one root per point from ascending NaN-padded ``roots`` (m, 3)."""
     if branch == "lowest":
@@ -200,47 +195,97 @@ def _select_branch(roots: np.ndarray, branch: str) -> np.ndarray:
     if branch == "highest":
         return np.nanmax(roots, axis=1)
     if branch == "sweep-continuation":
-        n = np.empty(roots.shape[0])
-        previous = roots[0, 0]
-        for i in range(roots.shape[0]):
-            row = roots[i]
-            finite = row[np.isfinite(row)]
-            previous = finite[np.argmin(np.abs(finite - previous))]
-            n[i] = previous
+        # Follow the root nearest the previous point's. Only points with
+        # several roots offer a choice, and the first point takes its lowest.
+        n = roots[:, 0].copy()
+        for i in np.flatnonzero(np.isfinite(roots[1:, 1])) + 1:
+            finite = roots[i][np.isfinite(roots[i])]
+            n[i] = finite[np.argmin(np.abs(finite - n[i - 1]))]
         return n
     raise ValueError(f"unknown branch rule {branch!r}; expected one of {BRANCH_RULES}")
 
 
-def _kerr_values(
-    f_r: float,
-    kappa_c: float,
-    kappa_int: float,
-    kerr: float,
-    phi: float,
-    amplitude: float,
-    alpha: float,
-    tau: float,
-    f: np.ndarray,
-    p_feedline: float,
-    branch: str,
-) -> np.ndarray:
-    """Model evaluation on primitive values (no container validation)."""
-    omega_d = 2.0 * math.pi * f
+def _sweep_vector(res, env, kerr, phi) -> np.ndarray:
+    """The :data:`SWEEP_PARAM_NAMES` vector of one model."""
+    linear = [res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau]
+    return np.array([*linear, kerr, phi])
+
+
+def _sweep_model(
+    p: np.ndarray, f: np.ndarray, watts: Sequence[float], branch: str, columns: Sequence[int] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S21 over the (power x frequency) grid, with Jacobian columns on request.
+
+    ``p`` holds :data:`SWEEP_PARAM_NAMES`, ``watts`` the feedline power [W] of
+    each row. Returns the complex S21 ``(P, F)``; ``dS21/dp[j]`` for each ``j``
+    in ``columns`` as one real ``(2 P F, k)`` array, the real parts of the
+    raveled grid over the imaginary parts as in a stacked residual; and the
+    ``(P, F)`` flags of the points where the cubic has three roots. Each power
+    row is one sweep for ``"sweep-continuation"``. ``phi0`` does not enter the
+    model (``phi`` takes its role), so its column is zero.
+    """
+    f_r, kappa_c, kappa_int, _, amplitude, alpha, tau, kerr, phi = p
+    kappa_int = max(kappa_int, 0.0)
     kappa_l = kappa_c + kappa_int
-    alpha_in_sq = dbm_to_watts(p_feedline) / (HBAR * omega_d)
+    hbar_omega = HBAR * (2.0 * math.pi * f)
     # subtract frequencies before scaling: forming omega_0 - omega_d from
     # two large rounded products would cost ~4 digits of detuning accuracy
     delta = 2.0 * math.pi * (f_r - f) / kappa_l
-    xi = alpha_in_sq * kappa_c * (2.0 * math.pi * kerr) / kappa_l**3
     sign = -1.0 if kerr < 0.0 else 1.0
-    roots = photon_cubic_roots(sign * delta, sign * xi)
-    n = _select_branch(roots, branch)
-    denom = 1.0 + 2j * (delta - xi * n)
-    resonant = 1.0 - (kappa_c / kappa_l) * (np.exp(1j * phi) / math.cos(phi)) / denom
+    unit_mismatch = np.exp(1j * phi) / math.cos(phi)
+    mismatch = (kappa_c / kappa_l) * unit_mismatch
     # same rounding chain as the linear model so the K = 0 limit matches it
     # to well below the 1e-10 contract
-    background = amplitude * np.exp(1j * alpha) * np.exp(-2j * math.pi * f * tau)
-    return background * resonant
+    carrier = np.exp(-2j * math.pi * f * tau)
+    background = amplitude * np.exp(1j * alpha) * carrier
+
+    s21 = np.empty((len(watts), f.size), dtype=complex)
+    three = np.empty(s21.shape, dtype=bool)
+    jac = np.zeros((2 * s21.size, len(columns)))
+    jac_parts = jac.reshape(2, *s21.shape, len(columns))  # a view: real, imag
+    for i, w in enumerate(watts):
+        alpha_in_sq = w / hbar_omega
+        xi = alpha_in_sq * kappa_c * (2.0 * math.pi * kerr) / kappa_l**3
+        roots = photon_cubic_roots(sign * delta, sign * xi)
+        three[i] = np.isfinite(roots[:, 2])
+        n = _select_branch(roots, branch)
+        denom = 1.0 + 2j * (delta - xi * n)
+        resonant = 1.0 - mismatch / denom
+        s21[i] = s = background * resonant
+        if not columns:
+            continue
+
+        # u = delta - xi n moves with dn = -(F_delta d delta + F_xi d xi)/F_n,
+        # which reduces to du = (u^2 + 1/4)/F_n (d delta - n d xi).
+        u = delta - xi * n
+        f_n = (3.0 * xi * n - 4.0 * delta) * xi * n + delta * delta + 0.25
+        with np.errstate(divide="ignore", invalid="ignore"):  # F_n -> 0 at the folds
+            d_u = 2j * background * mismatch / denom**2 * (u * u + 0.25) / f_n
+        rate = alpha_in_sq * (2.0 * math.pi) / kappa_l**3  # xi per (kappa_c K)
+        shift = (3.0 * xi * n - delta) / kappa_l  # d delta - n d xi per d kappa_L
+        b_unit = background * unit_mismatch / denom  # -dS/d(kappa_c/kappa_L)
+        for col, j in enumerate(columns):
+            if j == 3 or (j == 2 and p[2] < 0.0):  # phi0 unused; kappa_int clipped
+                continue
+            if j == 0:
+                d = d_u * (2.0 * math.pi / kappa_l)
+            elif j == 1:
+                d = d_u * (shift - n * rate * kerr) - b_unit * (kappa_int / kappa_l**2)
+            elif j == 2:
+                d = d_u * shift + b_unit * (kappa_c / kappa_l**2)
+            elif j == 4:
+                d = np.exp(1j * alpha) * carrier * resonant
+            elif j == 5:
+                d = 1j * s
+            elif j == 6:
+                d = -2j * math.pi * f * s
+            elif j == 7:
+                d = -d_u * n * rate * kappa_c
+            else:
+                d = -1j * (kappa_c / kappa_l) / math.cos(phi) ** 2 * background / denom
+            jac_parts[0, i, :, col] = d.real
+            jac_parts[1, i, :, col] = d.imag
+    return s21, jac, three
 
 
 def model_s21_kerr(
@@ -260,20 +305,8 @@ def model_s21_kerr(
     if branch not in BRANCH_RULES:
         raise ValueError(f"unknown branch rule {branch!r}; expected one of {BRANCH_RULES}")
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    res, env = params.linear, params.environment
-    out = _kerr_values(
-        res.f_r,
-        res.kappa_c,
-        res.kappa_int,
-        params.kerr,
-        params.phi,
-        env.amplitude,
-        env.alpha,
-        env.tau,
-        f_arr,
-        p_feedline,
-        branch,
-    )
+    p = _sweep_vector(params.linear, params.environment, params.kerr, params.phi)
+    out = _sweep_model(p, f_arr, [dbm_to_watts(p_feedline)], branch)[0][0]
     return out if np.ndim(f) else complex(out[0])
 
 
@@ -293,8 +326,6 @@ def combine_linear_fits(fits: Sequence[LinearFitResult]) -> LinearFitResult:
         raise ValueError("need at least one fit to combine")
     if len(fits) == 1:
         return fits[0]
-    from .linfit import PARAM_NAMES  # local import to avoid cycle at module load
-
     combined: dict[str, float] = {}
     uncertainties: dict[str, float] = {}
     for name in PARAM_NAMES:
@@ -366,9 +397,11 @@ def fit_kerr(
     ``linear`` should come from a sub-single-photon slice of the same sweep
     (beware that pooling slices with appreciable occupation imprints the Kerr
     red-shift on the pooled resonance); a resonance outside the sweep's grid
-    is rejected as a mismatch. By default the reported ``k_uncertainty``
-    includes the first-order effect of the uncertainties of the fixed linear
-    parameters, not just the conditional error bar.
+    is rejected as a mismatch. The fit starts from the best of four K values
+    by the unmasked sum of squares, and ``mask_bistable`` drops the points
+    with three roots at that start. ``k_uncertainty`` includes the
+    first-order effect of the uncertainties of the fixed linear parameters;
+    with ``free_all`` they are fitted too and the error bar is conditional.
     """
     options = options or KerrFitOptions()
     if options.branch not in BRANCH_RULES:
@@ -381,174 +414,100 @@ def fit_kerr(
             f"linear-fit resonance {res0.f_r} Hz lies outside the sweep grid "
             f"[{freqs[0]}, {freqs[-1]}] Hz; sweep and linear fit do not match"
         )
-    powers = [t.drive_power for t in sweep.traces]
+    watts = [dbm_to_watts(t.drive_power) for t in sweep.traces]
     data = np.concatenate([t.values for t in sweep.traces])
     span = sweep.traces[0].span
-    theta0 = np.array(
-        [res0.f_r, res0.kappa_c, res0.kappa_int, res0.phi0, env0.amplitude, env0.alpha, env0.tau]
-    )
-    theta_scale = np.array(
-        [
-            res0.kappa_l / (2.0 * math.pi),
-            res0.kappa_l,
-            res0.kappa_l,
-            0.3,
-            env0.amplitude,
-            0.3,
-            1.0 / (2.0 * math.pi * span),
-        ]
-    )
 
     k0 = options.k_init if options.k_init is not None else _estimate_k_init(sweep, res0)
     k_scale = max(abs(k0), res0.kappa_l / (2.0 * math.pi) * 1e-3)
+    p0 = _sweep_vector(res0, env0, k0, res0.phi0)
+    scale = np.array(
+        [res0.kappa_l / (2.0 * math.pi), res0.kappa_l, res0.kappa_l, 0.3, env0.amplitude, 0.3]
+        + [1.0 / (2.0 * math.pi * span), k_scale, 0.3]
+    )
+    # (K, phi), then in the diagnostic mode the linear parameters but phi0
+    free = [7, 8, 0, 1, 2, 4, 5, 6] if options.free_all else [7, 8]
+    x0 = p0[free]
+    x_scale = scale[free]
+    keep = None  # grid points the fit uses; all of them unless masked
 
-    mask = None
-    if options.mask_bistable:
-        mask = ~_bistable_mask(res0, k0, freqs, powers)
-        if not np.any(mask):
-            raise DataError("masking bistable points left no data to fit")
+    def full(x):  # the SWEEP_PARAM_NAMES vector at free values x
+        p = p0.copy()
+        p[free] = x
+        return p
 
-    def stacked(theta, kerr, phi):
-        f_r, kappa_c, kappa_int, _, amplitude, alpha, tau = theta
-        blocks = [
-            _kerr_values(
-                f_r,
-                kappa_c,
-                max(kappa_int, 0.0),
-                kerr,
-                phi,
-                amplitude,
-                alpha,
-                tau,
-                freqs,
-                p,
-                options.branch,
-            )
-            for p in powers
-        ]
-        delta_z = np.concatenate(blocks) - data
-        if mask is not None:
-            delta_z = delta_z[mask]
+    def evaluate(x, columns=()):
+        return _sweep_model(full(x), freqs, watts, options.branch, columns)
+
+    def residual(x):
+        delta_z = evaluate(x)[0].ravel() - data
+        if keep is not None:
+            delta_z = delta_z[keep]
         return np.concatenate([delta_z.real, delta_z.imag])
 
-    if options.free_all:
-        names = ("kerr", "phi", "f_r", "kappa_c", "kappa_int", "amplitude", "alpha", "tau")
-        x0 = np.array([k0, res0.phi0, *theta0[[0, 1, 2, 4, 5, 6]]])
-        x_scale = np.array([k_scale, 0.3, *theta_scale[[0, 1, 2, 4, 5, 6]]])
-
-        def residual(x):
-            theta = np.array([x[2], x[3], x[4], res0.phi0, x[5], x[6], x[7]])
-            return stacked(theta, x[0], x[1])
-
-    else:
-        names = ("kerr", "phi")
-        x0 = np.array([k0, res0.phi0])
-        x_scale = np.array([k_scale, 0.3])
-
-        def residual(x):
-            return stacked(theta0, x[0], x[1])
+    def jacobian(x, columns=free):
+        jac = evaluate(x, columns)[1]
+        return jac if keep is None else jac[np.concatenate([keep, keep])]
 
     # Pick the best of a few starting K values before refining; the SSR
     # landscape is benign but the slope estimate can be off by a factor.
     def ssr_at(k):
-        x_try = x0.copy()
-        x_try[0] = k
-        r = residual(x_try)
+        r = residual(np.array([k, *x0[1:]]))
         return float(np.dot(r, r))
 
     candidates = {float(k0), float(3.0 * k0), float(k0 / 3.0), float(-k0)}
     x0[0] = min(candidates, key=ssr_at)
+    if options.mask_bistable:
+        keep = ~evaluate(x0)[2].ravel()
+        if not np.any(keep):
+            raise DataError("masking bistable points left no data to fit")
 
     sol = least_squares(
         residual,
         x0,
+        jac=jacobian,
         method="lm",
         x_scale=x_scale,
-        ftol=options.cost_tol,
-        xtol=options.step_tol,
+        ftol=1e-12,
+        xtol=1e-12,
         gtol=1e-14,
         max_nfev=options.max_iterations * (len(x0) + 1),
     )
     if sol.status == 0:
         raise ConvergenceError(
             f"no convergence within {options.max_iterations} iterations",
-            last_params=dict(zip(names, sol.x)),
+            last_params={SWEEP_PARAM_NAMES[j]: x for j, x in zip(free, sol.x)},
         )
 
     ssr = 2.0 * sol.cost
     m = sol.fun.size
     dof = max(m - len(sol.x), 1)
-    jac = _central_jacobian(residual, sol.x, x_scale)
-    covariance = (ssr / dof) * _scaled_pinv(jac, x_scale)
-
-    if options.propagate_linear_uncertainty and not options.free_all:
-        covariance = covariance + _linear_param_leakage(
-            stacked, sol.x, jac, x_scale, theta0, theta_scale, np.asarray(linear.covariance)
-        )
+    fixed = [] if options.free_all else list(range(len(PARAM_NAMES)))
+    jac = jacobian(sol.x, free + fixed)
+    jac_x = jac[:, : len(free)]
+    covariance = (ssr / dof) * _scaled_pinv(jac_x, x_scale)
+    if fixed:
+        # The fixed linear parameters shift the optimum by
+        # dx = -(Jx^T Jx)^{-1} Jx^T Jtheta dtheta; propagate their stage-1
+        # covariance through that sensitivity.
+        coef_scaled, *_ = np.linalg.lstsq(jac_x * x_scale, jac[:, len(free) :], rcond=None)
+        sensitivity = -(x_scale[:, None] * coef_scaled)
+        covariance = covariance + sensitivity @ np.asarray(linear.covariance) @ sensitivity.T
 
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    kerr = float(sol.x[0])
-    phi = float(-((-sol.x[1] + math.pi / 2) % math.pi) + math.pi / 2)
-    if options.free_all:
-        res_fit = LinearResonatorParams(
-            f_r=float(sol.x[2]),
-            kappa_c=float(sol.x[3]),
-            kappa_int=max(float(sol.x[4]), 0.0),
-            phi0=res0.phi0,
-        )
-        env_fit = EnvironmentParams(float(sol.x[5]), float(sol.x[6]), float(sol.x[7]))
-    else:
-        res_fit, env_fit = res0, env0
-    params = KerrParams(linear=res_fit, environment=env_fit, kerr=kerr, phi=phi)
+    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau, kerr, phi = map(float, full(sol.x))
+    params = KerrParams(
+        linear=LinearResonatorParams(f_r, kappa_c, max(kappa_int, 0.0), phi0),
+        environment=EnvironmentParams(amplitude, alpha, tau),
+        kerr=kerr,
+        phi=-((-phi + math.pi / 2) % math.pi) + math.pi / 2,
+    )
     return KerrFitResult(
         params=params,
         k_uncertainty=float(sigmas[0]),
         phi_uncertainty=float(sigmas[1]),
         residual_rms=math.sqrt(ssr / (m / 2)),
     )
-
-
-def _linear_param_leakage(
-    stacked,
-    x_opt: np.ndarray,
-    jac_x: np.ndarray,
-    x_scale: np.ndarray,
-    theta0: np.ndarray,
-    theta_scale: np.ndarray,
-    theta_cov: np.ndarray,
-) -> np.ndarray:
-    """First-order covariance added to (K, phi) by the fixed linear parameters.
-
-    With residuals r(x, theta), the optimum shifts by
-    ``dx = -(Jx^T Jx)^{-1} Jx^T Jtheta dtheta``; this propagates the stage-1
-    covariance through that sensitivity.
-    """
-
-    def residual_theta(theta):
-        return stacked(theta, x_opt[0], x_opt[1])
-
-    jac_theta = _central_jacobian(residual_theta, theta0, theta_scale)
-    jx_scaled = jac_x * x_scale[None, :]
-    coef_scaled, *_ = np.linalg.lstsq(jx_scaled, jac_theta, rcond=None)
-    sensitivity = -(x_scale[:, None] * coef_scaled)
-    return sensitivity @ theta_cov @ sensitivity.T
-
-
-def _bistable_mask(
-    res: LinearResonatorParams, kerr: float, freqs: np.ndarray, powers: Sequence[float]
-) -> np.ndarray:
-    """True where the cubic has three real roots (stacked trace order)."""
-    flags = []
-    for p in powers:
-        omega_d = 2.0 * math.pi * freqs
-        kappa_l = res.kappa_l
-        alpha_in_sq = dbm_to_watts(p) / (HBAR * omega_d)
-        delta = (2.0 * math.pi * res.f_r - omega_d) / kappa_l
-        xi = alpha_in_sq * res.kappa_c * (2.0 * math.pi * kerr) / kappa_l**3
-        sign = -1.0 if kerr < 0.0 else 1.0
-        roots = photon_cubic_roots(sign * delta, sign * xi)
-        flags.append(np.sum(np.isfinite(roots), axis=1) == 3)
-    return np.concatenate(flags)
 
 
 def single_photon_power(res: LinearResonatorParams) -> float:

@@ -6,7 +6,9 @@ import pytest
 
 import resonatorlab as rl
 from conftest import grid_around, linewidth_hz, resonator
-from oracles import brute_force_roots, cubic_value, scanned_roots
+from oracles import brute_force_roots, continuation_branch, cubic_value, scanned_roots
+from resonatorlab.kerrfit import _select_branch, _sweep_model, _sweep_vector
+from resonatorlab.linfit import _central_jacobian
 
 TWO_PI = 2.0 * np.pi
 
@@ -14,18 +16,21 @@ TWO_PI = 2.0 * np.pi
 class TestPhotonCubic:
     def test_xi_zero_reduces_to_linear_equation(self):
         for delta in (-3.0, 0.0, 0.7, 5.0):
-            roots = rl.solve_photon_cubic(delta, 0.0)
+            roots = rl.photon_cubic_roots(delta, 0.0)
+            roots = roots[np.isfinite(roots)]
             assert roots.size == 1
             assert roots[0] == pytest.approx(0.5 / (delta**2 + 0.25), rel=1e-14)
-        assert rl.solve_photon_cubic(0.0, 0.0)[0] == pytest.approx(2.0, rel=1e-14)
+        assert rl.photon_cubic_roots(0.0, 0.0)[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_single_root_back_substitutes(self):
-        roots = rl.solve_photon_cubic(0.0, 0.1)
+        roots = rl.photon_cubic_roots(0.0, 0.1)
+        roots = roots[np.isfinite(roots)]
         assert roots.size == 1
         assert abs(cubic_value(roots[0], 0.0, 0.1)) < 1e-12
 
     def test_deep_bistable_point_three_roots(self):
-        roots = rl.solve_photon_cubic(2.0, 1.0)
+        roots = rl.photon_cubic_roots(2.0, 1.0)
+        roots = roots[np.isfinite(roots)]
         assert roots.size == 3
         oracle = brute_force_roots(2.0, 1.0, n_max=10.0, step=1e-4)
         assert oracle.size == 3
@@ -36,7 +41,7 @@ class TestPhotonCubic:
 
     def test_negative_xi_rejected(self):
         with pytest.raises(ValueError):
-            rl.solve_photon_cubic(1.0, -0.5)
+            rl.photon_cubic_roots(1.0, -0.5)
 
     def test_grid_back_substitution_and_counts(self):
         deltas = np.linspace(-5.0, 5.0, 41)
@@ -55,7 +60,8 @@ class TestPhotonCubic:
         deltas = rng.uniform(-5, 5, 60)
         xis = rng.uniform(0.0, 2.0, 60)
         for delta, xi in zip(deltas, xis):
-            mine = rl.solve_photon_cubic(delta, xi)
+            mine = rl.photon_cubic_roots(delta, xi)
+            mine = mine[np.isfinite(mine)]
             oracle = scanned_roots(delta, xi)
             assert mine.size == oracle.size, (delta, xi)
             np.testing.assert_allclose(mine, oracle, rtol=1e-7, atol=1e-12)
@@ -65,7 +71,8 @@ class TestPhotonCubic:
         for _ in range(200):
             delta = rng.uniform(-5, 5)
             xi = 10.0 ** rng.uniform(-12, 1)
-            roots = rl.solve_photon_cubic(delta, xi)
+            roots = rl.photon_cubic_roots(delta, xi)
+            roots = roots[np.isfinite(roots)]
             res = np.abs(cubic_value(roots, delta, xi))
             scale = np.maximum(0.5, np.abs((delta**2 + 0.25) * roots))
             assert np.all(res < 1e-12 * scale)
@@ -146,6 +153,23 @@ class TestKerrModel:
         cont = rl.model_s21_kerr(params, f, p, "sweep-continuation")
         assert cont.shape == low.shape
 
+    def test_sweep_continuation_matches_per_point_loop(self, sample_resonator):
+        res = sample_resonator
+        f = grid_around(res, span_linewidths=14.0, points=2001)
+        delta = TWO_PI * (res.f_r - f) / res.kappa_l
+        bistable = moved = 0
+        for kerr in (99.5e3, -99.5e3):
+            for p in np.arange(-130.0, -111.0, 2.0):  # up to the -112 dBm slice above
+                alpha_in_sq = rl.dbm_to_watts(p) / (rl.HBAR * TWO_PI * f)
+                xi = alpha_in_sq * res.kappa_c * TWO_PI * kerr / res.kappa_l**3
+                roots = rl.photon_cubic_roots(np.sign(kerr) * delta, np.abs(xi))
+                n = _select_branch(roots, "sweep-continuation")
+                np.testing.assert_array_equal(n, continuation_branch(roots))
+                bistable += np.count_nonzero(np.isfinite(roots[:, 2]))
+                moved += np.count_nonzero(n != roots[:, 0])
+        # the grid reaches the bistable regime, where the rule leaves the lowest root
+        assert bistable > 0 and moved > 0
+
     def test_invalid_branch(self, sample_resonator, environment):
         params = rl.KerrParams(
             linear=sample_resonator, environment=environment, kerr=1e4, phi=0.0
@@ -168,7 +192,7 @@ class TestKerrModel:
         res = sample_resonator
         p_dbm = -170.0
         alpha_in_sq = rl.dbm_to_watts(p_dbm) / (rl.HBAR * TWO_PI * res.f_r)
-        n = rl.solve_photon_cubic(0.0, 0.0)[0]  # xi -> 0 on resonance
+        n = rl.photon_cubic_roots(0.0, 0.0)[0]  # xi -> 0 on resonance
         n_ph = n * alpha_in_sq * res.kappa_c / res.kappa_l**2
         assert n_ph == pytest.approx(rl.photon_number(res, p_dbm), rel=1e-12)
 
@@ -272,6 +296,26 @@ class TestFitKerr:
         # the linear block is refitted in this mode
         assert fit.params.linear.f_r == pytest.approx(sample_resonator.f_r, rel=1e-6)
 
+    def test_mask_follows_the_chosen_start(self, sample_resonator, environment):
+        # both k_init values have 150 kHz among their start candidates, so
+        # they start, and mask, at the same K
+        sweep = _synthetic_sweep(sample_resonator, environment, 150e3, seed=3)
+        lin = rl.fit_linear(sweep.traces[0])
+        a, b = (
+            rl.fit_kerr(sweep, lin, rl.KerrFitOptions(mask_bistable=True, k_init=k))
+            for k in (150e3, 450e3)
+        )
+        assert abs(a.params.kerr - b.params.kerr) <= 1e-3 * a.k_uncertainty
+
+    @pytest.mark.parametrize("kerr, seed", [(100e3, 21), (0.0, 42), (150e3, 3), (120e3, 4)])
+    def test_free_all_reaches_its_optimum(self, sample_resonator, environment, kerr, seed):
+        sweep = _synthetic_sweep(sample_resonator, environment, kerr, seed)
+        lin = rl.fit_linear(sweep.traces[0])
+        fixed = rl.fit_kerr(sweep, lin)
+        free = rl.fit_kerr(sweep, lin, rl.KerrFitOptions(free_all=True))
+        # freeing the linear parameters cannot raise the cost of the optimum
+        assert free.residual_rms <= fixed.residual_rms
+
     def test_combine_linear_fits_pools_uncertainty(self, sample_resonator, environment):
         res, env = sample_resonator, environment
         grid = grid_around(res, points=1001)
@@ -299,3 +343,37 @@ class TestFitKerr:
         pooled = rl.kerrfit.combine_linear_fits(fits).environment.alpha
         # a plain mean of the two pools near 0, the wrong side of the circle
         assert abs(math.remainder(pooled - math.pi, TWO_PI)) < 0.02
+
+
+@pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
+@pytest.mark.parametrize("kerr", [100e3, -80e3, 0.0])
+def test_kerr_jacobian_matches_central_differences(sample_resonator, environment, kerr, branch):
+    res, env = sample_resonator, environment
+    lw = linewidth_hz(res)
+    center = res.f_r - math.copysign(lw, kerr)  # as in the fit tests of either sign
+    grid = grid_around(res, span_linewidths=10.0, points=401, center=center)
+    psp = rl.single_photon_power(res)
+    # the ladder of _synthetic_sweep, extended into the bistable regime
+    watts = [rl.dbm_to_watts(p) for p in np.arange(psp - 18.0, psp + 24.0, 2.0)]
+    p = _sweep_vector(res, env, kerr, 0.15)
+    # the steps fit_kerr would scale its parameters by
+    tau_scale = 1.0 / (TWO_PI * (grid[-1] - grid[0]))
+    k_scale = max(abs(kerr), 1e-3 * lw)
+    x_scale = np.array(
+        [lw, res.kappa_l, res.kappa_l, 0.3, env.amplitude, 0.3, tau_scale, k_scale, 0.3]
+    )
+    _, analytic, three = _sweep_model(p, grid, watts, branch, range(9))
+
+    def residual(q):
+        s21 = _sweep_model(q, grid, watts, branch)[0].ravel()
+        return np.concatenate([s21.real, s21.imag])
+
+    numeric = _central_jacobian(residual, p, x_scale)
+    assert analytic.shape == (2 * three.size, 9)
+    assert np.any(three) == (kerr != 0.0)
+    # points with three roots can switch branch under a finite step
+    single = np.tile(~three.ravel(), 2)
+    error = np.linalg.norm(analytic[single] - numeric[single], axis=0)
+    scale = np.linalg.norm(numeric[single], axis=0)
+    for name, err, ref in zip(rl.kerrfit.SWEEP_PARAM_NAMES, error, scale):
+        assert err <= 1e-6 * ref, name
