@@ -1,11 +1,10 @@
 """Linear notch-resonator model and its complex least-squares fitter.
 
-The fit proceeds in the classic staged fashion: estimate and remove the
-cable delay, fit a circle to the delay-corrected data, fit the phase
-winding around the circle center, translate the geometry into model
-parameters, then refine all seven parameters with a Levenberg-Marquardt
-pass on the complex residuals. The phase fit, the refinement and the
-covariance use closed-form Jacobians, so none of them depends on a
+The fit has three stages: estimate and remove the cable delay from the
+phase slope of the trace wings, seed the resonance by a global scan of the
+cost profiled over its linear parameters, then refine all seven parameters
+with one Levenberg-Marquardt pass on the complex residuals. The refinement
+and the covariance use a closed-form Jacobian, so neither depends on a
 finite-difference step rule of the optimizer.
 """
 
@@ -18,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 
 from .constants import HBAR
 from .core import (
@@ -122,35 +121,6 @@ def circle_fit(points: Sequence[complex] | np.ndarray) -> tuple[complex, float]:
     return center, radius
 
 
-def _refine_delay(freqs: np.ndarray, values: np.ndarray, tau0: float, span: float) -> float:
-    """Polish the wing-slope delay estimate by maximizing circularity.
-
-    Residual delay twists the delay-corrected locus away from a circle; a
-    bounded 1-d search on the geometric circle-fit residual removes it. The
-    bracket stays well inside one phase turn across the span, where the
-    wing estimate is guaranteed to land.
-    """
-
-    def cost(tau):
-        z = values * np.exp(2j * math.pi * freqs * tau)
-        try:
-            center, radius = circle_fit(z)
-        except DegenerateGeometryError:
-            return math.inf
-        return float(np.sum((np.abs(z - center) - radius) ** 2))
-
-    width = 0.2 / span
-    sol = minimize_scalar(
-        cost,
-        bounds=(tau0 - width, tau0 + width),
-        method="bounded",
-        options={"xatol": 1e-5 / span},
-    )
-    # The bounded search returns the cost it evaluated at its optimum.
-    tau = float(sol.x)
-    return tau if sol.fun <= cost(tau0) else tau0
-
-
 def _wrap_angle(angle: float) -> float:
     """Wrap into (-pi, pi]."""
     return float(-((-angle + math.pi) % (2.0 * math.pi)) + math.pi)
@@ -161,88 +131,72 @@ def _wrap_half_pi(phi: float) -> float:
     return float(-((-phi + math.pi / 2) % math.pi) + math.pi / 2)
 
 
-def _phase_problem(freqs: np.ndarray, theta: np.ndarray):
-    """Residual and closed-form Jacobian of the phase-winding fit.
+SEED_BLOCKS = 128
+SEED_Q_LEVELS = 12
 
-    The model is ``theta0 + 2 arctan(2 Q_L x)`` with ``x = f/f_r - 1`` and
-    parameters ``(theta0, Q_L, f_r)``; with ``g = 2 / (1 + (2 Q_L x)^2)`` its
-    derivatives are ``1``, ``2 x g`` and ``-2 Q_L f / f_r^2 g``.
+
+def _profiled_seed(freqs: np.ndarray, z: np.ndarray):
+    """Start of the refinement from a global scan of the profiled notch cost.
+
+    At fixed ``(f_r, Q_L)`` the delay-corrected model ``a (1 - c g)`` with
+    ``g = 1/(1 - 2i Q_L x)`` and ``x = f/f_r - 1`` is linear in ``(a, a c)``,
+    so its cost is profiled in closed form (Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 413 (1973)). The scan runs on at most ``SEED_BLOCKS`` block
+    means: ``f_r`` over the block frequencies, ``Q_L`` over log-spaced
+    linewidths from the whole span down to two blocks. A background slope
+    ``{1, f - f_mid}`` is projected out, so a residual delay that twists the
+    background does not pass for a span-wide dip. Returns
+    ``(f_r, kappa_c, kappa_l, phi0, a)`` with ``a`` the complex background
+    at ``f_r``.
     """
+    n_blocks = min(freqs.size, SEED_BLOCKS)
+    starts = np.linspace(0, freqs.size, n_blocks, endpoint=False).astype(int)
+    counts = np.diff(np.append(starts, freqs.size))
+    fb = np.add.reduceat(freqs, starts) / counts
+    zb = np.add.reduceat(z, starts) / counts
 
-    def residual(p):
-        theta0, q_l, f_r = p
-        return theta0 + 2.0 * np.arctan(2.0 * q_l * (freqs / f_r - 1.0)) - theta
+    f_mid = 0.5 * (freqs[0] + freqs[-1])
+    span = freqs[-1] - freqs[0]
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(n_blocks), (fb - f_mid) / span]))
+    r = zb - basis @ (basis.T @ zb)
+    cols = np.column_stack([r.real, r.imag, basis])
 
-    def jacobian(p):
-        _, q_l, f_r = p
-        x = freqs / f_r - 1.0
-        g = 2.0 / (1.0 + (2.0 * q_l * x) ** 2)
-        return np.column_stack([np.ones_like(x), 2.0 * x * g, -2.0 * q_l * freqs / f_r**2 * g])
+    # Cost drop |<g, r>|^2 / |P g|^2 of adding g to the background, where P
+    # projects out the background; |g|^2 = Re g, so each Q_L level costs two
+    # real matrix products over all candidate f_r at once.
+    q_levels = np.geomspace(f_mid / span, f_mid * n_blocks / (2.0 * span), SEED_Q_LEVELS)
+    drops = np.zeros((q_levels.size, n_blocks))
+    x = fb[None, :] / fb[:, None] - 1.0
+    for k, q_l in enumerate(q_levels):
+        y = 2.0 * q_l * x
+        d = 1.0 / (1.0 + y * y)
+        re_g = d @ cols  # <Re g, .> per candidate f_r
+        im_g = (y * d) @ cols  # <Im g, .>
+        overlap = (re_g[:, 0] + im_g[:, 1]) ** 2 + (re_g[:, 1] - im_g[:, 0]) ** 2
+        norm = d.sum(axis=1) - (re_g[:, 2:] ** 2 + im_g[:, 2:] ** 2).sum(axis=1)
+        np.divide(overlap, norm, out=drops[k], where=norm > 0.0)
 
-    return residual, jacobian
-
-
-def _smooth(z: np.ndarray, window: int) -> np.ndarray:
-    if window < 3 or z.size < 4 * window:
-        return z
-    kernel = np.ones(window) / window
-    out = np.convolve(z, kernel, mode="same")
-    # Plain averages at the edges are biased by zero padding; keep raw values.
-    half = window // 2
-    out[:half] = z[:half]
-    out[-half:] = z[-half:]
-    return out
-
-
-def _fit_phase(freqs: np.ndarray, z_centered: np.ndarray, f_r0: float, q_l0: float):
-    """Fit ``theta(f) = theta0 + 2 arctan(2 Q_L (f/f_r - 1))`` to the winding angle.
-
-    Raises :class:`ConvergenceError` (carrying the best iterate) when no start
-    converges, or when the best fit puts ``f_r`` outside the trace or gives a
-    ``Q_L`` that is not finite and positive.
-
-    A light boxcar smoothing stabilizes the unwrap when the resonance circle
-    is small compared to the noise; it only feeds the initialization, the
-    final refinement always sees the raw data.
-    """
-    window = min(z_centered.size // 40, 15)
-    window += 1 - window % 2  # keep it odd
-    z_centered = _smooth(z_centered, window)
-    theta = np.unwrap(np.angle(z_centered))
-    residual, jacobian = _phase_problem(freqs, theta)
-
-    best = None
-    i0 = int(np.argmin(np.abs(freqs - f_r0)))
-    for factor in (1.0, 0.2, 5.0, 0.04, 25.0):
-        p0 = np.array([theta[i0], q_l0 * factor, f_r0])
-        try:
-            sol = least_squares(
-                residual, p0, jac=jacobian, x_scale=[1.0, q_l0 * factor, f_r0], method="lm"
-            )
-        except ValueError:  # non-finite residuals at this start
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None:
-        raise ConvergenceError("phase fit failed for every starting point")
-    theta0, q_l, f_r = (float(v) for v in best.x)
-    q_l = abs(q_l)
-    if not (freqs[0] <= f_r <= freqs[-1] and 0.0 < q_l < math.inf):
-        raise ConvergenceError(
-            "phase fit landed off the trace; the dip is probably buried in noise",
-            last_params={"theta0": theta0, "q_l": q_l, "f_r": f_r},
-        )
-    return theta0, q_l, f_r
+    k, i = np.unravel_index(np.argmax(drops), drops.shape)
+    f_r, q_l = float(fb[i]), float(q_levels[k])
+    g = 1.0 / (1.0 - 2j * q_l * (freqs / f_r - 1.0))
+    design = np.column_stack([np.ones(freqs.size), (freqs - f_mid) / span, g])
+    (a0, a1, b), *_ = np.linalg.lstsq(design, z, rcond=None)
+    a = a0 + a1 * (f_r - f_mid) / span
+    if not abs(a) > 0.0:
+        raise DegenerateGeometryError("the trace has no off-resonant background")
+    c = -b / a
+    kappa_l = 2.0 * math.pi * f_r / q_l
+    kappa_c = min(max(c.real, 1e-6), 1.0) * kappa_l
+    phi0 = math.atan(c.imag / c.real) if c.real > 0.0 else 0.0
+    return f_r, kappa_c, kappa_l, phi0, complex(a)
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs of :func:`fit_linear` (and, where noted, the other fitters)."""
+    """Knobs of :func:`fit_linear`."""
 
     wing_fraction: float = 0.1
     max_iterations: int = 200
-    cost_tol: float = 1e-12  # relative cost-decrease termination
-    step_tol: float = 1e-12  # relative step-norm termination
     weights: np.ndarray | None = None  # optional per-point sigma weighting (1/sigma)
 
 
@@ -359,9 +313,9 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     """Fit one trace to the linear notch model.
 
     Raises :class:`ConvergenceError` (carrying the last iterate) if the
-    phase stage lands off the trace or the refinement stage exhausts its
-    iteration budget. A negative internal rate at the optimum is pinned to
-    zero and flagged in ``result.flags``.
+    refinement exhausts its iteration budget or ends at a non-positive
+    coupling rate. A negative internal rate at the optimum is pinned to zero
+    and flagged in ``result.flags``.
     """
     options = options or FitOptions()
     n = len(trace)
@@ -371,32 +325,16 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     values = trace.values
     flags: list[str] = []
 
-    # Stage 1: delay estimate from the wings, polished for circularity,
-    # then removed.
+    # Stage 1: delay estimate from the wings, then removed.
     tau0 = estimate_delay(trace, options.wing_fraction)
-    tau0 = _refine_delay(freqs, values, tau0, trace.span)
     z1 = values * np.exp(2j * math.pi * freqs * tau0)
 
-    # Stage 2: resonance circle of the delay-corrected data.
-    center, radius = circle_fit(z1)
+    # Stage 2: start values from the global scan of the profiled cost.
+    f_r0, kappa_c0, kappa_l0, phi0, a = _profiled_seed(freqs, z1)
+    a0 = abs(a)
+    p0 = np.array([f_r0, kappa_c0, kappa_l0 - kappa_c0, phi0, a0, float(np.angle(a)), tau0])
 
-    # Stage 3: phase winding around the circle center gives f_r and Q_L.
-    f_r0 = float(freqs[np.argmin(np.abs(values))])
-    q_l0 = max(f_r0 / max(trace.span, 1e-300), 10.0) * 5.0
-    theta0, q_l, f_r0 = _fit_phase(freqs, z1 - center, f_r0, q_l0)
-
-    # Stage 4: translate the circle geometry into model parameters. The
-    # off-resonant point sits diametrically opposite the resonance point.
-    off_resonant = center - radius * np.exp(1j * theta0)
-    a0 = abs(off_resonant)
-    alpha0 = float(np.angle(off_resonant))
-    phi0 = _wrap_half_pi(theta0 + math.pi - alpha0)
-    kappa_l0 = 2.0 * math.pi * f_r0 / q_l
-    kappa_c0 = min(2.0 * radius / max(a0, 1e-300) * math.cos(phi0), 1.0) * kappa_l0
-    kappa_c0 = max(kappa_c0, 1e-6 * kappa_l0)
-    p0 = np.array([f_r0, kappa_c0, kappa_l0 - kappa_c0, phi0, a0, alpha0, tau0])
-
-    # Stage 5: full complex least-squares refinement of all 7 parameters.
+    # Stage 3: full complex least-squares refinement of all 7 parameters.
     if options.weights is not None:
         w = np.asarray(options.weights, dtype=float)
         if w.shape != freqs.shape:
@@ -423,8 +361,8 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
         jac=jacobian,
         method="lm",
         x_scale=x_scale,
-        ftol=options.cost_tol,
-        xtol=options.step_tol,
+        ftol=1e-12,
+        xtol=1e-12,
         gtol=1e-14,
         # Each iteration costs one Jacobian and at least one residual.
         max_nfev=options.max_iterations,
@@ -450,7 +388,7 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
         flags.append("kappa_int pinned to 0 (optimum was negative)")
         kappa_int = 0.0
 
-    # Stage 6: parameter covariance from the Jacobian, scaled by the
+    # Stage 4: parameter covariance from the Jacobian, scaled by the
     # residual variance. Inverting in the scaled parameter space keeps the
     # normal matrix well conditioned despite the huge dynamic range of the
     # parameters.

@@ -34,8 +34,9 @@ def environment():
 
 
 def buried_dip_trace():
-    """A criterion-3 draw whose dip is buried in noise: its phase stage lands
-    far outside the trace (negative f_r)."""
+    """``(resonator, trace)`` of a criterion-3 draw whose dip is buried in
+    noise: a seed taken from the minimum of ``|S21|`` sends the fit far
+    outside the trace (negative f_r)."""
     f_r = 4_514_619_178.852845
     res = rl.LinearResonatorParams(
         f_r=f_r, kappa_c=TWO_PI * f_r / 157_542.89, kappa_int=TWO_PI * f_r / 1193.68, phi0=-0.3161
@@ -43,4 +44,24 @@ def buried_dip_trace():
     env = rl.EnvironmentParams(amplitude=0.92127, alpha=0.37554, tau=-38.884e-9)
     grid = grid_around(res, span_linewidths=21.577, points=6001)
     noise = rl.NoiseSpec(snr_db=43.479, seed=4345219452451303632)
-    return rl.generate_linear_trace(res, env, grid, -140.0, noise)
+    return res, rl.generate_linear_trace(res, env, grid, -140.0, noise)
+
+
+def shallow_dip_trace():
+    """``(resonator, trace)`` of an undercoupled draw with a 0.0135-deep dip,
+    where a seed taken from the minimum of ``|S21|`` ends at Q_i ~ 2.4e5 with
+    an f_r pull of -1705 sigma. The parameters are given to full precision:
+    rounded ones do not reproduce that basin."""
+    f_r = 7370599735.521931
+    res = rl.LinearResonatorParams(
+        f_r=f_r,
+        kappa_c=TWO_PI * f_r / 79033.97326124845,
+        kappa_int=TWO_PI * f_r / 1078.4963850985075,
+        phi0=0.1301576556714883,
+    )
+    env = rl.EnvironmentParams(
+        amplitude=1.394957891220399, alpha=-0.21606471288084172, tau=-2.6056118426791298e-08
+    )
+    grid = grid_around(res, span_linewidths=24.970360938787856, points=2001)
+    noise = rl.NoiseSpec(snr_db=36.620350885311694, seed=471762342957385027)
+    return res, rl.generate_linear_trace(res, env, grid, -140.0, noise)

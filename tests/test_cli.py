@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import resonatorlab as rl
-from conftest import buried_dip_trace, resonator
+from conftest import resonator
 from resonatorlab.cli import main, segment_trace
 from resonatorlab.io import write_trace_csv
 from resonatorlab.reports import validate_report
@@ -187,10 +187,9 @@ class TestErrors:
         assert code == 4
         assert doc["error"]["type"] == "DomainError"
 
-    def test_failed_phase_stage_exit_code(self, tmp_path, capsys):
-        csv = tmp_path / "buried.csv"
-        write_trace_csv(csv, buried_dip_trace())
-        code, doc = run_cli(capsys, "fit-linear", str(csv))
+    def test_failed_fit_exit_code(self, tmp_path, capsys):
+        csv = synth_linear_csv(tmp_path, capsys)
+        code, doc = run_cli(capsys, "fit-linear", str(csv), "--max-iterations", "1")
         assert code == 3
         assert doc["error"]["type"] == "ConvergenceError"
 

@@ -32,6 +32,33 @@ def test_no_module_level_import_of_slow_scipy_subpackages():
     assert offenders == []
 
 
+def _scipy_optimize_names(node) -> list[str]:
+    """scipy.optimize names a node binds; a bound submodule counts as ``*``."""
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        if node.module == "scipy.optimize":
+            return [alias.name for alias in node.names]
+        if (node.module or "").startswith("scipy.optimize."):
+            return [f"{node.module}.{alias.name}" for alias in node.names]
+        if node.module == "scipy":
+            return ["*" for alias in node.names if alias.name == "optimize"]
+    if isinstance(node, ast.Import):
+        return ["*" for alias in node.names if alias.name.startswith("scipy.optimize")]
+    return []
+
+
+def test_only_least_squares_is_imported_from_scipy_optimize():
+    # every fit runs on least_squares; any other solver widens the surface a
+    # package-owned replacement of scipy.optimize would have to cover
+    offenders = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in _scipy_optimize_names(node)
+        if name != "least_squares"
+    ]
+    assert offenders == []
+
+
 def test_cli_import_loads_neither_scipy_signal_nor_stats():
     # scipy.constants is left out here: scipy.optimize itself imports it on
     # recent scipy (through scipy.spatial.transform).

@@ -5,14 +5,9 @@ import numpy as np
 import pytest
 
 import resonatorlab as rl
-from conftest import buried_dip_trace, grid_around, linewidth_hz, resonator
-from resonatorlab.linfit import (
-    _central_jacobian,
-    _fit_phase,
-    _phase_problem,
-    _refinement_problem,
-    circle_fit,
-)
+import conftest
+from conftest import grid_around, linewidth_hz, resonator
+from resonatorlab.linfit import _central_jacobian, _refinement_problem
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,6 +215,12 @@ class TestFitLinear:
         with pytest.raises(rl.InsufficientDataError):
             rl.fit_linear(trace)
 
+    def test_zero_trace_rejected(self, sample_resonator):
+        grid = grid_around(sample_resonator, points=401)
+        trace = rl.FrequencyTrace(frequencies=grid, values=np.zeros(grid.size, dtype=complex))
+        with pytest.raises(rl.DegenerateGeometryError):
+            rl.fit_linear(trace)
+
     def test_narrow_span_warns_and_flags(self, sample_resonator):
         res = sample_resonator
         grid = grid_around(res, span_linewidths=3.0, points=801)
@@ -287,59 +288,29 @@ def test_refinement_jacobian_matches_central_differences(
         assert err < 1e-5, name
 
 
-def test_phase_jacobian_matches_central_differences(sample_resonator, environment):
-    res, env = sample_resonator, environment
-    grid = grid_around(res, span_linewidths=15.0, points=2001)
-    trace = rl.generate_linear_trace(res, env, grid, -140.0, rl.NoiseSpec(snr_db=40, seed=7))
-    z = trace.values * np.exp(2j * np.pi * grid * env.tau)
-    center, _ = circle_fit(z)
-    f_r0 = float(grid[np.argmin(np.abs(trace.values))])
-    q_l0 = 5.0 * f_r0 / trace.span
-    optimum = np.array(_fit_phase(grid, z - center, f_r0, q_l0))
-    assert optimum[2] == pytest.approx(res.f_r, abs=linewidth_hz(res) / 20)
-    theta = np.unwrap(np.angle(z - center))
-    residual, jacobian = _phase_problem(grid, theta)
-    off_factor_start = np.array([theta[grid.size // 2], 25.0 * q_l0, f_r0])
-    for p in (optimum, off_factor_start):
-        analytic = jacobian(p)
-        # f_r steps on the scale of the model's linewidth f_r / Q_L
-        numeric = _central_jacobian(residual, p, np.array([1.0, p[1], p[2] / p[1]]))
-        assert analytic.shape == (grid.size, 3)
-        column_error = np.abs(analytic - numeric).max(axis=0) / np.abs(numeric).max(axis=0)
-        for name, err in zip(("theta0", "q_l", "f_r"), column_error):
-            assert err < 1e-5, name
+def _pulls(fit, res):
+    """Fit error over reported sigma for f_r and kappa_int."""
+    return {
+        name: (getattr(fit.resonator, name) - getattr(res, name)) / fit.uncertainties[name]
+        for name in ("f_r", "kappa_int")
+    }
 
 
-@pytest.mark.parametrize(
-    "error, expected", [(ValueError, rl.ConvergenceError), (ZeroDivisionError, ZeroDivisionError)]
-)
-def test_phase_stage_skips_only_value_errors(sample_resonator, environment, monkeypatch, error, expected):
-    # least_squares raises ValueError for non-finite residuals at a start;
-    # that start is skipped, and any other error propagates
-    grid = grid_around(sample_resonator, points=401)
-    trace = rl.generate_linear_trace(sample_resonator, environment, grid, -140.0)
-
-    def failing_least_squares(*args, **kwargs):
-        raise error("injected")
-
-    monkeypatch.setattr(rl.linfit, "least_squares", failing_least_squares)
-    with pytest.raises(expected):
-        rl.fit_linear(trace)
-
-
-def test_phase_stage_off_the_trace_raises_convergence_error():
-    # the phase fit of this noise-buried dip puts f_r at about -6.6e10 Hz;
-    # the refinement must not start from there
-    trace = buried_dip_trace()
-    with pytest.raises(rl.ConvergenceError) as info:
-        rl.fit_linear(trace)
-    last = info.value.last_params
-    assert set(last) == {"theta0", "q_l", "f_r"}
-    assert not trace.frequencies[0] <= last["f_r"] <= trace.frequencies[-1]
+@pytest.mark.parametrize("make_trace", ["buried_dip_trace", "shallow_dip_trace"])
+def test_buried_dips_recover_within_five_sigma(make_trace):
+    # on both traces the minimum of |S21| is a noise spike far from the dip;
+    # the fit must still land in the true basin
+    res, trace = getattr(conftest, make_trace)()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = rl.fit_linear(trace)
+    for name, pull in _pulls(fit, res).items():
+        assert abs(pull) <= 5.0, name
 
 
 def test_round_trip_gauntlet():
-    """Randomized recovery: Q_i within 10% and f_r within kappa_L/20 for >= 95%."""
+    """Randomized recovery: Q_i within 10% and f_r within kappa_L/20 for >= 95%,
+    and |pull| <= 5 on f_r and kappa_int for every converged draw."""
     rng = np.random.default_rng(20260809)
     n_draws = 60  # the full 200-draw version runs in the acceptance suite
     failures = 0
@@ -366,13 +337,16 @@ def test_round_trip_gauntlet():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 fit = rl.fit_linear(trace)
-            ok = (
-                abs(fit.resonator.q_i - q_i) / q_i <= 0.10
-                and abs(fit.resonator.f_r - f_r) <= linewidth_hz(res) / 20.0
-            )
         except rl.ResonatorLabError:
-            ok = False
-        failures += not ok
+            failures += 1
+            continue
+        failures += not (
+            abs(fit.resonator.q_i - q_i) / q_i <= 0.10
+            and abs(fit.resonator.f_r - f_r) <= linewidth_hz(res) / 20.0
+        )
+        # every converged draw, recovered or not, sits within 5 sigma of the truth
+        for name, pull in _pulls(fit, res).items():
+            assert abs(pull) <= 5.0, f"draw {i}: {name} pull {pull:.1f}"
     assert failures <= math.ceil(0.05 * n_draws), f"{failures}/{n_draws} draws failed"
 
 
