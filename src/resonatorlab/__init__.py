@@ -56,7 +56,6 @@ from .kerrfit import (
 from .linfit import (
     FitOptions,
     LinearFitResult,
-    circle_fit,
     estimate_delay,
     fit_linear,
     model_s21_linear,

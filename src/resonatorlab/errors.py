@@ -22,7 +22,7 @@ class InsufficientDataError(DataError):
 
 
 class DegenerateGeometryError(DataError):
-    """Geometric fit input is degenerate (e.g. collinear circle-fit points)."""
+    """Fit input is geometrically degenerate (e.g. a trace with no off-resonant background)."""
 
 
 class ConvergenceError(ResonatorLabError):

@@ -25,7 +25,7 @@ from scipy.optimize import least_squares
 from .constants import FLUX_QUANTUM
 from .core import FieldSweepPoint
 from .errors import ConvergenceError, DomainError, InsufficientDataError
-from .linfit import _central_jacobian, _scaled_pinv
+from .linfit import _scaled_pinv
 
 __all__ = [
     "FilmSpec",
@@ -144,11 +144,34 @@ def fr_vs_field(params: FieldModelParams, b: float | np.ndarray) -> float | np.n
             f"field must lie in [0, {params.b_max}) T for f0={params.f0}, "
             f"b_crit={params.b_crit}, b_phi0={params.b_phi0}"
         )
-    gap_factor = (1.0 - (b_arr / params.b_crit) ** 2) ** 0.25
-    # np.sinc is sin(pi x)/(pi x), exactly the convention needed here.
-    flux_factor = np.sqrt(np.sinc(b_arr / params.b_phi0))
-    out = params.f0 * gap_factor * flux_factor
+    out = _tuning((params.f0, params.b_crit, params.b_phi0), b_arr)[0]
     return out if out.ndim else float(out)
+
+
+def _tuning(x, b: np.ndarray, jac: bool = False):
+    """``f_r(B)`` at ``x = (f0, b_crit, b_phi0)``, with its Jacobian on request.
+
+    Returns ``(f, cols)``, with ``cols`` the ``(len(b), 3)`` derivatives when
+    ``jac`` is set and ``None`` otherwise. No domain check: callers keep
+    ``b`` below both field scales.
+    """
+    f0, b_crit, b_phi0 = x
+    r = b / b_crit
+    z = b / b_phi0
+    gap_factor = (1.0 - r**2) ** 0.25
+    # np.sinc is sin(pi x)/(pi x), exactly the convention needed here.
+    sinc = np.sinc(z)
+    f = f0 * gap_factor * np.sqrt(sinc)
+    if not jac:
+        return f, None
+    cols = np.column_stack(
+        [
+            f / f0,
+            f * r**2 / (2.0 * b_crit * (1.0 - r**2)),
+            f * (1.0 - np.cos(math.pi * z) / sinc) / (2.0 * b_phi0),
+        ]
+    )
+    return f, cols
 
 
 @dataclass(frozen=True)
@@ -203,14 +226,11 @@ def fit_field_sweep(
             f"max field {b_max} T, domain edge {guess.b_max} T"
         )
 
-    def model(x):
-        f0, b_crit, b_phi0 = x
-        # Clamp so finite-difference probes right at the bound stay real.
-        gap_factor = np.maximum(1.0 - (fields / b_crit) ** 2, 0.0) ** 0.25
-        return f0 * gap_factor * np.sqrt(np.maximum(np.sinc(fields / b_phi0), 0.0))
-
     def residual(x):
-        return (model(x) - freqs) / sigmas
+        return (_tuning(x, fields)[0] - freqs) / sigmas
+
+    def jacobian(x):
+        return _tuning(x, fields, jac=True)[1] / sigmas[:, None]
 
     edge = b_max * (1.0 + 1e-9) if b_max > 0.0 else 1e-12
     lower = np.array([0.0, edge, edge])
@@ -219,6 +239,7 @@ def fit_field_sweep(
     sol = least_squares(
         residual,
         x0,
+        jac=jacobian,
         bounds=(lower, upper),
         method="trf",
         x_scale=[guess.f0, guess.b_crit, guess.b_phi0],
@@ -236,8 +257,7 @@ def fit_field_sweep(
     ssr = 2.0 * sol.cost
     dof = max(len(points) - 3, 1)
     x_scale_arr = np.array([guess.f0, guess.b_crit, guess.b_phi0])
-    jac = _central_jacobian(residual, sol.x, x_scale_arr)
-    unscaled = _scaled_pinv(jac, x_scale_arr)
+    unscaled = _scaled_pinv(jacobian(sol.x), x_scale_arr)
     covariance = (ssr / dof) * unscaled
     sigmas_fit = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     # The correlation structure comes from (J^T J)^-1 alone, so it stays

@@ -8,14 +8,17 @@ power grows. Internally the reduced detuning is
 
     delta = (omega_0 - omega_d) / kappa_L,
 
-the same detuning sign as the linear model, which makes the ``K = 0``
-limit of the nonlinear response coincide with the linear model exactly and
-puts the bistable region on the low-frequency side of the resonance. The
-reduced drive is ``xi = |alpha_in|^2 kappa_c K_ang / kappa_L^3`` with
-``K_ang = 2 pi K`` and ``|alpha_in|^2 = P[W]/(hbar omega_d)``; the
-renormalized photon number ``n`` solves
+the same detuning sign as the linear model, which puts the bistable region
+on the low-frequency side of the resonance. The reduced drive is
+``xi = |alpha_in|^2 kappa_c K_ang / kappa_L^3`` with ``K_ang = 2 pi K`` and
+``|alpha_in|^2 = P[W]/(hbar omega_d)``; the renormalized photon number ``n``
+solves
 
     F(n) = xi^2 n^3 - 2 delta xi n^2 + (delta^2 + 1/4) n - 1/2 = 0.
+
+The Kerr model is the linear notch model, with ``phi`` in place of
+``phi0``, at the detuning shifted by ``kappa_L xi n``. The shift is exactly
+zero at ``K = 0``, where both models agree bit for bit.
 
 The cubic is invariant under ``(delta, xi) -> (-delta, -xi)``, which is how
 negative ``K`` is folded into a non-negative ``xi`` for the root solver.
@@ -42,7 +45,14 @@ from .core import (
     watts_to_dbm,
 )
 from .errors import ConvergenceError, DataError
-from .linfit import PARAM_NAMES, LinearFitResult, _scaled_pinv, photon_number
+from .linfit import (
+    PARAM_NAMES,
+    LinearFitResult,
+    _notch,
+    _scaled_pinv,
+    _wrap_half_pi,
+    photon_number,
+)
 
 __all__ = [
     "BRANCH_RULES",
@@ -227,64 +237,54 @@ def _sweep_model(
     f_r, kappa_c, kappa_int, _, amplitude, alpha, tau, kerr, phi = p
     kappa_int = max(kappa_int, 0.0)
     kappa_l = kappa_c + kappa_int
+    linear = (f_r, kappa_c, kappa_int, phi, amplitude, alpha, tau)
     hbar_omega = HBAR * (2.0 * math.pi * f)
     # subtract frequencies before scaling: forming omega_0 - omega_d from
     # two large rounded products would cost ~4 digits of detuning accuracy
     delta = 2.0 * math.pi * (f_r - f) / kappa_l
     sign = -1.0 if kerr < 0.0 else 1.0
-    unit_mismatch = np.exp(1j * phi) / math.cos(phi)
-    mismatch = (kappa_c / kappa_l) * unit_mismatch
-    # same rounding chain as the linear model so the K = 0 limit matches it
-    # to well below the 1e-10 contract
-    carrier = np.exp(-2j * math.pi * f * tau)
-    background = amplitude * np.exp(1j * alpha) * carrier
 
     s21 = np.empty((len(watts), f.size), dtype=complex)
     three = np.empty(s21.shape, dtype=bool)
     jac = np.zeros((2 * s21.size, len(columns)))
     jac_parts = jac.reshape(2, *s21.shape, len(columns))  # a view: real, imag
-    for i, w in enumerate(watts):
-        alpha_in_sq = w / hbar_omega
+    zero = np.zeros(f.size)
+    for i, power in enumerate(watts):
+        alpha_in_sq = power / hbar_omega
         xi = alpha_in_sq * kappa_c * (2.0 * math.pi * kerr) / kappa_l**3
         roots = photon_cubic_roots(sign * delta, sign * xi)
         three[i] = np.isfinite(roots[:, 2])
         n = _select_branch(roots, branch)
-        denom = 1.0 + 2j * (delta - xi * n)
-        resonant = 1.0 - mismatch / denom
-        s21[i] = s = background * resonant
+        # the linear model at the detuning shifted by kappa_L xi n, which is
+        # exactly 0 at K = 0
+        s21[i], c = _notch(linear, f, kappa_l * xi * n, jac=bool(columns))
         if not columns:
             continue
 
-        # u = delta - xi n moves with dn = -(F_delta d delta + F_xi d xi)/F_n,
-        # which reduces to du = (u^2 + 1/4)/F_n (d delta - n d xi).
+        # c holds the shift kappa_L (delta - u), u = delta - xi n, fixed, and
+        # dS/d(shift) = -w with w = c_0/(2 pi). Implicit differentiation of
+        # the cubic gives du = g (d delta - n d xi) with g = (u^2 + 1/4)/F_n.
         u = delta - xi * n
         f_n = (3.0 * xi * n - 4.0 * delta) * xi * n + delta * delta + 0.25
         with np.errstate(divide="ignore", invalid="ignore"):  # F_n -> 0 at the folds
-            d_u = 2j * background * mismatch / denom**2 * (u * u + 0.25) / f_n
-        rate = alpha_in_sq * (2.0 * math.pi) / kappa_l**3  # xi per (kappa_c K)
-        shift = (3.0 * xi * n - delta) / kappa_l  # d delta - n d xi per d kappa_L
-        b_unit = background * unit_mismatch / denom  # -dS/d(kappa_c/kappa_L)
+            g = (u * u + 0.25) / f_n
+            w = c[:, 0] / (2.0 * math.pi)
+            drift = u - g * (delta - 3.0 * xi * n)  # -d(shift)/d(kappa_int)
+            feed = kappa_l * g * n * (alpha_in_sq * 2.0 * math.pi / kappa_l**3)  # per d(kappa_c K)
+            cols = (
+                c[:, 0] * g,
+                c[:, 1] + w * (drift - feed * kerr),
+                c[:, 2] + w * drift if p[2] >= 0.0 else zero,  # zero when clipped
+                zero,  # phi0 does not enter; phi takes its role
+                c[:, 4],
+                c[:, 5],
+                c[:, 6],
+                -w * feed * kappa_c,
+                c[:, 3],
+            )
         for col, j in enumerate(columns):
-            if j == 3 or (j == 2 and p[2] < 0.0):  # phi0 unused; kappa_int clipped
-                continue
-            if j == 0:
-                d = d_u * (2.0 * math.pi / kappa_l)
-            elif j == 1:
-                d = d_u * (shift - n * rate * kerr) - b_unit * (kappa_int / kappa_l**2)
-            elif j == 2:
-                d = d_u * shift + b_unit * (kappa_c / kappa_l**2)
-            elif j == 4:
-                d = np.exp(1j * alpha) * carrier * resonant
-            elif j == 5:
-                d = 1j * s
-            elif j == 6:
-                d = -2j * math.pi * f * s
-            elif j == 7:
-                d = -d_u * n * rate * kappa_c
-            else:
-                d = -1j * (kappa_c / kappa_l) / math.cos(phi) ** 2 * background / denom
-            jac_parts[0, i, :, col] = d.real
-            jac_parts[1, i, :, col] = d.imag
+            jac_parts[0, i, :, col] = cols[j].real
+            jac_parts[1, i, :, col] = cols[j].imag
     return s21, jac, three
 
 
@@ -500,7 +500,7 @@ def fit_kerr(
         linear=LinearResonatorParams(f_r, kappa_c, max(kappa_int, 0.0), phi0),
         environment=EnvironmentParams(amplitude, alpha, tau),
         kerr=kerr,
-        phi=-((-phi + math.pi / 2) % math.pi) + math.pi / 2,
+        phi=_wrap_half_pi(phi),
     )
     return KerrFitResult(
         params=params,

@@ -5,7 +5,9 @@ phase slope of the trace wings, seed the resonance by a global scan of the
 cost profiled over its linear parameters, then refine all seven parameters
 with one Levenberg-Marquardt pass on the complex residuals. The refinement
 and the covariance use a closed-form Jacobian, so neither depends on a
-finite-difference step rule of the optimizer.
+finite-difference step rule of the optimizer. The model and its Jacobian
+come from one core, ``_notch``, which the Kerr model of ``kerrfit``
+evaluates at a shifted detuning.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -34,7 +36,6 @@ __all__ = [
     "LinearFitResult",
     "model_s21_linear",
     "estimate_delay",
-    "circle_fit",
     "fit_linear",
     "photon_number",
     "segment_trace",
@@ -46,6 +47,43 @@ PARAM_NAMES = ("f_r", "kappa_c", "kappa_int", "phi0", "amplitude", "alpha", "tau
 MIN_FIT_SAMPLES = 16
 
 
+def _notch(p, f: np.ndarray, shift: float = 0.0, jac: bool = False):
+    """Notch S21 at the :data:`PARAM_NAMES` vector ``p``, with its Jacobian on request.
+
+    ``shift`` [rad/s] is subtracted from the detuning ``delta_r = omega_0 -
+    omega_d``; the Kerr model is this model at ``shift = kappa_L xi n``.
+    Returns ``(S, cols)``, with ``cols`` the complex ``(F, 7)`` derivatives
+    at fixed ``shift`` when ``jac`` is set and ``None`` otherwise. With
+    ``S = B (1 - m/d)``, ``B = A e^{i alpha} e^{-2 pi i f tau}``,
+    ``m = kappa_c e^{i phi0}/cos(phi0)`` and ``d = 2i delta_r + kappa_L``.
+    """
+    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
+    delta_r = 2.0 * math.pi * (f_r - f) - shift
+    d = 2j * delta_r + (kappa_c + kappa_int)
+    tilt = np.exp(1j * phi0)
+    mismatch = kappa_c * tilt / math.cos(phi0)
+    resonant = (d - mismatch) / d
+    delay = np.exp(-2j * math.pi * f * tau)
+    rotation = np.exp(1j * alpha)
+    background = amplitude * rotation * delay
+    s = background * resonant
+    if not jac:
+        return s, None
+    b_m_d2 = background * mismatch / (d * d)
+    cols = np.column_stack(
+        [
+            4j * math.pi * b_m_d2,
+            b_m_d2 - background * (tilt / math.cos(phi0)) / d,
+            b_m_d2,
+            -1j * kappa_c / math.cos(phi0) ** 2 * background / d,
+            rotation * delay * resonant,
+            1j * s,
+            -2j * math.pi * f * s,
+        ]
+    )
+    return s, cols
+
+
 def model_s21_linear(
     res: LinearResonatorParams, env: EnvironmentParams, f: float | np.ndarray
 ) -> complex | np.ndarray:
@@ -55,13 +93,8 @@ def model_s21_linear(
     ``kappa_c e^{i phi0}/cos(phi0)`` makes the model invariant under
     ``phi0 -> phi0 + pi``, so ``phi0`` is reported in (-pi/2, pi/2).
     """
-    f = np.asarray(f, dtype=float)
-    delta_r = 2.0 * math.pi * (res.f_r - f)
-    kappa_l = res.kappa_l
-    mismatch = res.kappa_c * np.exp(1j * res.phi0) / math.cos(res.phi0)
-    resonant = (2j * delta_r + kappa_l - mismatch) / (2j * delta_r + kappa_l)
-    background = env.amplitude * np.exp(1j * env.alpha) * np.exp(-2j * math.pi * f * env.tau)
-    out = background * resonant
+    p = (res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau)
+    out = _notch(p, np.asarray(f, dtype=float))[0]
     return out if out.ndim else complex(out)
 
 
@@ -86,39 +119,6 @@ def estimate_delay(trace: FrequencyTrace, wing_fraction: float = 0.1) -> float:
         slope = np.polyfit(trace.frequencies[sl], phase, 1)[0]
         slopes.append(slope)
     return -float(np.mean(slopes)) / (2.0 * math.pi)
-
-
-def circle_fit(points: Sequence[complex] | np.ndarray) -> tuple[complex, float]:
-    """Algebraic (Taubin-normalized) least-squares circle through ``points``.
-
-    Returns ``(center, radius)``. Exact data is reproduced to rounding
-    precision; collinear input raises :class:`DegenerateGeometryError`.
-    """
-    z = np.asarray(points, dtype=complex).ravel()
-    if z.size < 3:
-        raise DegenerateGeometryError(f"need at least 3 points, got {z.size}")
-    x, y = z.real, z.imag
-    cx, cy = x.mean(), y.mean()
-    u, v = x - cx, y - cy
-    q = u * u + v * v
-    qm = q.mean()
-    if qm <= 0.0:
-        raise DegenerateGeometryError("all points coincide")
-    scale = math.sqrt(qm)
-    # Taubin normalization: the quadratic column is centered and rescaled so
-    # the constraint matrix becomes the identity and plain SVD applies.
-    basis = np.column_stack([(q - qm) / (2.0 * scale), u, v])
-    _, _, vt = np.linalg.svd(basis, full_matrices=False)
-    a0_raw, a1, a2 = vt[2]
-    if abs(a0_raw) < 1e-12:
-        raise DegenerateGeometryError("points are collinear; no finite circle fits them")
-    a0 = a0_raw / (2.0 * scale)
-    a3 = -qm * a0
-    center = complex(-a1 / (2.0 * a0) + cx, -a2 / (2.0 * a0) + cy)
-    radius = math.sqrt(max(a1 * a1 + a2 * a2 - 4.0 * a0 * a3, 0.0)) / (2.0 * abs(a0))
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise DegenerateGeometryError("circle fit produced a degenerate radius")
-    return center, radius
 
 
 def _wrap_angle(angle: float) -> float:
@@ -224,20 +224,6 @@ class LinearFitResult:
         object.__setattr__(self, "uncertainties", MappingProxyType(dict(self.uncertainties)))
 
 
-def _central_jacobian(residual, x: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with steps tied to the parameter scales."""
-    m = residual(x).size
-    jac = np.empty((m, x.size))
-    for j in range(x.size):
-        h = 1e-6 * x_scale[j]
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * h)
-    return jac
-
-
 def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
     """``(J^T J)^{-1}`` computed via the scaled Jacobian ``J diag(x_scale)``.
 
@@ -249,44 +235,6 @@ def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
     return x_scale[:, None] * inv_scaled * x_scale[None, :]
 
 
-def _model_from_vector(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
-    delta_r = 2.0 * math.pi * (f_r - f)
-    kappa_l = kappa_c + kappa_int
-    mismatch = kappa_c * np.exp(1j * phi0) / np.cos(phi0)
-    resonant = (2j * delta_r + kappa_l - mismatch) / (2j * delta_r + kappa_l)
-    return amplitude * np.exp(1j * alpha) * np.exp(-2j * math.pi * f * tau) * resonant
-
-
-def _model_jacobian(p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Complex derivatives of :func:`_model_from_vector`, one column per parameter.
-
-    With ``S = B (1 - m/D)``, ``B = A e^{i alpha} e^{-2 pi i f tau}``,
-    ``m = kappa_c e^{i phi0}/cos(phi0)`` and ``D = 2i delta_r + kappa_L``.
-    """
-    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
-    delta_r = 2.0 * math.pi * (f_r - f)
-    d = 2j * delta_r + kappa_c + kappa_int
-    unit_mismatch = np.exp(1j * phi0) / np.cos(phi0)
-    mismatch = kappa_c * unit_mismatch
-    carrier = np.exp(1j * alpha) * np.exp(-2j * math.pi * f * tau)
-    background = amplitude * carrier
-    resonant = 1.0 - mismatch / d
-    s = background * resonant
-    b_m_d2 = background * mismatch / (d * d)
-    return np.column_stack(
-        [
-            4j * math.pi * b_m_d2,
-            b_m_d2 - background * unit_mismatch / d,
-            b_m_d2,
-            -1j * kappa_c / math.cos(phi0) ** 2 * background / d,
-            carrier * resonant,
-            1j * s,
-            -2j * math.pi * f * s,
-        ]
-    )
-
-
 def _refinement_problem(freqs: np.ndarray, values: np.ndarray, w: np.ndarray | None):
     """Residual and closed-form Jacobian of the 7-parameter refinement.
 
@@ -295,13 +243,13 @@ def _refinement_problem(freqs: np.ndarray, values: np.ndarray, w: np.ndarray | N
     """
 
     def residual(p):
-        r = _model_from_vector(p, freqs) - values
+        r = _notch(p, freqs)[0] - values
         if w is not None:
             r = r * w
         return np.concatenate([r.real, r.imag])
 
     def jacobian(p):
-        d = _model_jacobian(p, freqs)
+        d = _notch(p, freqs, jac=True)[1]
         if w is not None:
             d = d * w[:, None]
         return np.concatenate([d.real, d.imag])
@@ -391,10 +339,17 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     # Stage 4: parameter covariance from the Jacobian, scaled by the
     # residual variance. Inverting in the scaled parameter space keeps the
     # normal matrix well conditioned despite the huge dynamic range of the
-    # parameters.
+    # parameters. alpha is the background phase at 0 Hz, so its column nearly
+    # parallels tau's; the inversion uses alpha' = alpha - 2 pi f_mid tau, the
+    # phase at the trace centre, and maps back by alpha = alpha' + 2 pi f_mid tau.
     ssr = 2.0 * sol.cost
     dof = max(2 * n - len(p0), 1)
-    covariance = (ssr / dof) * _scaled_pinv(jacobian(sol.x), x_scale)
+    turn = 2.0 * math.pi * 0.5 * (freqs[0] + freqs[-1])
+    jac = jacobian(sol.x)
+    jac[:, 6] += turn * jac[:, 5]
+    centred = np.eye(len(p0))
+    centred[5, 6] = turn
+    covariance = (ssr / dof) * (centred @ _scaled_pinv(jac, x_scale) @ centred.T)
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     uncertainties = dict(zip(PARAM_NAMES, (float(s) for s in sigmas)))
     residual_rms = math.sqrt(ssr / n)

@@ -100,9 +100,9 @@ def generate_kerr_sweep(
 ) -> PowerSweep:
     """Kerr-model power sweep; one derived noise seed per power slice.
 
-    ``kerr == 0`` delegates to the linear generator, so a zero-Kerr sweep is
-    bit-identical to stacking :func:`generate_linear_trace` outputs with the
-    matching :func:`derive_seed` child seeds.
+    At ``kerr == 0`` the Kerr model is the linear model bit for bit, so a
+    zero-Kerr sweep equals stacked :func:`generate_linear_trace` outputs (with
+    ``phi`` as ``phi0``) under the matching :func:`derive_seed` child seeds.
     """
     if branch not in BRANCH_RULES:
         raise ValueError(f"unknown branch rule {branch!r}; expected one of {BRANCH_RULES}")
@@ -110,15 +110,6 @@ def generate_kerr_sweep(
     traces = []
     for i, power in enumerate(powers_dbm):
         child = NoiseSpec(snr_db=noise.snr_db, seed=derive_seed(noise.seed, i))
-        if params.kerr == 0.0:
-            res0 = params.linear
-            linear_equiv = LinearResonatorParams(
-                f_r=res0.f_r, kappa_c=res0.kappa_c, kappa_int=res0.kappa_int, phi0=params.phi
-            )
-            traces.append(
-                generate_linear_trace(linear_equiv, params.environment, freqs, power, child)
-            )
-            continue
         values = _add_noise(
             model_s21_kerr(params, freqs, power, branch),
             params.environment.amplitude,

@@ -3,7 +3,9 @@
 The photon-cubic oracle brackets roots by a dense sign-change scan and
 refines them by bisection; it never touches the closed-form solver under
 test. Scan windows come from the Fujiwara bound on the monic cubic, so
-every real root is inside the scanned interval by construction.
+every real root is inside the scanned interval by construction. The
+central-difference Jacobian is the reference for the closed-form Jacobians
+of the linear, Kerr and field models.
 """
 
 from __future__ import annotations
@@ -124,3 +126,17 @@ def continuation_branch(roots):
         previous = finite[np.argmin(np.abs(finite - previous))]
         n[i] = previous
     return n
+
+
+def central_jacobian(residual, x, x_scale):
+    """Central-difference Jacobian with steps tied to the parameter scales."""
+    m = residual(x).size
+    jac = np.empty((m, x.size))
+    for j in range(x.size):
+        h = 1e-6 * x_scale[j]
+        xp = x.copy()
+        xp[j] += h
+        xm = x.copy()
+        xm[j] -= h
+        jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * h)
+    return jac

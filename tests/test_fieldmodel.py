@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import resonatorlab as rl
+from oracles import central_jacobian
+from resonatorlab.fieldmodel import _tuning
 
 SQRT2 = math.sqrt(2.0)
 
@@ -181,3 +183,20 @@ class TestFitFieldSweep:
             rl.fit_field_sweep(
                 points, rl.FieldModelParams(f0=7e9, b_crit=50e-3, b_phi0=102e-3)
             )
+
+
+@pytest.mark.parametrize(
+    "x",
+    [(7e9, 66e-3, 102e-3), (7e9, 150e-3, 60e-3)],
+    ids=["gap-limited", "flux-limited"],
+)
+def test_field_jacobian_matches_central_differences(x):
+    # fields up to 97 % of the domain edge, where the curve bends hardest
+    x = np.array(x)
+    fields = np.linspace(0.0, 0.97 * min(x[1], x[2]), 33)
+    analytic = _tuning(x, fields, jac=True)[1]
+    numeric = central_jacobian(lambda q: _tuning(q, fields)[0], x, x)
+    assert analytic.shape == (fields.size, 3)
+    column_error = np.abs(analytic - numeric).max(axis=0) / np.abs(numeric).max(axis=0)
+    for name, err in zip(("f0", "b_crit", "b_phi0"), column_error):
+        assert err <= 1e-6, name

@@ -59,6 +59,26 @@ def test_only_least_squares_is_imported_from_scipy_optimize():
     assert offenders == []
 
 
+def test_every_least_squares_call_passes_an_analytic_jacobian():
+    # without jac= scipy falls back to finite differences, whose step rule
+    # decides where a fit stops
+    calls = [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "least_squares"
+    ]
+    assert calls
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if not any(keyword.arg == "jac" for keyword in node.keywords)
+    ]
+    assert offenders == []
+
+
 def test_cli_import_loads_neither_scipy_signal_nor_stats():
     # scipy.constants is left out here: scipy.optimize itself imports it on
     # recent scipy (through scipy.spatial.transform).

@@ -7,7 +7,8 @@ import pytest
 import resonatorlab as rl
 import conftest
 from conftest import grid_around, linewidth_hz, resonator
-from resonatorlab.linfit import _central_jacobian, _refinement_problem
+from oracles import central_jacobian
+from resonatorlab.linfit import _refinement_problem
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,42 +82,6 @@ class TestEstimateDelay:
         trace = rl.FrequencyTrace(frequencies=f, values=np.ones(100))
         with pytest.raises(ValueError):
             rl.estimate_delay(trace, 0.3)
-
-
-class TestCircleFit:
-    def test_exact_points(self):
-        angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-        pts = 0.5 + 0.25 * np.exp(1j * angles)
-        center, radius = rl.circle_fit(pts)
-        assert abs(center - 0.5) < 1e-12
-        assert radius == pytest.approx(0.25, abs=1e-12)
-
-    def test_noisy_points(self):
-        rng = np.random.default_rng(42)
-        angles = rng.uniform(0.0, 2 * np.pi, 256)
-        pts = 0.5 + 0.25 * np.exp(1j * angles)
-        pts = pts + 0.01 * (rng.standard_normal(256) + 1j * rng.standard_normal(256))
-        center, radius = rl.circle_fit(pts)
-        assert abs(center - 0.5) < 5e-3
-        assert radius == pytest.approx(0.25, abs=5e-3)
-
-    def test_three_point_circumcircle(self):
-        # circle through (0,0), (2,0), (1,1): center (1, 0), radius sqrt(2)... no:
-        # solve: center (1, 0) is equidistant from (0,0) and (2,0); from (1,1) the
-        # distance is 1, so the true center is (1, 0) only if 1 == sqrt(1) -> radius 1.
-        pts = np.array([0 + 0j, 2 + 0j, 1 + 1j])
-        center, radius = rl.circle_fit(pts)
-        for p in pts:
-            assert abs(abs(p - center) - radius) < 1e-12
-
-    def test_collinear_points_rejected(self):
-        pts = np.array([0 + 0j, 1 + 1j, 2 + 2j, 3 + 3j])
-        with pytest.raises(rl.DegenerateGeometryError):
-            rl.circle_fit(pts)
-
-    def test_too_few_points(self):
-        with pytest.raises(rl.DegenerateGeometryError):
-            rl.circle_fit(np.array([1 + 0j, 0 + 1j]))
 
 
 class TestFitLinear:
@@ -280,12 +245,45 @@ def test_refinement_jacobian_matches_central_differences(
     x_scale = np.array([r.kappa_l / TWO_PI, r.kappa_l, r.kappa_l, 0.3, e.amplitude, 0.3, tau_scale])
     residual, jacobian = _refinement_problem(grid, trace.values, weights)
     analytic = jacobian(p)
-    numeric = _central_jacobian(residual, p, x_scale)
+    numeric = central_jacobian(residual, p, x_scale)
     assert analytic.shape == (2 * grid.size, 7)
     # central-difference truncation and rounding stay below ~1e-7 of each column
     column_error = np.abs(analytic - numeric).max(axis=0) / np.abs(numeric).max(axis=0)
     for name, err in zip(rl.linfit.PARAM_NAMES, column_error):
         assert err < 1e-5, name
+
+
+def test_high_q_covariance_matches_svd_reference(environment):
+    # at Q_c = Q_i = 1e5 the alpha and tau columns are nearly parallel, since
+    # alpha is the background phase at 0 Hz; inverting J^T J there loses the
+    # alpha-tau direction unless alpha is referenced inside the trace
+    res = resonator(q_c=1e5, q_i=1e5, phi0=0.2)
+    grid = grid_around(res, points=2001)
+
+    def fit(seed):
+        noise = rl.NoiseSpec(snr_db=40, seed=seed)
+        trace = rl.generate_linear_trace(res, environment, grid, -140.0, noise)
+        return trace, rl.fit_linear(trace)
+
+    trace, fit0 = fit(0)
+    r, e = fit0.resonator, fit0.environment
+    p = np.array([r.f_r, r.kappa_c, r.kappa_int, r.phi0, e.amplitude, e.alpha, e.tau])
+    jac = _refinement_problem(grid, trace.values, None)[1](p)
+    # reference: SVD of the column-normalized Jacobian, never forming J^T J
+    norms = np.linalg.norm(jac, axis=0)
+    _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    variance = fit0.residual_rms**2 * grid.size / (2 * grid.size - 7)
+    reference = variance * ((vt.T / s**2) @ vt) / np.outer(norms, norms)
+    ref_sigmas = np.sqrt(np.diag(reference))
+    sigmas = np.array([fit0.uncertainties[name] for name in rl.linfit.PARAM_NAMES])
+    np.testing.assert_allclose(sigmas, ref_sigmas, rtol=1e-4)
+    correlation = np.asarray(fit0.covariance) / np.outer(sigmas, sigmas)
+    np.testing.assert_allclose(
+        correlation, reference / np.outer(ref_sigmas, ref_sigmas), rtol=0.0, atol=1e-4
+    )
+    # and sigma_tau describes the scatter of tau over noise draws
+    taus = [fit(seed)[1].environment.tau for seed in range(100)]
+    assert sigmas[6] == pytest.approx(np.std(taus, ddof=1), rel=0.25)
 
 
 def _pulls(fit, res):
