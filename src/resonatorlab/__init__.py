@@ -29,6 +29,7 @@ from .errors import (
     DegenerateGeometryError,
     DomainError,
     InsufficientDataError,
+    ReportSchemaError,
     ResonatorLabError,
     SchemaError,
 )

@@ -39,3 +39,7 @@ class ConvergenceError(ResonatorLabError):
 
 class DomainError(ResonatorLabError):
     """Arguments are outside the physical domain of validity of a formula."""
+
+
+class ReportSchemaError(ResonatorLabError):
+    """A report does not match its JSON schema; the message names the JSON path."""

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._lsq import least_squares
 from .constants import FLUX_QUANTUM
 from .core import FieldSweepPoint
 from .errors import ConvergenceError, DomainError, InsufficientDataError
@@ -204,10 +204,13 @@ def fit_field_sweep(
     """Fit (f0, b_crit, b_phi0) to fitted-resonance-vs-field data.
 
     Residuals are weighted by the per-point resonance uncertainties. The
-    iterates are kept inside the model domain by bounding both field scales
-    above the largest measured field. The full correlation matrix is part of
-    the result because b_crit and b_phi0 are strongly anti-correlated when
-    the data stop well below both scales.
+    iterates are kept inside the model domain by fitting each field scale
+    as ``b = edge (1 + e^u)``, with ``edge`` just above the largest measured
+    field; an optimum at ``f0 <= 0`` raises :class:`ConvergenceError`. The
+    full correlation matrix is part of the result because b_crit and b_phi0
+    are strongly anti-correlated when the data stop well below both scales.
+    A scale the data leave unconstrained gets an infinite uncertainty and
+    NaN correlations.
     """
     points = list(points)
     if len(points) < 4:
@@ -219,45 +222,49 @@ def fit_field_sweep(
     sigmas = np.array([p.sigma for p in points])
     b_max = float(fields.max())
 
+    # Both field scales are fitted as b = edge (1 + e^u), so every iterate
+    # stays strictly inside the model domain.
+    edge = b_max * (1.0 + 1e-9) if b_max > 0.0 else 1e-12
     guess = initial or _default_initial(points)
-    if guess.b_max <= b_max:
+    if guess.b_max <= edge:
         raise DomainError(
             f"initial guess puts fields outside the model domain: "
             f"max field {b_max} T, domain edge {guess.b_max} T"
         )
 
+    def model(x):  # (f0, u_crit, u_phi0) -> (f0, b_crit, b_phi0) and d(b)/d(u)
+        lift = edge * np.exp(x[1:])
+        return np.array([x[0], *(edge + lift)]), np.array([1.0, *lift])
+
     def residual(x):
-        return (_tuning(x, fields)[0] - freqs) / sigmas
+        return (_tuning(model(x)[0], fields)[0] - freqs) / sigmas
 
     def jacobian(x):
-        return _tuning(x, fields, jac=True)[1] / sigmas[:, None]
+        params, chain = model(x)
+        return _tuning(params, fields, jac=True)[1] * (chain / sigmas[:, None])
 
-    edge = b_max * (1.0 + 1e-9) if b_max > 0.0 else 1e-12
-    lower = np.array([0.0, edge, edge])
-    upper = np.array([np.inf, np.inf, np.inf])
-    x0 = np.array([guess.f0, guess.b_crit, guess.b_phi0])
+    x0 = np.array([guess.f0, *np.log(np.array([guess.b_crit, guess.b_phi0]) / edge - 1.0)])
     sol = least_squares(
         residual,
         x0,
         jac=jacobian,
-        bounds=(lower, upper),
-        method="trf",
-        x_scale=[guess.f0, guess.b_crit, guess.b_phi0],
+        x_scale=[guess.f0, 1.0, 1.0],
         ftol=1e-14,
         xtol=1e-14,
         gtol=1e-14,
         max_nfev=2000,
     )
-    if sol.status == 0:
+    x = model(sol.x)[0]
+    if sol.status == 0 or not (x[0] > 0.0 and np.all(np.isfinite(x))):
+        reason = "did not converge" if sol.status == 0 else "ended outside the model domain"
         raise ConvergenceError(
-            "field-sweep fit did not converge",
-            last_params=dict(zip(("f0", "b_crit", "b_phi0"), sol.x)),
+            f"field-sweep fit {reason}", last_params=dict(zip(("f0", "b_crit", "b_phi0"), x))
         )
 
     ssr = 2.0 * sol.cost
     dof = max(len(points) - 3, 1)
     x_scale_arr = np.array([guess.f0, guess.b_crit, guess.b_phi0])
-    unscaled = _scaled_pinv(jacobian(sol.x), x_scale_arr)
+    unscaled = _scaled_pinv(_tuning(x, fields, jac=True)[1] / sigmas[:, None], x_scale_arr)
     covariance = (ssr / dof) * unscaled
     sigmas_fit = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     # The correlation structure comes from (J^T J)^-1 alone, so it stays
@@ -266,7 +273,7 @@ def fit_field_sweep(
     with np.errstate(invalid="ignore", divide="ignore"):
         correlation = np.where(denom > 0.0, unscaled / denom, np.eye(3))
 
-    params = FieldModelParams(f0=float(sol.x[0]), b_crit=float(sol.x[1]), b_phi0=float(sol.x[2]))
+    params = FieldModelParams(f0=float(x[0]), b_crit=float(x[1]), b_phi0=float(x[2]))
     return FieldFitResult(
         params=params,
         uncertainties=tuple(float(s) for s in sigmas_fit),

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._lsq import least_squares
 from .constants import HBAR
 from .core import (
     EnvironmentParams,
@@ -48,6 +48,7 @@ from .errors import ConvergenceError, DataError
 from .linfit import (
     PARAM_NAMES,
     LinearFitResult,
+    _centre_alpha,
     _notch,
     _scaled_pinv,
     _wrap_half_pi,
@@ -317,9 +318,10 @@ def combine_linear_fits(fits: Sequence[LinearFitResult]) -> LinearFitResult:
     of stage-1 parameters before the nonlinear fit. Parameters are combined
     independently (cross-correlations are dropped), which is adequate for an
     initialization/anchoring role; zero-uncertainty fits fall back to equal
-    weights. The background phase ``alpha`` is pooled as an angle, by the
-    weighted circular mean. ``n_photons`` is not meaningful for pooled powers
-    and is ``None``.
+    weights, and so does a parameter that no fit constrains, which keeps its
+    infinite uncertainty. The background phase ``alpha`` is pooled as an
+    angle, by the weighted circular mean. ``n_photons`` is not meaningful
+    for pooled powers and is ``None``.
     """
     fits = list(fits)
     if not fits:
@@ -336,12 +338,12 @@ def combine_linear_fits(fits: Sequence[LinearFitResult]) -> LinearFitResult:
             ]
         )
         sigmas = np.array([f.uncertainties[name] for f in fits])
-        if np.all(sigmas > 0.0):
+        if np.all(sigmas > 0.0) and np.any(np.isfinite(sigmas)):
             weights = 1.0 / sigmas**2
             uncertainties[name] = float(1.0 / math.sqrt(np.sum(weights)))
         else:
             weights = np.ones_like(values)
-            uncertainties[name] = 0.0
+            uncertainties[name] = float(sigmas.min())
         if name == "alpha":
             # Circular mean, so that fits on either side of +-pi pool near pi.
             combined[name] = math.atan2(
@@ -462,21 +464,25 @@ def fit_kerr(
         if not np.any(keep):
             raise DataError("masking bistable points left no data to fit")
 
+    back = None
+    if options.free_all:  # alpha and tau both free: refine alpha at the sweep centre
+        turn = math.pi * (freqs[0] + freqs[-1])
+        residual, jacobian, x0, back = _centre_alpha(residual, jacobian, x0, turn, 6, 7)
     sol = least_squares(
         residual,
         x0,
         jac=jacobian,
-        method="lm",
         x_scale=x_scale,
         ftol=1e-12,
         xtol=1e-12,
         gtol=1e-14,
         max_nfev=options.max_iterations * (len(x0) + 1),
     )
+    x = sol.x if back is None else back @ sol.x
     if sol.status == 0:
         raise ConvergenceError(
             f"no convergence within {options.max_iterations} iterations",
-            last_params={SWEEP_PARAM_NAMES[j]: x for j, x in zip(free, sol.x)},
+            last_params={SWEEP_PARAM_NAMES[j]: v for j, v in zip(free, x)},
         )
 
     ssr = 2.0 * sol.cost
@@ -485,7 +491,7 @@ def fit_kerr(
     fixed = [] if options.free_all else list(range(len(PARAM_NAMES)))
     jac = jacobian(sol.x, free + fixed)
     jac_x = jac[:, : len(free)]
-    covariance = (ssr / dof) * _scaled_pinv(jac_x, x_scale)
+    covariance = (ssr / dof) * _scaled_pinv(jac_x, x_scale, back)
     if fixed:
         # The fixed linear parameters shift the optimum by
         # dx = -(Jx^T Jx)^{-1} Jx^T Jtheta dtheta; propagate their stage-1
@@ -495,7 +501,7 @@ def fit_kerr(
         covariance = covariance + sensitivity @ np.asarray(linear.covariance) @ sensitivity.T
 
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau, kerr, phi = map(float, full(sol.x))
+    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau, kerr, phi = map(float, full(x))
     params = KerrParams(
         linear=LinearResonatorParams(f_r, kappa_c, max(kappa_int, 0.0), phi0),
         environment=EnvironmentParams(amplitude, alpha, tau),

@@ -19,8 +19,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._lsq import EPS, least_squares
 from .constants import HBAR
 from .core import (
     EnvironmentParams,
@@ -224,15 +224,69 @@ class LinearFitResult:
         object.__setattr__(self, "uncertainties", MappingProxyType(dict(self.uncertainties)))
 
 
-def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
-    """``(J^T J)^{-1}`` computed via the scaled Jacobian ``J diag(x_scale)``.
+#: Below this ratio of its extreme eigenvalues the normal matrix ``J_s^T J_s``
+#: has lost the weak directions to rounding (its eigenvalues carry an
+#: absolute error of ~eps times the largest), and the covariance takes them
+#: from the R factor of a QR of ``J_s`` instead.
+NORMAL_RCOND = 1e-9
+
+
+def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None = None) -> np.ndarray:
+    """``(J^T J)^{-1}`` computed via the scaled Jacobian ``J_s = J diag(x_scale)``.
 
     Scaling first keeps the normal matrix well conditioned when parameter
-    magnitudes span many decades.
+    magnitudes span many decades. When ``J_s`` is ill conditioned anyway,
+    the directions come from a QR of ``J_s``, which does not square its
+    condition number (see :data:`NORMAL_RCOND`). ``back`` maps the fitted
+    parameters onto the reported ones, ``x = back @ x_fit``, and the result
+    is their covariance. A direction whose singular value is below
+    ``eps max(J.shape)`` of the largest is one the data do not constrain: a
+    reported parameter that moves along it gets infinite variance and NaN
+    covariances.
     """
     js = jac * x_scale[None, :]
-    inv_scaled = np.linalg.pinv(js.T @ js)
-    return x_scale[:, None] * inv_scaled * x_scale[None, :]
+    w, v = np.linalg.eigh(js.T @ js)
+    if not w[0] > NORMAL_RCOND * w[-1]:
+        _, s, vt = np.linalg.svd(np.linalg.qr(js, mode="r"))
+        w, v = s**2, vt.T
+    kept = w > (EPS * max(jac.shape)) ** 2 * w.max()
+    load = x_scale[:, None] * v  # parameter change per unit of each direction
+    if back is not None:
+        load = back @ load
+    cov = (load[:, kept] / w[kept]) @ load[:, kept].T
+    # loadings below sqrt(eps) of the parameter's scale are rounding noise
+    loose = np.any(np.abs(load[:, ~kept]) > np.sqrt(EPS) * x_scale[:, None], axis=1)
+    cov[loose, :] = np.nan
+    cov[:, loose] = np.nan
+    idx = np.flatnonzero(loose)
+    cov[idx, idx] = np.inf
+    return cov
+
+
+def _centre_alpha(residual, jacobian, x0: np.ndarray, turn: float, a: int = 5, t: int = 6):
+    """The fit with ``alpha_c = alpha - turn tau`` free in place of ``alpha``.
+
+    ``alpha`` (position ``a`` of the parameter vector) is the background
+    phase at 0 Hz, so at high Q its Jacobian column nearly parallels that of
+    ``tau`` (position ``t``). With ``turn = 2 pi f_mid``, ``alpha_c`` is the
+    phase at the trace centre, and the scaled Jacobian stays well
+    conditioned. Returns the centred residual, Jacobian and start, and
+    ``back``, the matrix with ``x = back @ x_c``.
+    """
+    back = np.eye(x0.size)
+    back[a, t] = turn
+
+    def residual_c(xc, *args):
+        return residual(back @ xc, *args)
+
+    def jacobian_c(xc, *args):
+        jac = jacobian(back @ xc, *args)
+        jac[:, t] += turn * jac[:, a]
+        return jac
+
+    x0_c = x0.copy()
+    x0_c[a] -= turn * x0[t]
+    return residual_c, jacobian_c, x0_c, back
 
 
 def _refinement_problem(freqs: np.ndarray, values: np.ndarray, w: np.ndarray | None):
@@ -289,7 +343,11 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
             raise ValueError("weights must match the trace length")
     else:
         w = None
-    residual, jacobian = _refinement_problem(freqs, values, w)
+    # alpha is refined as the background phase at the trace centre.
+    turn = math.pi * (freqs[0] + freqs[-1])
+    residual, jacobian, x0, back = _centre_alpha(
+        *_refinement_problem(freqs, values, w), p0, turn
+    )
 
     span = trace.span
     x_scale = np.array(
@@ -305,9 +363,8 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     )
     sol = least_squares(
         residual,
-        p0,
+        x0,
         jac=jacobian,
-        method="lm",
         x_scale=x_scale,
         ftol=1e-12,
         xtol=1e-12,
@@ -315,13 +372,14 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
         # Each iteration costs one Jacobian and at least one residual.
         max_nfev=options.max_iterations,
     )
+    p = back @ sol.x
     if sol.status == 0:
         raise ConvergenceError(
             f"no convergence within {options.max_iterations} iterations",
-            last_params=dict(zip(PARAM_NAMES, sol.x)),
+            last_params=dict(zip(PARAM_NAMES, p)),
         )
 
-    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = sol.x
+    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
     if amplitude < 0.0:
         amplitude = -amplitude
         alpha += math.pi
@@ -330,26 +388,18 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     if kappa_c <= 0.0:
         raise ConvergenceError(
             "optimum has non-positive coupling rate; the trace probably holds no dip",
-            last_params=dict(zip(PARAM_NAMES, sol.x)),
+            last_params=dict(zip(PARAM_NAMES, p)),
         )
     if kappa_int < 0.0:
         flags.append("kappa_int pinned to 0 (optimum was negative)")
         kappa_int = 0.0
 
-    # Stage 4: parameter covariance from the Jacobian, scaled by the
-    # residual variance. Inverting in the scaled parameter space keeps the
-    # normal matrix well conditioned despite the huge dynamic range of the
-    # parameters. alpha is the background phase at 0 Hz, so its column nearly
-    # parallels tau's; the inversion uses alpha' = alpha - 2 pi f_mid tau, the
-    # phase at the trace centre, and maps back by alpha = alpha' + 2 pi f_mid tau.
+    # Stage 4: parameter covariance from the refinement's Jacobian at the
+    # optimum, scaled by the residual variance and mapped back to the 0 Hz
+    # phase alpha.
     ssr = 2.0 * sol.cost
     dof = max(2 * n - len(p0), 1)
-    turn = 2.0 * math.pi * 0.5 * (freqs[0] + freqs[-1])
-    jac = jacobian(sol.x)
-    jac[:, 6] += turn * jac[:, 5]
-    centred = np.eye(len(p0))
-    centred[5, 6] = turn
-    covariance = (ssr / dof) * (centred @ _scaled_pinv(jac, x_scale) @ centred.T)
+    covariance = (ssr / dof) * _scaled_pinv(jacobian(sol.x), x_scale, back)
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     uncertainties = dict(zip(PARAM_NAMES, (float(s) for s in sigmas)))
     residual_rms = math.sqrt(ssr / n)

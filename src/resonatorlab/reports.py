@@ -2,19 +2,22 @@
 
 Reports are deterministic (sorted keys, shortest-roundtrip float repr, no
 timestamp unless explicitly requested) and validate against
-:data:`REPORT_SCHEMA`. Non-finite numbers are serialized as ``null``.
+:data:`REPORT_SCHEMA`. Non-finite numbers are serialized as ``null``. The
+validator is built in and covers the JSON Schema keywords the two schemas
+use: ``type``, ``const``, ``required``, ``properties``,
+``additionalProperties`` and ``items``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Any, Mapping
 
 import numpy as np
-from jsonschema import validate as _js_validate
 
 from . import __version__
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ReportSchemaError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -170,12 +173,54 @@ def error_report(exc: BaseException, subcommand: str | None = None) -> dict:
     }
     if subcommand:
         doc["subcommand"] = subcommand
-    _js_validate(doc, ERROR_SCHEMA)
+    validate_report(doc, ERROR_SCHEMA)
     return doc
 
 
-def validate_report(doc: Mapping[str, Any]) -> None:
-    _js_validate(doc, REPORT_SCHEMA)
+#: JSON Schema types as draft 2020-12 defines them on parsed JSON.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def validate_report(doc: Any, schema: Mapping[str, Any] = REPORT_SCHEMA) -> None:
+    """Raise :class:`ReportSchemaError`, naming the JSON path, where ``doc`` breaks ``schema``."""
+    _validate(doc, schema, "$")
+
+
+def _validate(doc: Any, schema: Mapping[str, Any], path: str) -> None:
+    kinds = schema.get("type")
+    if kinds is not None:
+        kinds = [kinds] if isinstance(kinds, str) else kinds
+        if not any(_TYPES[kind](doc) for kind in kinds):
+            raise ReportSchemaError(f"{path}: expected {' or '.join(kinds)}, got {type(doc).__name__}")
+    if "const" in schema:
+        const = schema["const"]
+        if isinstance(doc, bool) != isinstance(const, bool) or doc != const:
+            raise ReportSchemaError(f"{path}: expected {const!r}, got {doc!r}")
+    if isinstance(doc, dict):
+        for key in schema.get("required", ()):
+            if key not in doc:
+                raise ReportSchemaError(f"{path}: required key {key!r} is missing")
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, value in doc.items():
+            if key in properties:
+                _validate(value, properties[key], f"{path}.{key}")
+            elif extra is False:
+                raise ReportSchemaError(f"{path}: unexpected key {key!r}")
+            elif extra is not True:
+                _validate(value, extra, f"{path}.{key}")
+    elif isinstance(doc, list) and "items" in schema:
+        for i, value in enumerate(doc):
+            _validate(value, schema["items"], f"{path}[{i}]")
 
 
 def series(label: str, values) -> dict:

@@ -22,6 +22,40 @@ def grid_around(res, span_linewidths=15.0, points=2001, center=None):
     return np.linspace(center - half, center + half, points)
 
 
+def kerr_recovery_draws():
+    """``(k_true, sweep)`` of the 50 criterion-4(c) power sweeps, in order.
+
+    Each sweep spans 10 linewidths centred one linewidth below resonance,
+    from 18 dB below to 15 dB above the single-photon power, generated on
+    the lowest branch.
+    """
+    rng = np.random.default_rng(77)
+    for i in range(50):
+        f_r = rng.uniform(4e9, 8e9)
+        q_c = 10 ** rng.uniform(np.log10(800), np.log10(5000))
+        q_i = 10 ** rng.uniform(np.log10(5e3), np.log10(5e4))
+        k_true = 10 ** rng.uniform(np.log10(20e3), np.log10(500e3))
+        res = rl.LinearResonatorParams(
+            f_r=f_r,
+            kappa_c=TWO_PI * f_r / q_c,
+            kappa_int=TWO_PI * f_r / q_i,
+            phi0=rng.uniform(-0.3, 0.3),
+        )
+        env = rl.EnvironmentParams(
+            amplitude=rng.uniform(0.7, 1.3),
+            alpha=rng.uniform(-np.pi, np.pi),
+            tau=rng.uniform(-60e-9, 60e-9),
+        )
+        grid = grid_around(
+            res, span_linewidths=10.0, points=401, center=f_r - linewidth_hz(res)
+        )
+        psp = rl.single_photon_power(res)
+        powers = np.arange(psp - 18.0, psp + 15.1, 2.5)
+        params = rl.KerrParams(linear=res, environment=env, kerr=k_true, phi=res.phi0)
+        noise = rl.NoiseSpec(snr_db=rng.uniform(35, 45), seed=3000 + i)
+        yield k_true, rl.generate_kerr_sweep(params, grid, powers, "lowest", noise)
+
+
 @pytest.fixture
 def sample_resonator():
     """Parameters matching the representative measured device."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import resonatorlab as rl
-from conftest import grid_around, linewidth_hz, resonator
+from conftest import grid_around, kerr_recovery_draws, linewidth_hz, resonator
 from oracles import cubic_value, scanned_roots_many
 from resonatorlab.cli import main
 
@@ -216,34 +216,9 @@ def test_criterion_4_kerr_suite():
         reduction_worst = max(reduction_worst, float(diff.max()))
 
     # (c) fit recovery on 50 synthetic sweeps
-    rng = np.random.default_rng(77)
     recovery_failures = 0
-    for i in range(50):
-        f_r = rng.uniform(4e9, 8e9)
-        q_c = 10 ** rng.uniform(np.log10(800), np.log10(5000))
-        q_i = 10 ** rng.uniform(np.log10(5e3), np.log10(5e4))
-        k_true = 10 ** rng.uniform(np.log10(20e3), np.log10(500e3))
-        res = rl.LinearResonatorParams(
-            f_r=f_r,
-            kappa_c=TWO_PI * f_r / q_c,
-            kappa_int=TWO_PI * f_r / q_i,
-            phi0=rng.uniform(-0.3, 0.3),
-        )
-        env = rl.EnvironmentParams(
-            amplitude=rng.uniform(0.7, 1.3),
-            alpha=rng.uniform(-np.pi, np.pi),
-            tau=rng.uniform(-60e-9, 60e-9),
-        )
-        grid = grid_around(
-            res, span_linewidths=10.0, points=401, center=f_r - linewidth_hz(res)
-        )
-        psp = rl.single_photon_power(res)
-        powers = np.arange(psp - 18.0, psp + 15.1, 2.5)
-        params = rl.KerrParams(linear=res, environment=env, kerr=k_true, phi=res.phi0)
+    for k_true, sweep in kerr_recovery_draws():
         try:
-            sweep = rl.generate_kerr_sweep(
-                params, grid, powers, "lowest", rl.NoiseSpec(snr_db=rng.uniform(35, 45), seed=3000 + i)
-            )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 lin = rl.fit_linear(sweep.traces[0])

@@ -5,6 +5,8 @@ import pytest
 
 import resonatorlab as rl
 from oracles import central_jacobian
+from resonatorlab import fieldmodel
+from resonatorlab._lsq import LeastSquaresResult
 from resonatorlab.fieldmodel import _tuning
 
 SQRT2 = math.sqrt(2.0)
@@ -170,6 +172,28 @@ class TestFitFieldSweep:
             points, rl.FieldModelParams(f0=6.8e9, b_crit=80e-3, b_phi0=150e-3)
         )
         assert fit.params.b_crit == pytest.approx(66e-3, abs=3e-3)
+
+    def test_unconstrained_field_scale_has_no_finite_sigma(self):
+        # fields up to a tenth of b_phi0 leave it flat: the fit runs off to
+        # b_phi0 >> 1 T, and a finite sigma there (~1e-21 T) was meaningless
+        points = rl.generate_field_sweep(self.truth, np.linspace(0.0, 10e-3, 13), 5e6, 0)
+        fit = rl.fit_field_sweep(points)
+        assert fit.params.b_phi0 > 1.0
+        assert not math.isfinite(fit.uncertainties[2])
+        assert np.all(np.isnan(fit.correlation[2])) and np.all(np.isnan(fit.correlation[:, 2]))
+        assert all(math.isfinite(s) and s > 0.0 for s in fit.uncertainties[:2])
+        assert fit.correlation[0, 1] == pytest.approx(fit.correlation[1, 0])
+
+    def test_optimum_at_non_positive_f0_is_a_convergence_error(self, monkeypatch):
+        # the solver is unbounded: f0 <= 0 is refused after it returns
+        def solver(fun, x0, jac, **kwargs):
+            x = np.array([-1.0, *x0[1:]])
+            return LeastSquaresResult(x, 0.0, fun(x), 2, 1, 2)
+
+        monkeypatch.setattr(fieldmodel, "least_squares", solver)
+        points = rl.generate_field_sweep(self.truth, np.arange(0.0, 0.0601, 0.005), 0.0)
+        with pytest.raises(rl.ConvergenceError, match="outside the model domain"):
+            rl.fit_field_sweep(points)
 
     def test_insufficient_points(self):
         points = rl.generate_field_sweep(self.truth, [0.0, 0.01, 0.02], sigma_f=0.0)

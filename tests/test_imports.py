@@ -7,10 +7,6 @@ import sys
 from resonatorlab import constants
 
 PACKAGE = pathlib.Path(constants.__file__).resolve().parent
-# Slow scipy subpackages the CLI must not pay for on every start:
-# scipy.signal (and the scipy.stats it pulls in) serves only dip segmentation,
-# scipy.constants only five values written out in resonatorlab.constants.
-SLOW_IMPORTS = ("scipy.signal", "scipy.stats", "scipy.constants")
 
 
 def _imported_names(node) -> list[str]:
@@ -21,40 +17,39 @@ def _imported_names(node) -> list[str]:
     return []
 
 
-def test_no_module_level_import_of_slow_scipy_subpackages():
-    offenders = [
-        f"{path.name}:{node.lineno} {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.parse(path.read_text()).body
-        for name in _imported_names(node)
-        if any(name == slow or name.startswith(slow + ".") for slow in SLOW_IMPORTS)
-    ]
-    assert offenders == []
-
-
-def _scipy_optimize_names(node) -> list[str]:
-    """scipy.optimize names a node binds; a bound submodule counts as ``*``."""
-    if isinstance(node, ast.ImportFrom) and node.level == 0:
-        if node.module == "scipy.optimize":
-            return [alias.name for alias in node.names]
-        if (node.module or "").startswith("scipy.optimize."):
-            return [f"{node.module}.{alias.name}" for alias in node.names]
-        if node.module == "scipy":
-            return ["*" for alias in node.names if alias.name == "optimize"]
-    if isinstance(node, ast.Import):
-        return ["*" for alias in node.names if alias.name.startswith("scipy.optimize")]
-    return []
-
-
-def test_only_least_squares_is_imported_from_scipy_optimize():
-    # every fit runs on least_squares; any other solver widens the surface a
-    # package-owned replacement of scipy.optimize would have to cover
+def test_no_package_module_imports_scipy_optimize():
+    # every fit runs on the package's own least_squares (resonatorlab._lsq)
     offenders = [
         f"{path.name}:{node.lineno} {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        for name in _scipy_optimize_names(node)
-        if name != "least_squares"
+        for name in _imported_names(node)
+        if name == "scipy.optimize" or name.startswith("scipy.optimize.")
+    ]
+    assert offenders == []
+
+
+def _imports_outside_functions(tree):
+    """Import nodes that run when the module is imported."""
+    stack = list(ast.iter_child_nodes(tree))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_scipy_import_is_function_local():
+    # scipy serves only dip segmentation (find_peaks), which imports it on
+    # use; resonatorlab.constants writes out the five CODATA values it needs
+    offenders = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _imports_outside_functions(ast.parse(path.read_text()))
+        for name in _imported_names(node)
+        if name == "scipy" or name.startswith("scipy.")
     ]
     assert offenders == []
 
@@ -79,14 +74,12 @@ def test_every_least_squares_call_passes_an_analytic_jacobian():
     assert offenders == []
 
 
-def test_cli_import_loads_neither_scipy_signal_nor_stats():
-    # scipy.constants is left out here: scipy.optimize itself imports it on
-    # recent scipy (through scipy.spatial.transform).
+def test_cli_import_loads_neither_scipy_nor_jsonschema():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     code = (
         "import resonatorlab.cli, sys; "
-        "print(' '.join(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -350,6 +350,26 @@ class TestFitKerr:
         assert abs(math.remainder(pooled - math.pi, TWO_PI)) < 0.02
 
 
+    def test_combine_linear_fits_keeps_an_unconstrained_parameter_unconstrained(
+        self, sample_resonator, environment
+    ):
+        res = sample_resonator
+        fit = rl.fit_linear(
+            rl.generate_linear_trace(
+                res, environment, grid_around(res, points=1001), -150.0, rl.NoiseSpec(snr_db=40, seed=0)
+            )
+        )
+        # a fit that reports an infinite sigma for tau, as fit_linear does for
+        # a direction the data do not constrain
+        loose = dataclasses.replace(fit, uncertainties={**fit.uncertainties, "tau": math.inf})
+        pooled = rl.kerrfit.combine_linear_fits([loose, loose])
+        assert pooled.uncertainties["tau"] == math.inf
+        assert pooled.environment.tau == fit.environment.tau
+        mixed = rl.kerrfit.combine_linear_fits([loose, fit])
+        assert mixed.uncertainties["tau"] == pytest.approx(fit.uncertainties["tau"])
+        assert mixed.environment.tau == pytest.approx(fit.environment.tau)
+
+
 @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
 @pytest.mark.parametrize("kerr", [100e3, -80e3, 0.0])
 def test_kerr_jacobian_matches_central_differences(sample_resonator, environment, kerr, branch):

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
-from jsonschema import ValidationError
+from jsonschema import Draft202012Validator
 
 import resonatorlab.reports as reports
+from resonatorlab.cli import main
+from resonatorlab.errors import ReportSchemaError
 
 
 def test_make_report_validates_and_dumps():
@@ -45,14 +50,14 @@ def test_timestamp_is_the_only_optional_field():
 def test_schema_rejects_malformed_plot_data():
     doc = reports.make_report("design", {}, {})
     doc["plot_data"] = {"bad": {"x": {"label": "x"}}}  # missing values/series
-    with pytest.raises(ValidationError):
+    with pytest.raises(ReportSchemaError):
         reports.validate_report(doc)
 
 
 def test_schema_rejects_unknown_top_level_keys():
     doc = reports.make_report("design", {}, {})
     doc["extra"] = 1
-    with pytest.raises(ValidationError):
+    with pytest.raises(ReportSchemaError):
         reports.validate_report(doc)
 
 
@@ -89,3 +94,124 @@ def test_dump_refuses_raw_nan():
     doc["results"] = {"bad": float("nan")}  # bypass jsonify on purpose
     with pytest.raises(ValueError):
         reports.dump_report(doc)
+
+
+def _cli_report(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    return json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def cli_documents(tmp_path_factory):
+    """One report per subcommand and one error report per exit code."""
+    tmp = tmp_path_factory.mktemp("reports")
+    trace, sweep, field = (str(tmp / name) for name in ("trace.csv", "sweep.csv", "field.csv"))
+    docs = [
+        _cli_report("synth", "linear", "--out-csv", trace, "--seed", "3"),
+        _cli_report("synth", "kerr", "--out-csv", sweep, "--points", "201"),
+        _cli_report("synth", "field", "--out-csv", field, "--sigma-f", "5e6"),
+        _cli_report("fit-linear", trace),
+        _cli_report("fit-power-sweep", sweep),
+        _cli_report("fit-kerr", sweep),
+        _cli_report("fit-field", field),
+        _cli_report("predict-field", "--f0", "7e9"),
+        _cli_report("design"),
+        _cli_report("fit-linear", str(tmp / "missing.csv")),
+        _cli_report("fit-linear", trace, "--max-iterations", "1"),
+        _cli_report("predict-field", "--d1", "2e-6"),
+    ]
+    assert [d["error"]["exit_code"] for d in docs if "error" in d] == [2, 3, 4]
+    return docs
+
+
+def _verdicts(doc, schema):
+    """(package validator, jsonschema) acceptance of ``doc``."""
+    try:
+        reports.validate_report(doc, schema)
+        ours = True
+    except ReportSchemaError:
+        ours = False
+    return ours, Draft202012Validator(schema).is_valid(doc)
+
+
+def _schema_for(doc):
+    return reports.ERROR_SCHEMA if "error" in doc else reports.REPORT_SCHEMA
+
+
+def test_schemas_use_only_keywords_the_validator_knows():
+    known = {"$schema", "title", "type", "const", "required", "properties",
+             "additionalProperties", "items"}
+
+    def keywords(schema):
+        yield from schema
+        for sub in schema.get("properties", {}).values():
+            yield from keywords(sub)
+        for key in ("additionalProperties", "items"):
+            if isinstance(schema.get(key), dict):
+                yield from keywords(schema[key])
+
+    for schema in (reports.REPORT_SCHEMA, reports.ERROR_SCHEMA):
+        assert set(keywords(schema)) <= known
+
+
+def test_validators_accept_every_cli_document(cli_documents):
+    for doc in cli_documents:
+        assert _verdicts(doc, _schema_for(doc)) == (True, True)
+    # an integral float is an integer in draft 2020-12
+    doc = copy.deepcopy(cli_documents[-1])
+    doc["error"]["exit_code"] = 4.0
+    assert _verdicts(doc, reports.ERROR_SCHEMA) == (True, True)
+
+
+def _broken(doc, path, value=None, delete=False):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if delete:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def test_validators_reject_the_same_documents(cli_documents):
+    report = next(d for d in cli_documents if d["subcommand"] == "fit-field" and "error" not in d)
+    error = next(d for d in cli_documents if "error" in d)
+    group = next(iter(report["plot_data"]))
+    cases = [
+        _broken(report, ["results"], delete=True),
+        _broken(report, ["tool", "version"], delete=True),
+        _broken(error, ["error", "exit_code"], delete=True),
+        _broken(report, ["extra"], 1),
+        _broken(report, ["tool", "extra"], 1),
+        _broken(report, ["plot_data", group, "extra"], []),
+        _broken(report, ["plot_data", group, "x", "extra"], "x"),
+        _broken(report, ["plot_data", group, "series", 0, "extra"], "x"),
+        _broken(error, ["error", "extra"], 1),
+        _broken(error, ["extra"], 1),
+        _broken(report, ["subcommand"], 3),
+        _broken(report, ["inputs"], []),
+        _broken(report, ["warnings"], ["ok", 1]),
+        _broken(report, ["plot_data", group, "x", "values", 0], "1.0"),
+        _broken(error, ["error", "exit_code"], True),
+        _broken(error, ["error", "exit_code"], 2.5),
+        _broken(report, ["schema_version"], "0.9.0"),
+        _broken(error, ["schema_version"], 1),
+        _broken(report, ["plot_data", group], {"x": {"label": "x"}}),
+        _broken(report, ["plot_data", group, "series"], {"label": "y", "values": []}),
+        _broken(report, ["plot_data"], []),
+    ]
+    for doc in cases:
+        assert _verdicts(doc, _schema_for(doc)) == (False, False)
+
+
+def test_rejection_names_the_json_path(cli_documents):
+    report = next(d for d in cli_documents if d["subcommand"] == "fit-field")
+    group = next(iter(report["plot_data"]))
+    doc = _broken(report, ["plot_data", group, "series", 0, "values", 1], "1.0")
+    with pytest.raises(ReportSchemaError, match=rf"\$\.plot_data\.{group}\.series\[0\]\.values\[1\]"):
+        reports.validate_report(doc)
