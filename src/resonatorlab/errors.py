@@ -6,7 +6,7 @@ failed optimizations with 3 and physical-domain violations with 4.
 
 
 class ResonatorLabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors the CLI maps onto exit codes."""
 
 
 class DataError(ResonatorLabError):
@@ -41,5 +41,11 @@ class DomainError(ResonatorLabError):
     """Arguments are outside the physical domain of validity of a formula."""
 
 
-class ReportSchemaError(ResonatorLabError):
-    """A report does not match its JSON schema; the message names the JSON path."""
+class ReportSchemaError(Exception):
+    """A report does not match its JSON schema; the message names the JSON path.
+
+    The reports are built by this package, so a mismatch is a bug in the
+    program rather than bad input. It is deliberately not a
+    :class:`ResonatorLabError`: the CLI does not map it onto an exit code,
+    and it ends the run with a traceback (exit 1).
+    """

@@ -224,31 +224,21 @@ class LinearFitResult:
         object.__setattr__(self, "uncertainties", MappingProxyType(dict(self.uncertainties)))
 
 
-#: Below this ratio of its extreme eigenvalues the normal matrix ``J_s^T J_s``
-#: has lost the weak directions to rounding (its eigenvalues carry an
-#: absolute error of ~eps times the largest), and the covariance takes them
-#: from the R factor of a QR of ``J_s`` instead.
-NORMAL_RCOND = 1e-9
-
-
 def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None = None) -> np.ndarray:
     """``(J^T J)^{-1}`` computed via the scaled Jacobian ``J_s = J diag(x_scale)``.
 
-    Scaling first keeps the normal matrix well conditioned when parameter
-    magnitudes span many decades. When ``J_s`` is ill conditioned anyway,
-    the directions come from a QR of ``J_s``, which does not square its
-    condition number (see :data:`NORMAL_RCOND`). ``back`` maps the fitted
-    parameters onto the reported ones, ``x = back @ x_fit``, and the result
-    is their covariance. A direction whose singular value is below
-    ``eps max(J.shape)`` of the largest is one the data do not constrain: a
-    reported parameter that moves along it gets infinite variance and NaN
-    covariances.
+    Scaling first keeps the problem well conditioned when parameter
+    magnitudes span many decades. The directions come from the SVD of the
+    R factor of a QR of ``J_s``, which, unlike ``J_s^T J_s``, does not
+    square the condition number. ``back`` maps the fitted parameters onto
+    the reported ones, ``x = back @ x_fit``, and the result is their
+    covariance. A direction whose singular value is below ``eps max(J.shape)``
+    of the largest is one the data do not constrain: a reported parameter
+    that moves along it gets infinite variance and NaN covariances.
     """
     js = jac * x_scale[None, :]
-    w, v = np.linalg.eigh(js.T @ js)
-    if not w[0] > NORMAL_RCOND * w[-1]:
-        _, s, vt = np.linalg.svd(np.linalg.qr(js, mode="r"))
-        w, v = s**2, vt.T
+    _, s, vt = np.linalg.svd(np.linalg.qr(js, mode="r"))
+    w, v = s**2, vt.T
     kept = w > (EPS * max(jac.shape)) ** 2 * w.max()
     load = x_scale[:, None] * v  # parameter change per unit of each direction
     if back is not None:

@@ -6,7 +6,8 @@ import pytest
 
 import resonatorlab as rl
 from conftest import resonator
-from resonatorlab.cli import main, segment_trace
+from resonatorlab.cli import COMMANDS, main, segment_trace
+from resonatorlab.errors import ReportSchemaError
 from resonatorlab.io import write_trace_csv
 from resonatorlab.reports import validate_report
 
@@ -192,6 +193,14 @@ class TestErrors:
         code, doc = run_cli(capsys, "fit-linear", str(csv), "--max-iterations", "1")
         assert code == 3
         assert doc["error"]["type"] == "ConvergenceError"
+
+    def test_report_breaking_its_schema_is_not_an_input_error(self, monkeypatch):
+        # the package builds its reports, so a mismatch is a bug: it gets no
+        # exit code of the input-error contract and ends in a traceback
+        _, *rest = COMMANDS["predict-field"]
+        monkeypatch.setitem(COMMANDS, "predict-field", (lambda opts: ({}, {"bad": 1}), *rest))
+        with pytest.raises(ReportSchemaError, match=r"\$\.plot_data\.bad"):
+            main(["predict-field"])
 
     def test_sweep_required_for_fit_kerr(self, tmp_path, capsys):
         csv = synth_linear_csv(tmp_path, capsys)

@@ -184,6 +184,26 @@ class TestFitFieldSweep:
         assert all(math.isfinite(s) and s > 0.0 for s in fit.uncertainties[:2])
         assert fit.correlation[0, 1] == pytest.approx(fit.correlation[1, 0])
 
+    def test_valley_covariance_matches_svd_reference(self):
+        # with fields up to a tenth of the scales, b_crit and b_phi0 trade off
+        # along a valley (cond(J_s) ~ 1e8): inverting J^T J there dropped the
+        # valley and reported sigma_b_crit ~ 1e-4 T where it is ~ 5e3 T
+        points = rl.generate_field_sweep(self.truth, np.linspace(0.0, 10e-3, 13), 5e6, 4)
+        fit = rl.fit_field_sweep(points)
+        x = np.array([fit.params.f0, fit.params.b_crit, fit.params.b_phi0])
+        fields = np.array([p.field for p in points])
+        jac = _tuning(x, fields, jac=True)[1] / np.array([p.sigma for p in points])[:, None]
+        # reference: SVD of the column-normalized Jacobian, never forming J^T J
+        norms = np.linalg.norm(jac, axis=0)
+        _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
+        variance = fit.residual_rms**2 * len(points) / (len(points) - 3)
+        reference = variance * ((vt.T / s**2) @ vt) / np.outer(norms, norms)
+        ref_sigmas = np.sqrt(np.diag(reference))
+        np.testing.assert_allclose(fit.uncertainties, ref_sigmas, rtol=1e-4)
+        np.testing.assert_allclose(
+            fit.correlation, reference / np.outer(ref_sigmas, ref_sigmas), rtol=0.0, atol=1e-4
+        )
+
     def test_optimum_at_non_positive_f0_is_a_convergence_error(self, monkeypatch):
         # the solver is unbounded: f0 <= 0 is refused after it returns
         def solver(fun, x0, jac, **kwargs):
