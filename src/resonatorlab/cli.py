@@ -44,7 +44,6 @@ from .kerrfit import (
     BRANCH_RULES,
     KerrFitOptions,
     KerrParams,
-    combine_linear_fits,
     fit_kerr,
     model_s21_kerr,
     single_photon_power,
@@ -117,6 +116,15 @@ def _linear_payload(fit: LinearFitResult) -> dict:
         "residual_rms": fit.residual_rms,
         "flags": list(fit.flags),
     }
+
+
+def _flag_warnings(results: dict) -> list[str]:
+    """The ``flags`` of the linear payloads in a results block, each prefixed by
+    where its payload sits (``slices[3]: ...``) unless it is the block itself."""
+    payloads = [("", results), ("stage1", results.get("stage1", {}))]
+    for key in ("dips", "slices"):
+        payloads += [(f"{key}[{i}]", p) for i, p in enumerate(results.get(key, ()))]
+    return [f"{at}: {flag}" if at else flag for at, p in payloads for flag in p.get("flags", ())]
 
 
 def _require_single_trace(data, power_override) -> FrequencyTrace:
@@ -228,40 +236,17 @@ def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
     return results, plots
 
 
-def _stage1_linear(sweep: PowerSweep, opts) -> tuple[LinearFitResult, dict]:
-    """Linear parameters from the low-power end of the sweep.
-
-    Default: the lowest-power slice only (pooling higher slices imprints the
-    Kerr shift on the pooled resonance). With ``stage1_max_photons`` set, all
-    slices below that occupation are fitted and inverse-variance combined.
-    """
-    fit_opts = _fit_options(opts)
-    cut = opts["stage1_max_photons"]
-    if cut is None:
-        fit = fit_linear(sweep.traces[0], fit_opts)
-        if fit.n_photons is not None and fit.n_photons > 1.0:
-            logger.warning(
-                "lowest sweep power already drives %.2f photons; the stage-1 "
-                "linear fit may be biased by the nonlinearity",
-                fit.n_photons,
-            )
-        return fit, {"stage1_slices": [sweep.traces[0].drive_power]}
-    fits, used = [], []
-    for trace in sweep.traces:
-        fit = fit_linear(trace, fit_opts)
-        if fit.n_photons is not None and fit.n_photons < cut:
-            fits.append(fit)
-            used.append(trace.drive_power)
-    if not fits:
-        raise DataError(
-            f"no sweep slice sits below {cut} photons; lower the drive power range"
-        )
-    return combine_linear_fits(fits), {"stage1_slices": used}
-
-
 def _handle_fit_kerr(opts) -> tuple[dict, dict]:
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
-    stage1, stage1_info = _stage1_linear(sweep, opts)
+    # Stage 1 is the lowest slice alone: pooled slices imprint their Kerr shift
+    # on the resonance (--free-all refits every slice jointly with K and phi).
+    stage1 = fit_linear(sweep.traces[0], _fit_options(opts))
+    if stage1.n_photons > 1.0:
+        logger.warning(
+            "lowest sweep power already drives %.2f photons; the stage-1 "
+            "linear fit may be biased by the nonlinearity",
+            stage1.n_photons,
+        )
     kerr_opts = KerrFitOptions(
         branch=opts["branch"],
         k_init=opts["k_init"],
@@ -278,7 +263,7 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
         "phi_sigma_rad": fit.phi_uncertainty,
         "branch": opts["branch"],
         "residual_rms": fit.residual_rms,
-        "stage1": {**_linear_payload(stage1), **stage1_info},
+        "stage1": {**_linear_payload(stage1), "stage1_slices": [sweep.traces[0].drive_power]},
     }
     powers = [t.drive_power for t in sweep.traces]
     freqs = sweep.frequencies
@@ -543,13 +528,8 @@ COMMANDS: dict[str, tuple] = {
         "csv": (str, None, "power-sweep CSV (power_dbm column required)"),
         "branch": (BRANCH_RULES, "lowest", None),
         "k_init": (float, None, "initial Kerr coefficient [Hz]"),
-        "mask_bistable": (bool, False, None),
-        "free_all": (bool, False, None),
-        "stage1_max_photons": (
-            float,
-            None,
-            "pool all slices below this occupation for stage 1 (default: lowest slice only)",
-        ),
+        "mask_bistable": (bool, False, "drop the points with three roots at the starting K"),
+        "free_all": (bool, False, "fit the linear parameters too, jointly over every slice"),
         **_FIT_OPTIONS,
     }),
     "fit-field": (_handle_fit_field, "fit f_r(B) tuning data to the thin-film model", {
@@ -625,8 +605,17 @@ COMMANDS: dict[str, tuple] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (unknown flags, bad values) raise :class:`DataError`, so
+    they exit 2 with a JSON error report like every other input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DataError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resonatorlab",
         description="Notch-resonator spectroscopy fits and JJ-array design calculations.",
     )
@@ -703,22 +692,23 @@ def _resolve_options(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    if args.command is None:
-        parser.print_help(sys.stderr)
-        return 2
+    args = argparse.Namespace(command=None)
     try:
+        args = parser.parse_args(argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        if args.command is None:
+            parser.print_help(sys.stderr)
+            return 2
         opts = _resolve_options(args)
         results, plots = COMMANDS[args.command][0](opts)
         timestamp = (
             datetime.now(timezone.utc).isoformat() if getattr(args, "timestamp", False) else None
         )
-        doc = make_report(args.command, opts, results, plots, timestamp=timestamp)
+        doc = make_report(args.command, opts, results, plots, _flag_warnings(results), timestamp)
         payload = dump_report(doc)
     except (ResonatorLabError, ValueError, OSError) as exc:
         code = exit_code_for(exc)

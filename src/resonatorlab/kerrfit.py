@@ -62,7 +62,6 @@ __all__ = [
     "KerrFitResult",
     "photon_cubic_roots",
     "model_s21_kerr",
-    "combine_linear_fits",
     "fit_kerr",
     "single_photon_power",
     "kerr_from_array",
@@ -99,7 +98,7 @@ class KerrFitOptions:
     branch: str = "lowest"
     k_init: float | None = None  # Hz; default: dip-trajectory slope estimate
     mask_bistable: bool = False  # drop the points with three roots at the start K
-    free_all: bool = False  # diagnostic mode: also free the linear parameters
+    free_all: bool = False  # also fit the linear parameters but phi0, over every slice
     max_iterations: int = 200
 
 
@@ -311,67 +310,6 @@ def model_s21_kerr(
     return out if np.ndim(f) else complex(out[0])
 
 
-def combine_linear_fits(fits: Sequence[LinearFitResult]) -> LinearFitResult:
-    """Inverse-variance average of several linear fits of the same resonator.
-
-    Used to pool the sub-single-photon slices of a power sweep into one set
-    of stage-1 parameters before the nonlinear fit. Parameters are combined
-    independently (cross-correlations are dropped), which is adequate for an
-    initialization/anchoring role; zero-uncertainty fits fall back to equal
-    weights, and so does a parameter that no fit constrains, which keeps its
-    infinite uncertainty. The background phase ``alpha`` is pooled as an
-    angle, by the weighted circular mean. ``n_photons`` is not meaningful
-    for pooled powers and is ``None``.
-    """
-    fits = list(fits)
-    if not fits:
-        raise ValueError("need at least one fit to combine")
-    if len(fits) == 1:
-        return fits[0]
-    combined: dict[str, float] = {}
-    uncertainties: dict[str, float] = {}
-    for name in PARAM_NAMES:
-        values = np.array(
-            [
-                getattr(f.resonator, name) if hasattr(f.resonator, name) else getattr(f.environment, name)
-                for f in fits
-            ]
-        )
-        sigmas = np.array([f.uncertainties[name] for f in fits])
-        if np.all(sigmas > 0.0) and np.any(np.isfinite(sigmas)):
-            weights = 1.0 / sigmas**2
-            uncertainties[name] = float(1.0 / math.sqrt(np.sum(weights)))
-        else:
-            weights = np.ones_like(values)
-            uncertainties[name] = float(sigmas.min())
-        if name == "alpha":
-            # Circular mean, so that fits on either side of +-pi pool near pi.
-            combined[name] = math.atan2(
-                float(np.sum(weights * np.sin(values))), float(np.sum(weights * np.cos(values)))
-            )
-        else:
-            combined[name] = float(np.sum(weights * values) / np.sum(weights))
-    resonator = LinearResonatorParams(
-        f_r=combined["f_r"],
-        kappa_c=combined["kappa_c"],
-        kappa_int=max(combined["kappa_int"], 0.0),
-        phi0=combined["phi0"],
-    )
-    environment = EnvironmentParams(
-        amplitude=combined["amplitude"], alpha=combined["alpha"], tau=combined["tau"]
-    )
-    flags = tuple(dict.fromkeys(flag for f in fits for flag in f.flags))
-    return LinearFitResult(
-        resonator=resonator,
-        environment=environment,
-        uncertainties=uncertainties,
-        covariance=np.diag(np.array([uncertainties[n] for n in PARAM_NAMES]) ** 2),
-        residual_rms=float(np.sqrt(np.mean([f.residual_rms**2 for f in fits]))),
-        n_photons=None,
-        flags=flags,
-    )
-
-
 def _estimate_k_init(sweep: PowerSweep, res: LinearResonatorParams) -> float:
     """Slope of the dip frequency versus linear photon number, negated."""
     dips = np.array(
@@ -393,17 +331,18 @@ def fit_kerr(
     linear: LinearFitResult,
     options: KerrFitOptions | None = None,
 ) -> KerrFitResult:
-    """Fit (K, phi) to a full 2-D power sweep with the linear parameters held
-    fixed at the values from ``linear``.
+    """Fit (K, phi) to a full 2-D power sweep, with the linear parameters held
+    fixed at the values from ``linear`` unless ``free_all`` fits them too.
 
-    ``linear`` should come from a sub-single-photon slice of the same sweep
-    (beware that pooling slices with appreciable occupation imprints the Kerr
-    red-shift on the pooled resonance); a resonance outside the sweep's grid
-    is rejected as a mismatch. The fit starts from the best of four K values
-    by the unmasked sum of squares, and ``mask_bistable`` drops the points
-    with three roots at that start. ``k_uncertainty`` includes the
-    first-order effect of the uncertainties of the fixed linear parameters;
-    with ``free_all`` they are fitted too and the error bar is conditional.
+    ``linear`` should come from a sub-single-photon slice of the same sweep;
+    a resonance outside the sweep's grid is rejected as a mismatch. The fit
+    starts from the best of four K values by the unmasked sum of squares,
+    and ``mask_bistable`` drops the points with three roots at that start.
+    With the linear parameters fixed, ``k_uncertainty`` includes the
+    first-order effect of their stage-1 uncertainties. With ``free_all``,
+    all of them but ``phi0`` are fitted jointly with (K, phi) over every
+    slice, and ``k_uncertainty`` is marginal: it comes from the joint
+    covariance of all eight free parameters.
     """
     options = options or KerrFitOptions()
     if options.branch not in BRANCH_RULES:
@@ -427,7 +366,7 @@ def fit_kerr(
         [res0.kappa_l / (2.0 * math.pi), res0.kappa_l, res0.kappa_l, 0.3, env0.amplitude, 0.3]
         + [1.0 / (2.0 * math.pi * span), k_scale, 0.3]
     )
-    # (K, phi), then in the diagnostic mode the linear parameters but phi0
+    # (K, phi), then with free_all the linear parameters but phi0
     free = [7, 8, 0, 1, 2, 4, 5, 6] if options.free_all else [7, 8]
     x0 = p0[free]
     x_scale = scale[free]

@@ -1,4 +1,5 @@
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -202,6 +203,19 @@ class TestErrors:
         with pytest.raises(ReportSchemaError, match=r"\$\.plot_data\.bad"):
             main(["predict-field"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-kerr", "sweep.csv", "--no-such-flag", "1"],
+            ["fit-kerr", "sweep.csv", "--branch", "middle"],
+        ],
+        ids=["unknown-flag", "bad-choice"],
+    )
+    def test_usage_error_is_data_error(self, capsys, argv):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["type"] == "DataError"
+
     def test_sweep_required_for_fit_kerr(self, tmp_path, capsys):
         csv = synth_linear_csv(tmp_path, capsys)
         code, doc = run_cli(capsys, "fit-kerr", str(csv))
@@ -345,12 +359,39 @@ class TestPowerSweepAndKerr:
         assert "dip_trajectory" in doc["plot_data"]
         assert r["stage1"]["stage1_slices"] == [-150.0]
 
-    def test_fit_kerr_pooled_stage1(self, sweep_csv, capsys):
-        code, doc = run_cli(
-            capsys, "fit-kerr", str(sweep_csv), "--stage1-max-photons", "0.05"
+    def test_stage1_warns_when_the_lowest_slice_holds_photons(self, tmp_path, capsys, caplog):
+        path = tmp_path / "high.csv"
+        code, _ = run_cli(
+            capsys, "synth", "kerr", "--out-csv", str(path), "--snr-db", "40",
+            "--points", "301", "--power-min", "-128", "--power-max", "-123",
         )
         assert code == 0
-        assert len(doc["results"]["stage1"]["stage1_slices"]) >= 2
+        with caplog.at_level(logging.WARNING, logger="resonatorlab"):
+            code, doc = run_cli(capsys, "fit-kerr", str(path))
+        assert code == 0
+        assert "lowest sweep power already drives" in caplog.text
+        assert doc["results"]["stage1"]["n_photons"] > 1.0
+
+    def test_fit_flags_reach_the_report_warnings(self, tmp_path, capsys):
+        path = tmp_path / "narrow.csv"
+        code, _ = run_cli(
+            capsys, "synth", "kerr", "--out-csv", str(path), "--snr-db", "40",
+            "--points", "301", "--span-linewidths", "3", "--power-max", "-140",
+        )
+        assert code == 0
+        flag = "trace span below 5 linewidths; parameters may be poorly constrained"
+        with pytest.warns(UserWarning, match="5 linewidths"):
+            _, sweep_doc = run_cli(capsys, "fit-power-sweep", str(path))
+            _, kerr_doc = run_cli(capsys, "fit-kerr", str(path))
+        slices = sweep_doc["results"]["slices"]
+        assert all(s["flags"] == [flag] for s in slices)
+        assert sweep_doc["warnings"] == [f"slices[{i}]: {flag}" for i in range(len(slices))]
+        assert kerr_doc["warnings"] == [f"stage1: {flag}"]
+
+    def test_report_without_flags_has_no_warnings(self, sweep_csv, capsys):
+        _, doc = run_cli(capsys, "fit-power-sweep", str(sweep_csv))
+        assert all(s["flags"] == [] for s in doc["results"]["slices"])
+        assert "warnings" not in doc
 
 
 class TestSegmentation:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -321,53 +320,27 @@ class TestFitKerr:
         # freeing the linear parameters cannot raise the cost of the optimum
         assert free.residual_rms <= fixed.residual_rms
 
-    def test_combine_linear_fits_pools_uncertainty(self, sample_resonator, environment):
-        res, env = sample_resonator, environment
-        grid = grid_around(res, points=1001)
-        fits = [
-            rl.fit_linear(
-                rl.generate_linear_trace(res, env, grid, -150.0, rl.NoiseSpec(snr_db=40, seed=s))
+    def test_free_all_error_bar_matches_the_scatter(self):
+        # the joint fit over every slice, with its marginal sigma_K, on 24
+        # noise draws of one sweep with a 40 ns cable delay
+        res = rl.LinearResonatorParams(6.117e9, 2.56e7, 2.43e6, 0.2)
+        env = rl.EnvironmentParams(0.9, 0.3, 40e-9)
+        params = rl.KerrParams(linear=res, environment=env, kerr=100e3, phi=0.2)
+        grid = np.linspace(6.10e9, 6.13e9, 401)
+        powers = np.linspace(-150.0, -110.0, 15)
+        kerr, sigma = [], []
+        for seed in range(24):
+            sweep = rl.generate_kerr_sweep(
+                params, grid, powers, "lowest", rl.NoiseSpec(snr_db=30, seed=seed)
             )
-            for s in range(4)
-        ]
-        pooled = rl.kerrfit.combine_linear_fits(fits)
-        assert pooled.uncertainties["f_r"] < min(f.uncertainties["f_r"] for f in fits)
-        assert pooled.resonator.f_r == pytest.approx(res.f_r, abs=4 * fits[0].uncertainties["f_r"])
-
-    def test_combine_linear_fits_pools_alpha_as_an_angle(self, sample_resonator, environment):
-        res = sample_resonator
-        fit = rl.fit_linear(
-            rl.generate_linear_trace(
-                res, environment, grid_around(res, points=1001), -150.0, rl.NoiseSpec(snr_db=40, seed=0)
+            fit = rl.fit_kerr(
+                sweep, rl.fit_linear(sweep.traces[0]), rl.KerrFitOptions(free_all=True)
             )
-        )
-        fits = [
-            dataclasses.replace(fit, environment=dataclasses.replace(fit.environment, alpha=alpha))
-            for alpha in (math.pi - 0.01, -math.pi + 0.01)
-        ]
-        pooled = rl.kerrfit.combine_linear_fits(fits).environment.alpha
-        # a plain mean of the two pools near 0, the wrong side of the circle
-        assert abs(math.remainder(pooled - math.pi, TWO_PI)) < 0.02
-
-
-    def test_combine_linear_fits_keeps_an_unconstrained_parameter_unconstrained(
-        self, sample_resonator, environment
-    ):
-        res = sample_resonator
-        fit = rl.fit_linear(
-            rl.generate_linear_trace(
-                res, environment, grid_around(res, points=1001), -150.0, rl.NoiseSpec(snr_db=40, seed=0)
-            )
-        )
-        # a fit that reports an infinite sigma for tau, as fit_linear does for
-        # a direction the data do not constrain
-        loose = dataclasses.replace(fit, uncertainties={**fit.uncertainties, "tau": math.inf})
-        pooled = rl.kerrfit.combine_linear_fits([loose, loose])
-        assert pooled.uncertainties["tau"] == math.inf
-        assert pooled.environment.tau == fit.environment.tau
-        mixed = rl.kerrfit.combine_linear_fits([loose, fit])
-        assert mixed.uncertainties["tau"] == pytest.approx(fit.uncertainties["tau"])
-        assert mixed.environment.tau == pytest.approx(fit.environment.tau)
+            kerr.append(fit.params.kerr)
+            sigma.append(fit.k_uncertainty)
+        kerr, sigma = np.array(kerr), np.array(sigma)
+        assert 0.5 <= np.std(kerr, ddof=1) / np.median(sigma) <= 2.0
+        assert abs(np.median((kerr - 100e3) / sigma)) <= 1.0
 
 
 @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
