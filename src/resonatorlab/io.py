@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -35,22 +36,44 @@ _CARTESIAN = ("re", "im")
 _POLAR = ("mag_db", "phase_rad")
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path: str | Path) -> tuple[list[str], np.ndarray | list[list[str]]]:
+    """The stripped lower-case header and the non-blank data rows.
+
+    The rows come as one float array from numpy's C reader. Where it refuses
+    the file, they come as ``csv`` cells instead, for :func:`_column` to parse
+    or report row by row: the reader knows neither quoting, blank cells nor
+    whitespace-only lines, and it names no column in its errors.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            rows = None
+        # rows of equal length other than the header's are the row loop's error
+        if rows is None or (rows.size and rows.shape[1] != len(header)):
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     header = [h.strip().lower() for h in header]
-    if not rows:
+    if not len(rows):
         raise DataError(f"{path}: no data rows")
     return header, rows
 
 
-def _column(header: list[str], rows: list[list[str]], name: str, path) -> np.ndarray:
+def _column(
+    header: list[str], rows: np.ndarray | list[list[str]], name: str, path
+) -> np.ndarray:
     idx = header.index(name)
+    if isinstance(rows, np.ndarray):
+        return rows[:, idx].copy()
     out = np.empty(len(rows))
     for i, row in enumerate(rows):
         if len(row) != len(header):
@@ -135,22 +158,25 @@ def write_trace_csv(
     include_power = isinstance(data, PowerSweep) or traces[0].drive_power is not None
     value_cols = ["re", "im"] if form == "re_im" else ["mag_db", "phase_rad"]
     header = ["freq_hz", *value_cols] + (["power_dbm"] if include_power else [])
+    lines = [",".join(header)]
+    for trace in traces:
+        if form == "re_im":
+            first, second = trace.values.real.tolist(), trace.values.imag.tolist()
+        else:
+            first = [20.0 * math.log10(abs(v)) for v in trace.values]
+            second = [float(np.angle(v)) for v in trace.values]
+        power = f",{float(trace.drive_power)!r}" if include_power else ""
+        lines += [
+            f"{f!r},{a!r},{b!r}{power}"
+            for f, a, b in zip(trace.frequencies.tolist(), first, second)
+        ]
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    """One write of ``lines`` with the CRLF terminators of a ``csv`` writer."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for trace in traces:
-            for f, v in zip(trace.frequencies, trace.values):
-                if form == "re_im":
-                    cells = [repr(float(f)), repr(float(v.real)), repr(float(v.imag))]
-                else:
-                    cells = [
-                        repr(float(f)),
-                        repr(20.0 * math.log10(abs(v))),
-                        repr(float(np.angle(v))),
-                    ]
-                if include_power:
-                    cells.append(repr(float(trace.drive_power)))
-                writer.writerow(cells)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def parse_field_csv(path: str | Path) -> list[FieldSweepPoint]:
@@ -172,8 +198,6 @@ def parse_field_csv(path: str | Path) -> list[FieldSweepPoint]:
 
 
 def write_field_csv(path: str | Path, points: Sequence[FieldSweepPoint]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["field_t", "fr_hz", "sigma_hz"])
-        for p in points:
-            writer.writerow([repr(p.field), repr(p.resonance), repr(p.sigma)])
+    lines = ["field_t,fr_hz,sigma_hz"]
+    lines += [f"{p.field!r},{p.resonance!r},{p.sigma!r}" for p in points]
+    _write_lines(path, lines)

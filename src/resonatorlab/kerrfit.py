@@ -121,6 +121,13 @@ def photon_cubic_roots(delta, xi) -> np.ndarray:
     Returns an array of shape ``broadcast_shape + (3,)`` holding the roots in
     ascending order, NaN-padded (every point has one or three roots, counting
     multiplicity at the bifurcation).
+
+    Each point gets one formula. At ``xi = 0`` the root is the linear one,
+    ``1/(2 (delta^2 + 1/4))``; below :data:`XI_NEWTON` it is Newton-polished
+    from there. Above, a positive discriminant (three roots) takes the
+    trigonometric form, whose three roots are polished and sorted; all other
+    points take the single Cardano root, polished on its own. Every polish
+    is the same three guarded Newton steps on the unscaled cubic.
     """
     delta_b, xi_b = np.broadcast_arrays(np.asarray(delta, float), np.asarray(xi, float))
     if np.any(xi_b < 0.0):
@@ -128,73 +135,81 @@ def photon_cubic_roots(delta, xi) -> np.ndarray:
     d = delta_b.ravel()
     x = xi_b.ravel()
     roots = np.full((d.size, 3), np.nan)
-
-    linear = x == 0.0
-    roots[linear, 0] = 0.5 / (d[linear] ** 2 + 0.25)
-
-    # Below XI_NEWTON the only real root lies within a relative ~xi of the
-    # linear root, while the closed form below loses it to cancellation in
-    # t - b/3 (all digits by xi ~ 1e-14); Newton from the linear root is exact.
-    small = ~linear & (x < XI_NEWTON)
-    if np.any(small):
-        ds, xs = d[small], x[small]
-        roots[small, 0] = _polish((0.5 / (ds * ds + 0.25))[:, None], ds, xs)[:, 0]
+    shape = delta_b.shape + (3,)
 
     cubic = x >= XI_NEWTON
-    if np.any(cubic):
-        dd = d[cubic]
-        xx = x[cubic]
-        # Monic form n^3 + b n^2 + c n + e.
-        b = -2.0 * dd / xx
-        c = (dd * dd + 0.25) / (xx * xx)
-        e = -0.5 / (xx * xx)
-        # Depressed cubic t^3 + p t + q with n = t - b/3.
-        p = c - b * b / 3.0
-        q = 2.0 * b**3 / 27.0 - b * c / 3.0 + e
-        disc = -4.0 * p**3 - 27.0 * q * q
-        out = np.full((dd.size, 3), np.nan)
+    out = roots  # the rows of the cubic points
+    if not cubic.all():
+        linear = x == 0.0
+        roots[linear, 0] = 0.5 / (d[linear] ** 2 + 0.25)
+        # Below XI_NEWTON the only real root lies within a relative ~xi of the
+        # linear root, while the closed form below loses it to cancellation in
+        # t - b/3 (all digits by xi ~ 1e-14); Newton from the linear root is exact.
+        small = ~linear & ~cubic
+        if np.any(small):
+            ds, xs = d[small], x[small]
+            roots[small, 0] = _polish(0.5 / (ds * ds + 0.25), ds, xs)
+        if not cubic.any():
+            return roots.reshape(shape)
+        d, x = d[cubic], x[cubic]
+        out = np.full((d.size, 3), np.nan)
 
-        three = disc > 0.0
-        if np.any(three):
-            pp, qq, bb = p[three], q[three], b[three]
-            m = 2.0 * np.sqrt(-pp / 3.0)
-            arg = np.clip(3.0 * qq / (m * pp), -1.0, 1.0)
-            theta = np.arccos(arg) / 3.0
-            k = np.array([0.0, 1.0, 2.0])
-            t = m[:, None] * np.cos(theta[:, None] - 2.0 * math.pi * k[None, :] / 3.0)
-            out[three] = t - bb[:, None] / 3.0
+    # Monic form n^3 + b n^2 + c n + e.
+    b = -2.0 * d / x
+    c = (d * d + 0.25) / (x * x)
+    e = -0.5 / (x * x)
+    # Depressed cubic t^3 + p t + q with n = t - b/3.
+    p = c - b * b / 3.0
+    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + e
+    p3 = p**3  # needed twice, and np.power is slow on the negative p of most points
+    three = -4.0 * p3 - 27.0 * q * q > 0.0
 
+    one = slice(None)
+    if three.any():
+        pp, qq, bb = p[three], q[three], b[three]
+        m = 2.0 * np.sqrt(-pp / 3.0)
+        arg = np.clip(3.0 * qq / (m * pp), -1.0, 1.0)
+        theta = np.arccos(arg) / 3.0
+        k = np.array([0.0, 1.0, 2.0])
+        t = m[:, None] * np.cos(theta[:, None] - 2.0 * math.pi * k[None, :] / 3.0)
+        n3 = _polish(t - bb[:, None] / 3.0, d[three, None], x[three, None])
+        n3[n3 <= 0.0] = np.nan
+        out[three] = np.sort(n3, axis=1)  # NaNs go last
         one = ~three
-        if np.any(one):
-            pp, qq, bb = p[one], q[one], b[one]
-            s = np.sqrt(np.maximum(qq * qq / 4.0 + pp**3 / 27.0, 0.0))
-            # Pick the larger-magnitude cube-root argument to avoid cancellation.
-            w = np.where(qq > 0.0, -qq / 2.0 - s, -qq / 2.0 + s)
-            u = np.cbrt(w)
-            t = np.where(u != 0.0, u - pp / np.where(u != 0.0, 3.0 * u, 1.0), 0.0)
-            out[one, 0] = t - bb / 3.0
+        p, q, b, d, x, p3 = p[one], q[one], b[one], d[one], x[one], p3[one]
 
-        out = _polish(out, dd, xx)
-        out[out <= 0.0] = np.nan
-        out = np.sort(out, axis=1)  # NaNs go last
+    s = np.sqrt(np.maximum(q * q / 4.0 + p3 / 27.0, 0.0))
+    # Pick the larger-magnitude cube-root argument to avoid cancellation.
+    h = -q / 2.0
+    u = np.cbrt(np.where(q > 0.0, h - s, h + s))
+    nonzero = u != 0.0
+    t = np.where(nonzero, u - p / np.where(nonzero, 3.0 * u, 1.0), 0.0)
+    n1 = _polish(t - b / 3.0, d, x)
+    n1[n1 <= 0.0] = np.nan
+    out[one, 0] = n1
+
+    if out is not roots:
         roots[cubic] = out
-
-    return roots.reshape(delta_b.shape + (3,))
+    return roots.reshape(shape)
 
 
 def _polish(n: np.ndarray, delta: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """A few guarded Newton steps on the well-conditioned unscaled cubic."""
-    d = delta[:, None]
-    x = xi[:, None]
+    """A few guarded Newton steps on the well-conditioned unscaled cubic;
+    ``delta`` and ``xi`` broadcast against the roots ``n``."""
+    # each product grouped left to right, as x*x*n**3 evaluates (3*x*x, not
+    # 3*(x*x)): another grouping can move the last bit of a root
+    c3, c2, c1 = xi * xi, 2.0 * delta * xi, delta * delta + 0.25
+    d2, d1 = 3.0 * xi * xi, 4.0 * delta * xi
     for _ in range(3):
-        f = x * x * n**3 - 2.0 * d * x * n**2 + (d * d + 0.25) * n - 0.5
-        fp = 3.0 * x * x * n**2 - 4.0 * d * x * n + (d * d + 0.25)
+        n2 = n * n
+        f = c3 * n**3 - c2 * n2 + c1 * n - 0.5
+        fp = d2 * n2 - d1 * n + c1
         with np.errstate(invalid="ignore", divide="ignore"):
             step = f / fp
         # Near-double roots have fp -> 0; keep the unpolished value there.
-        bad = ~np.isfinite(step) | (np.abs(step) > 0.05 * (1.0 + np.abs(n)))
-        step[bad] = 0.0
-        n = n - step
+        # The test is false for a NaN or infinite step.
+        ok = np.abs(step) <= 0.05 * (1.0 + np.abs(n))
+        n = n - np.where(ok, step, 0.0)
     return n
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import numbers
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 import numpy as np
 

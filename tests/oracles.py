@@ -5,10 +5,14 @@ refines them by bisection; it never touches the closed-form solver under
 test. Scan windows come from the Fujiwara bound on the monic cubic, so
 every real root is inside the scanned interval by construction. The
 central-difference Jacobian is the reference for the closed-form Jacobians
-of the linear, Kerr and field models.
+of the linear, Kerr and field models. :func:`reference_photon_cubic_roots`
+is the earlier photon-cubic kernel, kept verbatim as the bit-for-bit
+reference of the current one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -140,3 +144,75 @@ def central_jacobian(residual, x, x_scale):
         xm[j] -= h
         jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * h)
     return jac
+
+
+def reference_photon_cubic_roots(delta, xi, xi_newton=1e-8):
+    """The photon-cubic kernel before roots were solved by kind: every point
+    above ``xi_newton`` gets three root columns, three-column polishing, NaN
+    masking and a sort, whether its roots exist or not."""
+    delta_b, xi_b = np.broadcast_arrays(np.asarray(delta, float), np.asarray(xi, float))
+    if np.any(xi_b < 0.0):
+        raise ValueError("xi must be non-negative; fold the sign of K into delta")
+    d = delta_b.ravel()
+    x = xi_b.ravel()
+    roots = np.full((d.size, 3), np.nan)
+
+    linear = x == 0.0
+    roots[linear, 0] = 0.5 / (d[linear] ** 2 + 0.25)
+
+    small = ~linear & (x < xi_newton)
+    if np.any(small):
+        ds, xs = d[small], x[small]
+        roots[small, 0] = _reference_polish((0.5 / (ds * ds + 0.25))[:, None], ds, xs)[:, 0]
+
+    cubic = x >= xi_newton
+    if np.any(cubic):
+        dd = d[cubic]
+        xx = x[cubic]
+        b = -2.0 * dd / xx
+        c = (dd * dd + 0.25) / (xx * xx)
+        e = -0.5 / (xx * xx)
+        p = c - b * b / 3.0
+        q = 2.0 * b**3 / 27.0 - b * c / 3.0 + e
+        disc = -4.0 * p**3 - 27.0 * q * q
+        out = np.full((dd.size, 3), np.nan)
+
+        three = disc > 0.0
+        if np.any(three):
+            pp, qq, bb = p[three], q[three], b[three]
+            m = 2.0 * np.sqrt(-pp / 3.0)
+            arg = np.clip(3.0 * qq / (m * pp), -1.0, 1.0)
+            theta = np.arccos(arg) / 3.0
+            k = np.array([0.0, 1.0, 2.0])
+            t = m[:, None] * np.cos(theta[:, None] - 2.0 * math.pi * k[None, :] / 3.0)
+            out[three] = t - bb[:, None] / 3.0
+
+        one = ~three
+        if np.any(one):
+            pp, qq, bb = p[one], q[one], b[one]
+            s = np.sqrt(np.maximum(qq * qq / 4.0 + pp**3 / 27.0, 0.0))
+            w = np.where(qq > 0.0, -qq / 2.0 - s, -qq / 2.0 + s)
+            u = np.cbrt(w)
+            t = np.where(u != 0.0, u - pp / np.where(u != 0.0, 3.0 * u, 1.0), 0.0)
+            out[one, 0] = t - bb / 3.0
+
+        out = _reference_polish(out, dd, xx)
+        out[out <= 0.0] = np.nan
+        out = np.sort(out, axis=1)
+        roots[cubic] = out
+
+    return roots.reshape(delta_b.shape + (3,))
+
+
+def _reference_polish(n, delta, xi):
+    d = delta[:, None]
+    x = xi[:, None]
+    for _ in range(3):
+        f = x * x * n**3 - 2.0 * d * x * n**2 + (d * d + 0.25) * n - 0.5
+        fp = 3.0 * x * x * n**2 - 4.0 * d * x * n + (d * d + 0.25)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = f / fp
+        bad = ~np.isfinite(step) | (np.abs(step) > 0.05 * (1.0 + np.abs(n)))
+        step[bad] = 0.0
+        n = n - step
+    return n

@@ -312,6 +312,34 @@ class TestPowerSweepAndKerr:
         assert code == 0
         assert doc["results"]["kerr_sigma_hz"] is not None
 
+    def test_sweep_path_raises_no_warning(self, tmp_path, capsys):
+        # the 15-power x 2001-point sweep of the benchmark's CLI pipeline,
+        # written, sliced and fitted with every warning turned into an error
+        path = tmp_path / "synth.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, synth = run_cli(
+                capsys,
+                "synth",
+                "kerr",
+                "--out-csv",
+                str(path),
+                "--kerr-hz",
+                "99.5e3",
+                "--snr-db",
+                "40",
+                "--seed",
+                "5",
+            )
+            assert code == 0
+            assert (synth["results"]["n_powers"], synth["results"]["n_samples"]) == (15, 2001)
+            code, table = run_cli(capsys, "fit-power-sweep", str(path))
+            assert code == 0
+            code, kerr = run_cli(capsys, "fit-kerr", str(path))
+            assert code == 0
+        assert len(table["results"]["slices"]) == 15
+        assert kerr["results"]["kerr_hz"] == pytest.approx(99.5e3, rel=0.1)
+
     def test_fit_power_sweep_table(self, sweep_csv, capsys):
         code, doc = run_cli(capsys, "fit-power-sweep", str(sweep_csv))
         assert code == 0

@@ -1,18 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import resonatorlab as rl
-from conftest import grid_around, linewidth_hz, resonator
+from conftest import grid_around, kerr_recovery_draws, linewidth_hz, resonator
 from oracles import (
     brute_force_roots,
     central_jacobian,
     continuation_branch,
     cubic_value,
+    reference_photon_cubic_roots,
     scanned_roots,
 )
-from resonatorlab.kerrfit import _select_branch, _sweep_model, _sweep_vector
+from resonatorlab.kerrfit import XI_NEWTON, _select_branch, _sweep_model, _sweep_vector
 
 TWO_PI = 2.0 * np.pi
 
@@ -92,6 +94,57 @@ class TestPhotonCubic:
             oracle = scanned_roots(delta, xi)
             assert mine.size == oracle.size == 1, (delta, xi)
             np.testing.assert_allclose(mine, oracle, rtol=1e-7, atol=1e-12)
+
+
+    def test_bit_identical_to_the_reference_kernel(self):
+        rng = np.random.default_rng(21)
+        # The discriminant changes sign at the folds: y = xi n solves
+        # 3 y^2 - 4 delta y + delta^2 + 1/4 = 0 there, at xi = 2 y ((y - delta)^2 + 1/4).
+        fold_d = np.tile(rng.uniform(0.9, 6.0, 200), 2)
+        root = np.sqrt(4.0 * fold_d**2 - 3.0)
+        y = (4.0 * fold_d + np.repeat([-1.0, 1.0], 200) * root) / 6.0
+        fold_x = 2.0 * y * ((y - fold_d) ** 2 + 0.25)
+        fold_x *= 1.0 + rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-15.0, -4.0, 400)
+        deltas = np.concatenate([rng.uniform(-8.0, 8.0, 3000), fold_d, rng.uniform(-8.0, 8.0, 300)])
+        xis = np.concatenate(
+            [
+                rng.uniform(0.0, 2.0, 3000),
+                fold_x,
+                np.zeros(100),
+                10.0 ** rng.uniform(-16.0, -8.0, 98),
+                [np.nextafter(XI_NEWTON, 0.0), XI_NEWTON],
+                10.0 ** rng.uniform(-8.0, 2.0, 100),
+            ]
+        )
+        # -delta: a negative K, folded into a non-negative xi
+        for d in (-deltas, deltas):
+            reference = reference_photon_cubic_roots(d, xis)
+            assert np.array_equal(rl.photon_cubic_roots(d, xis), reference, equal_nan=True)
+        three = np.isfinite(reference[3000:3400, 2])
+        assert three.any() and not three.all()  # both sides of the folds
+        for d, x in zip(deltas[::97].tolist(), xis[::97].tolist()):  # scalars
+            mine = rl.photon_cubic_roots(d, x)
+            assert mine.shape == (3,)
+            assert np.array_equal(mine, reference_photon_cubic_roots(d, x), equal_nan=True)
+        grid = (deltas[::80, None], xis[None, ::70])  # 2-D broadcast
+        mine = rl.photon_cubic_roots(*grid)
+        assert mine.shape == (deltas[::80].size, xis[::70].size, 3)
+        assert np.array_equal(mine, reference_photon_cubic_roots(*grid), equal_nan=True)
+
+    @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
+    def test_sweep_model_unchanged_by_the_kernel(self, branch, monkeypatch):
+        k_true, sweep = next(itertools.islice(kerr_recovery_draws(), 4, None))
+        lin = rl.fit_linear(sweep.traces[0])
+        p = _sweep_vector(lin.resonator, lin.environment, k_true, lin.resonator.phi0)
+        watts = [rl.dbm_to_watts(t.drive_power) for t in sweep.traces]
+        args = (p, sweep.frequencies, watts, branch, range(9))
+        s21, jac, three = _sweep_model(*args)
+        monkeypatch.setattr(rl.kerrfit, "photon_cubic_roots", reference_photon_cubic_roots)
+        ref_s21, ref_jac, ref_three = _sweep_model(*args)
+        assert three.any()  # the draw is bistable at its true K
+        assert np.array_equal(three, ref_three)
+        assert np.array_equal(s21, ref_s21, equal_nan=True)
+        assert np.array_equal(jac, ref_jac, equal_nan=True)
 
 
 class TestKerrModel:
