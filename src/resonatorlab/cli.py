@@ -15,47 +15,13 @@ import logging
 import math
 import sys
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+# Every run is its own process, so each handler imports the modules it runs:
+# --version and design load no numpy, and no fit loads the others' modules.
 from . import __version__
-from .core import EnvironmentParams, FrequencyTrace, LinearResonatorParams, PowerSweep
-from .designer import (
-    ArraySpec,
-    JunctionSpec,
-    extra_inductance_for_total,
-    f_bare_vs_n,
-    loaded_capacitance_from_frequency,
-    quarter_wave,
-    quarter_wave_inductance,
-)
+from .constants import BRANCH_RULES
 from .errors import DataError, ResonatorLabError
-from .fieldmodel import (
-    FieldModelParams,
-    FilmSpec,
-    effective_penetration_depth,
-    fit_field_sweep,
-    flux_quantum_field,
-    fr_vs_field,
-    parallel_critical_field,
-)
-from .io import parse_field_csv, parse_trace_csv, write_field_csv, write_trace_csv
-from .kerrfit import (
-    BRANCH_RULES,
-    KerrFitOptions,
-    KerrParams,
-    fit_kerr,
-    model_s21_kerr,
-    single_photon_power,
-)
-from .linfit import (
-    FitOptions,
-    LinearFitResult,
-    fit_linear,
-    model_s21_linear,
-    photon_number,
-    segment_trace,
-)
 from .reports import (
     dump_report,
     error_report,
@@ -64,12 +30,26 @@ from .reports import (
     plot_group,
     series,
 )
-from .synth import NoiseSpec, generate_field_sweep, generate_kerr_sweep, generate_linear_trace
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import EnvironmentParams, FrequencyTrace, LinearResonatorParams, PowerSweep
+    from .linfit import FitOptions, LinearFitResult
 
 logger = logging.getLogger("resonatorlab")
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
+
+
+def __getattr__(name):
+    # dip segmentation runs in linfit; this name stays importable from here
+    if name == "segment_trace":
+        from .linfit import segment_trace
+
+        return segment_trace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _q_sigma(q: float, f_r: float, kappa: float, cov: np.ndarray, kappa_index: int) -> float | None:
@@ -87,8 +67,10 @@ def _q_sigma(q: float, f_r: float, kappa: float, cov: np.ndarray, kappa_index: i
 
 
 def _linear_payload(fit: LinearFitResult) -> dict:
+    from .linfit import single_photon_power
+
     res, env, u = fit.resonator, fit.environment, fit.uncertainties
-    cov = np.asarray(fit.covariance)
+    cov = fit.covariance
     return {
         "f_r_hz": res.f_r,
         "f_r_sigma_hz": u["f_r"],
@@ -128,6 +110,8 @@ def _flag_warnings(results: dict) -> list[str]:
 
 
 def _require_single_trace(data, power_override) -> FrequencyTrace:
+    from .core import FrequencyTrace, PowerSweep
+
     if isinstance(data, PowerSweep):
         raise DataError(
             "file contains a power sweep; use fit-power-sweep (or fit-kerr) instead"
@@ -143,6 +127,8 @@ def _require_single_trace(data, power_override) -> FrequencyTrace:
 
 
 def _require_sweep(data) -> PowerSweep:
+    from .core import PowerSweep
+
     if not isinstance(data, PowerSweep):
         raise DataError(
             "file holds a single trace; a power sweep needs a power_dbm column "
@@ -152,6 +138,8 @@ def _require_sweep(data) -> PowerSweep:
 
 
 def _trace_plots(trace: FrequencyTrace, model_values: np.ndarray) -> dict:
+    import numpy as np
+
     f = trace.frequencies
     return {
         "magnitude": plot_group(
@@ -170,12 +158,19 @@ def _trace_plots(trace: FrequencyTrace, model_values: np.ndarray) -> dict:
 
 
 def _fit_options(opts) -> FitOptions:
+    from .linfit import FitOptions
+
     return FitOptions(
         wing_fraction=opts["wing_fraction"], max_iterations=opts["max_iterations"]
     )
 
 
 def _handle_fit_linear(opts) -> tuple[dict, dict]:
+    import numpy as np
+
+    from .io import parse_trace_csv
+    from .linfit import fit_linear, model_s21_linear, segment_trace
+
     data = parse_trace_csv(opts["csv"])
     trace = _require_single_trace(data, opts["power_dbm"])
     fit_opts = _fit_options(opts)
@@ -205,6 +200,9 @@ def _handle_fit_linear(opts) -> tuple[dict, dict]:
 
 
 def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
+    from .io import parse_trace_csv
+    from .linfit import fit_linear, photon_number
+
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
     fit_opts = _fit_options(opts)
     fits = [fit_linear(t, fit_opts) for t in sweep.traces]
@@ -237,6 +235,12 @@ def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
 
 
 def _handle_fit_kerr(opts) -> tuple[dict, dict]:
+    import numpy as np
+
+    from .io import parse_trace_csv
+    from .kerrfit import KerrFitOptions, fit_kerr, model_s21_kerr
+    from .linfit import fit_linear
+
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
     # Stage 1 is the lowest slice alone: pooled slices imprint their Kerr shift
     # on the resonance (--free-all refits every slice jointly with K and phi).
@@ -291,6 +295,11 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
 
 
 def _handle_fit_field(opts) -> tuple[dict, dict]:
+    import numpy as np
+
+    from .fieldmodel import FieldModelParams, fit_field_sweep, fr_vs_field
+    from .io import parse_field_csv
+
     points = parse_field_csv(opts["csv"])
     initial = None
     if opts["f0_init"] is not None or opts["b_crit_init"] is not None or opts["b_phi0_init"] is not None:
@@ -330,6 +339,16 @@ def _handle_fit_field(opts) -> tuple[dict, dict]:
 
 
 def _handle_design(opts) -> tuple[dict, dict]:
+    from .designer import (
+        ArraySpec,
+        JunctionSpec,
+        extra_inductance_for_total,
+        f_bare_vs_n,
+        loaded_capacitance_from_frequency,
+        quarter_wave,
+        quarter_wave_inductance,
+    )
+
     junction = JunctionSpec(
         r_normal=opts["r_normal"],
         width=opts["width"],
@@ -375,7 +394,7 @@ def _handle_design(opts) -> tuple[dict, dict]:
             "c_eq_loaded_f": c_loaded,
             "z_eq_loaded_ohm": math.sqrt(report.l_eq / c_loaded),
         }
-    n_values = np.arange(1, 2 * opts["n_junctions"] + 1)
+    n_values = range(1, 2 * opts["n_junctions"] + 1)
     plots = {
         "f_bare_vs_n": plot_group(
             "n_junctions", n_values, series("f_bare_hz", f_bare_vs_n(array, n_values))
@@ -385,6 +404,15 @@ def _handle_design(opts) -> tuple[dict, dict]:
 
 
 def _handle_predict_field(opts) -> tuple[dict, dict]:
+    from .fieldmodel import (
+        FieldModelParams,
+        FilmSpec,
+        effective_penetration_depth,
+        flux_quantum_field,
+        fr_vs_field,
+        parallel_critical_field,
+    )
+
     films = []
     for tag in ("1", "2"):
         films.append(
@@ -408,6 +436,8 @@ def _handle_predict_field(opts) -> tuple[dict, dict]:
     }
     plots = {}
     if opts["f0"] is not None:
+        import numpy as np
+
         params = FieldModelParams(f0=opts["f0"], b_crit=min(b_crit), b_phi0=b_phi0)
         b = np.linspace(0.0, 0.98 * params.b_max, 200)
         plots["predicted_tuning"] = plot_group(
@@ -418,6 +448,8 @@ def _handle_predict_field(opts) -> tuple[dict, dict]:
 
 
 def _synth_resonator(opts) -> tuple[LinearResonatorParams, EnvironmentParams]:
+    from .core import EnvironmentParams, LinearResonatorParams
+
     f_r = opts["f_r"]
     res = LinearResonatorParams(
         f_r=f_r,
@@ -432,6 +464,8 @@ def _synth_resonator(opts) -> tuple[LinearResonatorParams, EnvironmentParams]:
 
 
 def _synth_grid(opts, res: LinearResonatorParams) -> np.ndarray:
+    import numpy as np
+
     kl_hz = res.kappa_l / TWO_PI
     center = opts["f_center"] if opts["f_center"] is not None else res.f_r
     span = opts["span_hz"] if opts["span_hz"] is not None else opts["span_linewidths"] * kl_hz
@@ -439,6 +473,13 @@ def _synth_grid(opts, res: LinearResonatorParams) -> np.ndarray:
 
 
 def _handle_synth(opts) -> tuple[dict, dict]:
+    import numpy as np
+
+    from .fieldmodel import FieldModelParams
+    from .io import write_field_csv, write_trace_csv
+    from .kerrfit import KerrParams
+    from .synth import NoiseSpec, generate_field_sweep, generate_kerr_sweep, generate_linear_trace
+
     kind = opts["kind"]
     noise = NoiseSpec(snr_db=opts["snr_db"], seed=opts["seed"])
     out_csv = opts["out_csv"]

@@ -7,6 +7,9 @@ scipy's ``scipy.constants`` values; they are written out so that importing
 the package does not parse scipy's CODATA table. No other module should
 define its own copies; importing from here keeps the unit conventions in
 one place.
+
+It also holds ``BRANCH_RULES``, the Kerr model's branch-selection rules: the
+CLI builds its option choices from them without importing numpy.
 """
 
 import math
@@ -22,10 +25,15 @@ FLUX_QUANTUM = PLANCK / (2 * ELEMENTARY_CHARGE)
 #: Vacuum electric permittivity [F/m], CODATA 2022.
 VACUUM_PERMITTIVITY = 8.8541878188e-12
 
+#: How the Kerr model picks a photon number where the cubic has three roots
+#: (see :mod:`resonatorlab.kerrfit`).
+BRANCH_RULES = ("lowest", "highest", "sweep-continuation")
+
 __all__ = [
     "ELEMENTARY_CHARGE",
     "VACUUM_PERMITTIVITY",
     "PLANCK",
     "HBAR",
     "FLUX_QUANTUM",
+    "BRANCH_RULES",
 ]

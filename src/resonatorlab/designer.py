@@ -4,7 +4,8 @@ Maps room-temperature junction resistance and geometry to the circuit
 parameters of a quarter-wave JJ-array resonator: critical current via the
 Ambegaokar-Baratoff relation, Josephson inductance and energy, barrier
 self-capacitance and charging energy, then the lumped quarter-wave
-equivalents and the array's self-Kerr estimate.
+equivalents and the array's self-Kerr estimate ``E_C/N^2``
+(:func:`kerr_from_array`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import ELEMENTARY_CHARGE, FLUX_QUANTUM, PLANCK, VACUUM_PERMITTIVITY
-from .kerrfit import kerr_from_array
 
 __all__ = [
     "JunctionSpec",
@@ -26,6 +26,7 @@ __all__ = [
     "extra_inductance_for_total",
     "f_bare_vs_n",
     "loaded_capacitance_from_frequency",
+    "kerr_from_array",
 ]
 
 #: Zero-temperature gap of thin-film Al; reproduces the measured I_c from R_N.
@@ -179,3 +180,12 @@ def loaded_capacitance_from_frequency(f_loaded: float, l_eq: float) -> float:
     if not (f_loaded > 0.0 and l_eq > 0.0):
         raise ValueError("f_loaded and l_eq must be positive")
     return 1.0 / ((2.0 * math.pi * f_loaded) ** 2 * l_eq)
+
+
+def kerr_from_array(e_c: float, n: int) -> float:
+    """Self-Kerr estimate ``E_C / N^2`` [Hz] for an N-junction array."""
+    if not e_c > 0.0:
+        raise ValueError(f"charging energy must be positive, got {e_c}")
+    if n < 1:
+        raise ValueError(f"junction count must be at least 1, got {n}")
+    return e_c / float(n) ** 2

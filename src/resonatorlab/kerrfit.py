@@ -36,13 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from ._lsq import least_squares
-from .constants import HBAR
+from .constants import BRANCH_RULES, HBAR
 from .core import (
     EnvironmentParams,
     LinearResonatorParams,
     PowerSweep,
     dbm_to_watts,
-    watts_to_dbm,
 )
 from .errors import ConvergenceError, DataError
 from .linfit import (
@@ -63,11 +62,7 @@ __all__ = [
     "photon_cubic_roots",
     "model_s21_kerr",
     "fit_kerr",
-    "single_photon_power",
-    "kerr_from_array",
 ]
-
-BRANCH_RULES = ("lowest", "highest", "sweep-continuation")
 
 #: Reduced drive below which :func:`photon_cubic_roots` starts Newton from the
 #: linear root instead of using the closed form.
@@ -469,18 +464,3 @@ def fit_kerr(
         residual_rms=math.sqrt(ssr / (m / 2)),
     )
 
-
-def single_photon_power(res: LinearResonatorParams) -> float:
-    """Feedline power [dBm] at which the on-resonance occupation is one."""
-    omega0 = 2.0 * math.pi * res.f_r
-    p_watts = HBAR * omega0 * res.kappa_l**2 / (2.0 * res.kappa_c)
-    return watts_to_dbm(p_watts)
-
-
-def kerr_from_array(e_c: float, n: int) -> float:
-    """Self-Kerr estimate ``E_C / N^2`` [Hz] for an N-junction array."""
-    if not e_c > 0.0:
-        raise ValueError(f"charging energy must be positive, got {e_c}")
-    if n < 1:
-        raise ValueError(f"junction count must be at least 1, got {n}")
-    return e_c / float(n) ** 2

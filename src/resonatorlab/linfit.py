@@ -7,7 +7,9 @@ with one Levenberg-Marquardt pass on the complex residuals. The refinement
 and the covariance use a closed-form Jacobian, so neither depends on a
 finite-difference step rule of the optimizer. The model and its Jacobian
 come from one core, ``_notch``, which the Kerr model of ``kerrfit``
-evaluates at a shifted detuning.
+evaluates at a shifted detuning. The photon calibration of a linear fit,
+:func:`photon_number` and its inverse :func:`single_photon_power`, lives
+here too.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     FrequencyTrace,
     LinearResonatorParams,
     dbm_to_watts,
+    watts_to_dbm,
 )
 from .errors import ConvergenceError, DegenerateGeometryError, InsufficientDataError
 
@@ -38,6 +41,7 @@ __all__ = [
     "estimate_delay",
     "fit_linear",
     "photon_number",
+    "single_photon_power",
     "segment_trace",
 ]
 
@@ -425,6 +429,16 @@ def photon_number(res: LinearResonatorParams, p_feedline: float) -> float:
     p_watts = dbm_to_watts(p_feedline)
     omega0 = 2.0 * math.pi * res.f_r
     return 2.0 * res.kappa_c / res.kappa_l**2 * p_watts / (HBAR * omega0)
+
+
+def single_photon_power(res: LinearResonatorParams) -> float:
+    """Feedline power [dBm] at which the on-resonance occupation is one.
+
+    The inverse of :func:`photon_number` at ``<N_ph> = 1``.
+    """
+    omega0 = 2.0 * math.pi * res.f_r
+    p_watts = HBAR * omega0 * res.kappa_l**2 / (2.0 * res.kappa_c)
+    return watts_to_dbm(p_watts)
 
 
 def segment_trace(

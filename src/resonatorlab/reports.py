@@ -11,11 +11,10 @@ use: ``type``, ``const``, ``required``, ``properties``,
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from collections.abc import Mapping
 from typing import Any
-
-import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, ReportSchemaError
@@ -119,22 +118,25 @@ def exit_code_for(exc: BaseException) -> int:
 
 
 def jsonify(value: Any) -> Any:
-    """Recursively convert to JSON-safe plain types; non-finite floats -> null."""
+    """Recursively convert to JSON-safe plain types; non-finite floats -> null.
+
+    Other values with ``.tolist()`` (numpy arrays and scalars) go through it.
+    """
     if isinstance(value, Mapping):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         f = float(value)
-        return f if np.isfinite(f) else None
+        return f if math.isfinite(f) else None
     if value is None or isinstance(value, str):
         return value
+    if hasattr(value, "tolist"):
+        return jsonify(value.tolist())
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
@@ -146,13 +148,19 @@ def make_report(
     warnings: list[str] | None = None,
     timestamp: str | None = None,
 ) -> dict:
+    """The validated report of one run.
+
+    ``inputs`` and ``results`` are converted with :func:`jsonify`;
+    ``plot_data`` holds :func:`plot_group` groups, whose values
+    :func:`series` has converted already.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "resonatorlab", "version": __version__},
         "subcommand": subcommand,
         "inputs": jsonify(inputs),
         "results": jsonify(results),
-        "plot_data": jsonify(plot_data or {}),
+        "plot_data": dict(plot_data or {}),
     }
     if warnings:
         doc["warnings"] = [str(w) for w in warnings]
@@ -196,17 +204,22 @@ def validate_report(doc: Any, schema: Mapping[str, Any] = REPORT_SCHEMA) -> None
     _validate(doc, schema, "$")
 
 
-def _validate(doc: Any, schema: Mapping[str, Any], path: str) -> None:
+def _validate(doc: Any, schema: Mapping[str, Any], path: str, index: int | None = None) -> None:
+    """``path`` is the JSON path of ``doc``, or of its array when ``index`` is
+    given; the two are joined only for a message or for ``doc``'s children."""
     kinds = schema.get("type")
     if kinds is not None:
         kinds = [kinds] if isinstance(kinds, str) else kinds
         if not any(_TYPES[kind](doc) for kind in kinds):
-            raise ReportSchemaError(f"{path}: expected {' or '.join(kinds)}, got {type(doc).__name__}")
+            raise ReportSchemaError(
+                f"{_at(path, index)}: expected {' or '.join(kinds)}, got {type(doc).__name__}"
+            )
     if "const" in schema:
         const = schema["const"]
         if isinstance(doc, bool) != isinstance(const, bool) or doc != const:
-            raise ReportSchemaError(f"{path}: expected {const!r}, got {doc!r}")
+            raise ReportSchemaError(f"{_at(path, index)}: expected {const!r}, got {doc!r}")
     if isinstance(doc, dict):
+        path = _at(path, index)
         for key in schema.get("required", ()):
             if key not in doc:
                 raise ReportSchemaError(f"{path}: required key {key!r} is missing")
@@ -220,13 +233,24 @@ def _validate(doc: Any, schema: Mapping[str, Any], path: str) -> None:
             elif extra is not True:
                 _validate(value, extra, f"{path}.{key}")
     elif isinstance(doc, list) and "items" in schema:
+        path = _at(path, index)
+        items = schema["items"]
         for i, value in enumerate(doc):
-            _validate(value, schema["items"], f"{path}[{i}]")
+            _validate(value, items, path, i)
+
+
+def _at(path: str, index: int | None) -> str:
+    return path if index is None else f"{path}[{index}]"
 
 
 def series(label: str, values) -> dict:
-    """One labelled value array for a plot-data group."""
-    return {"label": label, "values": jsonify(list(values))}
+    """One labelled value array for a plot-data group, converted to JSON types
+    once: an array through ``.tolist()``, and non-finite numbers to ``null``."""
+    if hasattr(values, "tolist"):
+        values = [v if math.isfinite(v) else None for v in values.tolist()]
+    else:
+        values = [jsonify(v) for v in values]
+    return {"label": label, "values": values}
 
 
 def plot_group(x_label: str, x_values, *series_items: dict) -> dict:

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import BRANCH_RULES
 from .core import (
     EnvironmentParams,
     FieldSweepPoint,
@@ -26,7 +27,7 @@ from .core import (
 )
 from .errors import DomainError
 from .fieldmodel import FieldModelParams, fr_vs_field
-from .kerrfit import BRANCH_RULES, KerrParams, model_s21_kerr
+from .kerrfit import KerrParams, model_s21_kerr
 from .linfit import model_s21_linear
 
 __all__ = [

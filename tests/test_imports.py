@@ -1,10 +1,16 @@
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+import tomllib
 
+import pytest
+
+import resonatorlab
 from resonatorlab import constants
+from resonatorlab.cli import main
 
 PACKAGE = pathlib.Path(constants.__file__).resolve().parent
 
@@ -74,17 +80,154 @@ def test_every_least_squares_call_passes_an_analytic_jacobian():
     assert offenders == []
 
 
-def test_cli_import_loads_neither_scipy_nor_jsonschema():
+def _python(code: str, *argv: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter with the package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+def test_cli_import_loads_neither_scipy_nor_jsonschema():
     code = (
         "import resonatorlab.cli, sys; "
         "print(' '.join(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == ""
+    assert _python(code).strip() == ""
+
+
+def test_package_import_loads_no_numpy():
+    code = "import resonatorlab, sys; print(' '.join(sys.modules))"
+    modules = set(_python(code).split())
+    assert "numpy" not in modules
+    assert not any(m.startswith("resonatorlab.") for m in modules)
+
+
+def _type_checking_nodes(tree) -> set[int]:
+    """ids of the nodes inside ``if TYPE_CHECKING:`` blocks, which never run."""
+    return {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If)
+        and isinstance(block.test, ast.Name)
+        and block.test.id == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+
+
+def test_numpy_free_modules_import_no_numpy_at_module_level():
+    # these serve --version and design, which must start without numpy
+    offenders = []
+    for name in ("__init__", "cli", "reports", "designer", "errors", "constants"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        skipped = _type_checking_nodes(tree)
+        offenders += [
+            f"{name}.py:{node.lineno} {imported}"
+            for node in _imports_outside_functions(tree)
+            if id(node) not in skipped
+            for imported in _imported_names(node)
+            if imported == "numpy" or imported.startswith("numpy.")
+        ]
+    assert offenders == []
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    for kind, extra in (("linear", ["--points", "401"]), ("kerr", ["--points", "201"]), ("field", [])):
+        argv = ["synth", kind, "--out-csv", str(tmp / f"{kind}.csv"), "--out", str(tmp / "synth.json")]
+        assert main(argv + extra) == 0
+    return tmp
+
+
+#: Modules each subcommand must not load.
+ABSENT = {
+    "--version": ("numpy",),
+    "design": ("numpy", "resonatorlab.core", "resonatorlab.linfit", "resonatorlab.kerrfit"),
+    "fit-linear": (
+        "resonatorlab.kerrfit", "resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth"
+    ),
+    "fit-power-sweep": (
+        "resonatorlab.kerrfit", "resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth"
+    ),
+    "fit-field": ("resonatorlab.kerrfit", "resonatorlab.designer", "resonatorlab.synth"),
+    "fit-kerr": ("resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth"),
+}
+#: The synthetic CSV each fit subcommand reads.
+INPUT = {"fit-linear": "linear", "fit-power-sweep": "kerr", "fit-field": "field", "fit-kerr": "kerr"}
+
+RUN_CLI = """
+import sys
+import resonatorlab.cli as cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse exits after printing --version
+    code = exc.code
+print(code, " ".join(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("command", ABSENT)
+def test_each_subcommand_imports_only_what_it_runs(command, cli_inputs):
+    argv = [command]
+    if command in INPUT:
+        argv += [str(cli_inputs / f"{INPUT[command]}.csv")]
+    if command != "--version":
+        argv += ["--out", str(cli_inputs / f"{command}.json")]
+    code, *modules = _python(RUN_CLI, *argv).splitlines()[-1].split()
+    assert code in ("0", "None")
+    assert [m for m in ABSENT[command] if m in modules] == []
+
+
+def test_public_namespace_resolves_lazily_to_the_defining_modules():
+    code = """
+import json, sys, types
+import resonatorlab as rl
+bad = []
+for name in rl.__all__:
+    value = getattr(rl, name)
+    if isinstance(value, types.ModuleType):
+        ok = sys.modules[f"resonatorlab.{name}"] is value
+    else:
+        module = sys.modules[getattr(value, "__module__", "resonatorlab.constants")]
+        ok = getattr(module, name) is value
+    if not ok:
+        bad.append(name)
+star = {}
+exec("from resonatorlab import *", star)
+print(json.dumps({
+    "bad": bad,
+    "unbound": sorted(set(rl.__all__) - set(star)),
+    "unlisted": sorted(set(rl.__all__) - set(dir(rl))),
+    "extras": [
+        rl.kerrfit.BRANCH_RULES is rl.constants.BRANCH_RULES,
+        rl.designer.kerr_from_array is rl.kerr_from_array,
+        rl.linfit.single_photon_power is rl.single_photon_power,
+        rl.linfit.PARAM_NAMES == ("f_r", "kappa_c", "kappa_int", "phi0", "amplitude", "alpha", "tau"),
+    ],
+}))
+"""
+    out = json.loads(_python(code))
+    assert out == {"bad": [], "unbound": [], "unlisted": [], "extras": [True] * 4}
+    assert len(resonatorlab.__all__) == len(set(resonatorlab.__all__))
+    with pytest.raises(AttributeError):
+        resonatorlab.no_such_name
+
+
+def test_one_version_string(cli_inputs, capsys):
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "resonatorlab.__version__"
+    }
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out.strip() == resonatorlab.__version__
+    report = json.loads((cli_inputs / "synth.json").read_text())
+    assert report["tool"]["version"] == resonatorlab.__version__
 
 
 def test_constants_equal_scipy_codata_values():
