@@ -159,6 +159,7 @@ def least_squares(
         if reduction > 0.0:
             x, f, cost = x_new, f_new, cost_new
             if status is None:  # no Jacobian is needed after the last step
+                jmat = None  # free the old Jacobian before the next one is built
                 jmat = jac(x)
                 njev += 1
                 g = jmat.T @ f

@@ -43,15 +43,6 @@ TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
 
-def __getattr__(name):
-    # dip segmentation runs in linfit; this name stays importable from here
-    if name == "segment_trace":
-        from .linfit import segment_trace
-
-        return segment_trace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _q_sigma(q: float, f_r: float, kappa: float, cov: np.ndarray, kappa_index: int) -> float | None:
     """1-sigma on ``Q = 2 pi f_r / kappa`` from the fit covariance."""
     if kappa <= 0.0 or not math.isfinite(q):
@@ -121,7 +112,6 @@ def _require_single_trace(data, power_override) -> FrequencyTrace:
             frequencies=data.frequencies,
             values=data.values,
             drive_power=power_override,
-            metadata=dict(data.metadata),
         )
     return data
 
@@ -242,8 +232,8 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
     from .linfit import fit_linear
 
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
-    # Stage 1 is the lowest slice alone: pooled slices imprint their Kerr shift
-    # on the resonance (--free-all refits every slice jointly with K and phi).
+    # Stage 1, the lowest slice alone, seeds the joint fit of every slice and
+    # fills the report's stage1 block.
     stage1 = fit_linear(sweep.traces[0], _fit_options(opts))
     if stage1.n_photons > 1.0:
         logger.warning(
@@ -255,7 +245,6 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
         branch=opts["branch"],
         k_init=opts["k_init"],
         mask_bistable=opts["mask_bistable"],
-        free_all=opts["free_all"],
         max_iterations=opts["max_iterations"],
     )
     fit = fit_kerr(sweep, stage1, kerr_opts)
@@ -570,7 +559,6 @@ COMMANDS: dict[str, tuple] = {
         "branch": (BRANCH_RULES, "lowest", None),
         "k_init": (float, None, "initial Kerr coefficient [Hz]"),
         "mask_bistable": (bool, False, "drop the points with three roots at the starting K"),
-        "free_all": (bool, False, "fit the linear parameters too, jointly over every slice"),
         **_FIT_OPTIONS,
     }),
     "fit-field": (_handle_fit_field, "fit f_r(B) tuning data to the thin-film model", {

@@ -15,9 +15,7 @@ that arises when mixing the two conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +79,6 @@ class FrequencyTrace:
     frequencies: np.ndarray  # Hz, strictly increasing
     values: np.ndarray  # complex S21
     drive_power: float | None = None  # dBm at the feedline
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         freqs = _freeze_array(self.frequencies, float)
@@ -100,7 +97,6 @@ class FrequencyTrace:
             raise ValueError(f"drive_power must be finite or None, got {self.drive_power}")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     def __len__(self) -> int:
         return self.frequencies.size

@@ -90,10 +90,16 @@ class KerrParams:
 
 @dataclass(frozen=True)
 class KerrFitOptions:
+    """Options of :func:`fit_kerr`.
+
+    ``branch`` is one of :data:`BRANCH_RULES`. The solver may take
+    ``max_iterations * 9`` residual evaluations: the eight free parameters
+    plus one.
+    """
+
     branch: str = "lowest"
     k_init: float | None = None  # Hz; default: dip-trajectory slope estimate
     mask_bistable: bool = False  # drop the points with three roots at the start K
-    free_all: bool = False  # also fit the linear parameters but phi0, over every slice
     max_iterations: int = 200
 
 
@@ -312,8 +318,6 @@ def model_s21_kerr(
     the root continuously along the array order of ``f`` (for a scalar ``f``
     it reduces to ``"lowest"``).
     """
-    if branch not in BRANCH_RULES:
-        raise ValueError(f"unknown branch rule {branch!r}; expected one of {BRANCH_RULES}")
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
     p = _sweep_vector(params.linear, params.environment, params.kerr, params.phi)
     out = _sweep_model(p, f_arr, [dbm_to_watts(p_feedline)], branch)[0][0]
@@ -341,22 +345,18 @@ def fit_kerr(
     linear: LinearFitResult,
     options: KerrFitOptions | None = None,
 ) -> KerrFitResult:
-    """Fit (K, phi) to a full 2-D power sweep, with the linear parameters held
-    fixed at the values from ``linear`` unless ``free_all`` fits them too.
+    """Fit (K, phi) jointly with the linear parameters to a full 2-D power sweep.
 
-    ``linear`` should come from a sub-single-photon slice of the same sweep;
-    a resonance outside the sweep's grid is rejected as a mismatch. The fit
-    starts from the best of four K values by the unmasked sum of squares,
-    and ``mask_bistable`` drops the points with three roots at that start.
-    With the linear parameters fixed, ``k_uncertainty`` includes the
-    first-order effect of their stage-1 uncertainties. With ``free_all``,
-    all of them but ``phi0`` are fitted jointly with (K, phi) over every
-    slice, and ``k_uncertainty`` is marginal: it comes from the joint
-    covariance of all eight free parameters.
+    ``linear`` seeds the fit and should come from a sub-single-photon slice
+    of the same sweep; a resonance outside the sweep's grid is rejected as a
+    mismatch. The fit starts from the best of four K values by the unmasked
+    sum of squares, and ``mask_bistable`` drops the points with three roots
+    at that start. Every linear parameter but ``phi0`` (``phi`` takes its
+    role) is fitted with (K, phi) over every slice, with alpha refined at
+    the sweep centre, and ``k_uncertainty`` is marginal: it comes from the
+    joint covariance of all eight free parameters.
     """
     options = options or KerrFitOptions()
-    if options.branch not in BRANCH_RULES:
-        raise ValueError(f"unknown branch rule {options.branch!r}; expected one of {BRANCH_RULES}")
     res0 = linear.resonator
     env0 = linear.environment
     freqs = sweep.frequencies
@@ -376,8 +376,7 @@ def fit_kerr(
         [res0.kappa_l / (2.0 * math.pi), res0.kappa_l, res0.kappa_l, 0.3, env0.amplitude, 0.3]
         + [1.0 / (2.0 * math.pi * span), k_scale, 0.3]
     )
-    # (K, phi), then with free_all the linear parameters but phi0
-    free = [7, 8, 0, 1, 2, 4, 5, 6] if options.free_all else [7, 8]
+    free = [7, 8, 0, 1, 2, 4, 5, 6]  # (K, phi), then the linear parameters but phi0
     x0 = p0[free]
     x_scale = scale[free]
     keep = None  # grid points the fit uses; all of them unless masked
@@ -396,8 +395,8 @@ def fit_kerr(
             delta_z = delta_z[keep]
         return np.concatenate([delta_z.real, delta_z.imag])
 
-    def jacobian(x, columns=free):
-        jac = evaluate(x, columns)[1]
+    def jacobian(x):
+        jac = evaluate(x, free)[1]
         return jac if keep is None else jac[np.concatenate([keep, keep])]
 
     # Pick the best of a few starting K values before refining; the SSR
@@ -413,10 +412,9 @@ def fit_kerr(
         if not np.any(keep):
             raise DataError("masking bistable points left no data to fit")
 
-    back = None
-    if options.free_all:  # alpha and tau both free: refine alpha at the sweep centre
-        turn = math.pi * (freqs[0] + freqs[-1])
-        residual, jacobian, x0, back = _centre_alpha(residual, jacobian, x0, turn, 6, 7)
+    # alpha and tau are both free: refine alpha at the sweep centre
+    turn = math.pi * (freqs[0] + freqs[-1])
+    residual, jacobian, x0, back = _centre_alpha(residual, jacobian, x0, turn, 6, 7)
     sol = least_squares(
         residual,
         x0,
@@ -427,7 +425,7 @@ def fit_kerr(
         gtol=1e-14,
         max_nfev=options.max_iterations * (len(x0) + 1),
     )
-    x = sol.x if back is None else back @ sol.x
+    x = back @ sol.x
     if sol.status == 0:
         raise ConvergenceError(
             f"no convergence within {options.max_iterations} iterations",
@@ -437,18 +435,7 @@ def fit_kerr(
     ssr = 2.0 * sol.cost
     m = sol.fun.size
     dof = max(m - len(sol.x), 1)
-    fixed = [] if options.free_all else list(range(len(PARAM_NAMES)))
-    jac = jacobian(sol.x, free + fixed)
-    jac_x = jac[:, : len(free)]
-    covariance = (ssr / dof) * _scaled_pinv(jac_x, x_scale, back)
-    if fixed:
-        # The fixed linear parameters shift the optimum by
-        # dx = -(Jx^T Jx)^{-1} Jx^T Jtheta dtheta; propagate their stage-1
-        # covariance through that sensitivity.
-        coef_scaled, *_ = np.linalg.lstsq(jac_x * x_scale, jac[:, len(free) :], rcond=None)
-        sensitivity = -(x_scale[:, None] * coef_scaled)
-        covariance = covariance + sensitivity @ np.asarray(linear.covariance) @ sensitivity.T
-
+    covariance = (ssr / dof) * _scaled_pinv(jacobian(sol.x), x_scale, back)
     sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau, kerr, phi = map(float, full(x))
     params = KerrParams(

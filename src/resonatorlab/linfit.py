@@ -15,7 +15,6 @@ here too.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -49,6 +48,9 @@ __all__ = [
 PARAM_NAMES = ("f_r", "kappa_c", "kappa_int", "phi0", "amplitude", "alpha", "tau")
 
 MIN_FIT_SAMPLES = 16
+
+#: Rows of the scaled Jacobian that :func:`_scaled_pinv` factors at a time.
+QR_BLOCK_ROWS = 8192
 
 
 def _notch(p, f: np.ndarray, shift: float = 0.0, jac: bool = False):
@@ -234,14 +236,17 @@ def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None =
     Scaling first keeps the problem well conditioned when parameter
     magnitudes span many decades. The directions come from the SVD of the
     R factor of a QR of ``J_s``, which, unlike ``J_s^T J_s``, does not
-    square the condition number. ``back`` maps the fitted parameters onto
-    the reported ones, ``x = back @ x_fit``, and the result is their
-    covariance. A direction whose singular value is below ``eps max(J.shape)``
+    square the condition number. R is the QR of the stacked R factors of
+    row blocks of at most :data:`QR_BLOCK_ROWS` rows, so a tall ``J_s`` is
+    never scaled and copied whole; the QR of a single block's R returns it
+    unchanged. ``back`` maps the fitted parameters onto the reported ones,
+    ``x = back @ x_fit``, and the result is their covariance. A direction whose singular value is below ``eps max(J.shape)``
     of the largest is one the data do not constrain: a reported parameter
     that moves along it gets infinite variance and NaN covariances.
     """
-    js = jac * x_scale[None, :]
-    _, s, vt = np.linalg.svd(np.linalg.qr(js, mode="r"))
+    rows = range(0, jac.shape[0], QR_BLOCK_ROWS)
+    r = np.vstack([np.linalg.qr(jac[i : i + QR_BLOCK_ROWS] * x_scale, mode="r") for i in rows])
+    _, s, vt = np.linalg.svd(np.linalg.qr(r, mode="r"))
     w, v = s**2, vt.T
     kept = w > (EPS * max(jac.shape)) ** 2 * w.max()
     load = x_scale[:, None] * v  # parameter change per unit of each direction
@@ -270,11 +275,11 @@ def _centre_alpha(residual, jacobian, x0: np.ndarray, turn: float, a: int = 5, t
     back = np.eye(x0.size)
     back[a, t] = turn
 
-    def residual_c(xc, *args):
-        return residual(back @ xc, *args)
+    def residual_c(xc):
+        return residual(back @ xc)
 
-    def jacobian_c(xc, *args):
-        jac = jacobian(back @ xc, *args)
+    def jacobian_c(xc):
+        jac = jacobian(back @ xc)
         jac[:, t] += turn * jac[:, a]
         return jac
 
@@ -403,9 +408,7 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     )
     environment = EnvironmentParams(amplitude=float(amplitude), alpha=float(alpha), tau=float(tau))
     if span < 5.0 * resonator.kappa_l / (2.0 * math.pi):
-        msg = "trace span below 5 linewidths; parameters may be poorly constrained"
-        flags.append(msg)
-        _warnings.warn(msg, stacklevel=2)
+        flags.append("trace span below 5 linewidths; parameters may be poorly constrained")
 
     n_photons = None
     if trace.drive_power is not None:
@@ -476,7 +479,6 @@ def segment_trace(
                 frequencies=trace.frequencies[lo:hi],
                 values=trace.values[lo:hi],
                 drive_power=trace.drive_power,
-                metadata=dict(trace.metadata),
             )
         )
     return segments

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import BRANCH_RULES
 from .core import (
     EnvironmentParams,
     FieldSweepPoint,
@@ -88,7 +87,6 @@ def generate_linear_trace(
         frequencies=freqs,
         values=values,
         drive_power=power_dbm,
-        metadata={"origin": "synth-linear"},
     )
 
 
@@ -105,8 +103,6 @@ def generate_kerr_sweep(
     zero-Kerr sweep equals stacked :func:`generate_linear_trace` outputs (with
     ``phi`` as ``phi0``) under the matching :func:`derive_seed` child seeds.
     """
-    if branch not in BRANCH_RULES:
-        raise ValueError(f"unknown branch rule {branch!r}; expected one of {BRANCH_RULES}")
     freqs = np.asarray(grid, dtype=float)
     traces = []
     for i, power in enumerate(powers_dbm):
@@ -116,14 +112,7 @@ def generate_kerr_sweep(
             params.environment.amplitude,
             child,
         )
-        traces.append(
-            FrequencyTrace(
-                frequencies=freqs,
-                values=values,
-                drive_power=power,
-                metadata={"origin": "synth-kerr"},
-            )
-        )
+        traces.append(FrequencyTrace(frequencies=freqs, values=values, drive_power=power))
     return PowerSweep(traces=tuple(traces))
 
 

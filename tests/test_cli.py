@@ -7,9 +7,10 @@ import pytest
 
 import resonatorlab as rl
 from conftest import resonator
-from resonatorlab.cli import COMMANDS, main, segment_trace
+from resonatorlab.cli import COMMANDS, main
 from resonatorlab.errors import ReportSchemaError
 from resonatorlab.io import write_trace_csv
+from resonatorlab.linfit import segment_trace
 from resonatorlab.reports import validate_report
 
 
@@ -387,6 +388,20 @@ class TestPowerSweepAndKerr:
         assert "dip_trajectory" in doc["plot_data"]
         assert r["stage1"]["stage1_slices"] == [-150.0]
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_free_all_option_is_gone(self, sweep_csv, tmp_path, capsys, how):
+        # fit-kerr always refits the linear parameters, so there is no mode to pick
+        argv = ["fit-kerr", str(sweep_csv)]
+        if how == "flag":
+            argv.append("--free-all")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"free_all": True}))
+            argv += ["--config", str(cfg)]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["type"] == "DataError"
+
     def test_stage1_warns_when_the_lowest_slice_holds_photons(self, tmp_path, capsys, caplog):
         path = tmp_path / "high.csv"
         code, _ = run_cli(
@@ -408,9 +423,12 @@ class TestPowerSweepAndKerr:
         )
         assert code == 0
         flag = "trace span below 5 linewidths; parameters may be poorly constrained"
-        with pytest.warns(UserWarning, match="5 linewidths"):
+        # the flag reaches the reports only, not Python's warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             _, sweep_doc = run_cli(capsys, "fit-power-sweep", str(path))
             _, kerr_doc = run_cli(capsys, "fit-kerr", str(path))
+        assert [str(w.message) for w in caught] == []
         slices = sweep_doc["results"]["slices"]
         assert all(s["flags"] == [flag] for s in slices)
         assert sweep_doc["warnings"] == [f"slices[{i}]: {flag}" for i in range(len(slices))]

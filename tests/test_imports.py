@@ -80,6 +80,19 @@ def test_every_least_squares_call_passes_an_analytic_jacobian():
     assert offenders == []
 
 
+def test_kerrfit_takes_no_factorization_of_its_own():
+    # the Kerr covariance comes from linfit._scaled_pinv, the one
+    # factorization of the fit's Jacobian; a second one has no place there
+    tree = ast.parse((PACKAGE / "kerrfit.py").read_text())
+    offenders = [
+        f"kerrfit.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg")
+        or any(name.startswith("numpy.linalg") for name in _imported_names(node))
+    ]
+    assert offenders == []
+
+
 def _python(code: str, *argv: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter with the package on its path."""
     env = dict(os.environ)

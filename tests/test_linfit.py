@@ -8,7 +8,7 @@ import resonatorlab as rl
 import conftest
 from conftest import grid_around, linewidth_hz, resonator
 from oracles import central_jacobian
-from resonatorlab.linfit import _refinement_problem
+from resonatorlab.linfit import QR_BLOCK_ROWS, _refinement_problem, _scaled_pinv
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,8 +190,11 @@ class TestFitLinear:
         res = sample_resonator
         grid = grid_around(res, span_linewidths=3.0, points=801)
         trace = rl.generate_linear_trace(res, rl.EnvironmentParams(), grid, -140.0, rl.NoiseSpec())
-        with pytest.warns(UserWarning):
+        # the flag goes to the result only, not to Python's warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             fit = rl.fit_linear(trace)
+        assert [str(w.message) for w in caught] == []
         assert any("5 linewidths" in flag for flag in fit.flags)
 
     def test_kappa_int_pinned_when_negative(self):
@@ -284,6 +287,22 @@ def test_high_q_covariance_matches_svd_reference(environment):
     # and sigma_tau describes the scatter of tau over noise draws
     taus = [fit(seed)[1].environment.tau for seed in range(100)]
     assert sigmas[6] == pytest.approx(np.std(taus, ddof=1), rel=0.25)
+
+
+@pytest.mark.parametrize("rows", [4002, 3 * QR_BLOCK_ROWS + 17])
+def test_scaled_pinv_over_row_blocks_matches_svd_reference(rows):
+    # a Jacobian taller than one block is factored block by block; one block
+    # gives the R of a single QR bit for bit
+    rng = np.random.default_rng(rows)
+    x_scale = 10.0 ** rng.uniform(-8, 8, 8)
+    jac = rng.standard_normal((rows, 8)) @ rng.standard_normal((8, 8)) / x_scale
+    _, s, vt = np.linalg.svd(jac * x_scale, full_matrices=False)
+    reference = (x_scale[:, None] * vt.T / s**2) @ (vt * x_scale)
+    norm = np.sqrt(np.outer(np.diag(reference), np.diag(reference)))
+    np.testing.assert_allclose(_scaled_pinv(jac, x_scale) / norm, reference / norm, atol=1e-9)
+    if rows <= QR_BLOCK_ROWS:
+        r = np.linalg.qr(jac * x_scale, mode="r")
+        np.testing.assert_array_equal(np.linalg.qr(r, mode="r"), r)
 
 
 def _pulls(fit, res):

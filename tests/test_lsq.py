@@ -88,7 +88,7 @@ def test_linear_pool_matches_scipy(captured):
 
 #: Every 25th criterion-4(c) draw, and three whose sweeps hold points next
 #: to a fold of the cubic, where the lowest-branch cost jumps. Draw 18, the
-#: fourth, has its own test below: its fit takes ~360 evaluations.
+#: fourth, has its own test below.
 KERR_DRAWS = (0, 17, 25, 43, 46)
 
 
@@ -96,11 +96,10 @@ KERR_DRAWS = (0, 17, 25, 43, 46)
     "options",
     [
         KerrFitOptions(),
-        KerrFitOptions(free_all=True),
         KerrFitOptions(branch="sweep-continuation"),
         KerrFitOptions(mask_bistable=True),
     ],
-    ids=["default", "free_all", "sweep-continuation", "mask_bistable"],
+    ids=["default", "sweep-continuation", "mask_bistable"],
 )
 def test_kerr_draws_match_scipy(captured, options):
     with warnings.catch_warnings():
@@ -113,8 +112,9 @@ def test_kerr_draws_match_scipy(captured, options):
 
 
 def test_crawling_kerr_draw_converges_within_its_budget(captured):
-    # on criterion-4(c) draw 18 the step keeps shrinking where the lowest
-    # root vanishes at a fold; max_nfev = max_iterations * (len(x0) + 1)
+    # on criterion-4(c) draw 18 the lowest root vanishes at a fold, where
+    # the cost jumps; a fit of (K, phi) alone crawled there for ~360
+    # evaluations
     k_true, sweep = next(draw for i, draw in enumerate(kerr_recovery_draws()) if i == 18)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -122,6 +122,7 @@ def test_crawling_kerr_draw_converges_within_its_budget(captured):
     sol = captured[-1][-1]
     assert sol.status > 0
     assert sol.nfev < KerrFitOptions().max_iterations * 3
+    assert sol.nfev < 60
     assert abs(fit.params.kerr - k_true) <= 0.1 * k_true
 
 
