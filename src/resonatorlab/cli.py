@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
@@ -34,61 +33,10 @@ from .reports import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .core import EnvironmentParams, FrequencyTrace, LinearResonatorParams, PowerSweep
-    from .linfit import FitOptions, LinearFitResult
+    from .core import FrequencyTrace, PowerSweep
+    from .linfit import FitOptions
 
 logger = logging.getLogger("resonatorlab")
-
-TWO_PI = 2.0 * math.pi
-SQRT2 = math.sqrt(2.0)
-
-
-def _q_sigma(q: float, f_r: float, kappa: float, cov: np.ndarray, kappa_index: int) -> float | None:
-    """1-sigma on ``Q = 2 pi f_r / kappa`` from the fit covariance."""
-    if kappa <= 0.0 or not math.isfinite(q):
-        return None
-    dq_df = TWO_PI / kappa
-    dq_dk = -q / kappa
-    var = (
-        dq_df**2 * cov[0, 0]
-        + dq_dk**2 * cov[kappa_index, kappa_index]
-        + 2.0 * dq_df * dq_dk * cov[0, kappa_index]
-    )
-    return math.sqrt(max(var, 0.0))
-
-
-def _linear_payload(fit: LinearFitResult) -> dict:
-    from .linfit import single_photon_power
-
-    res, env, u = fit.resonator, fit.environment, fit.uncertainties
-    cov = fit.covariance
-    return {
-        "f_r_hz": res.f_r,
-        "f_r_sigma_hz": u["f_r"],
-        "kappa_c_rad_s": res.kappa_c,
-        "kappa_c_sigma_rad_s": u["kappa_c"],
-        "kappa_c_over_2pi_hz": res.kappa_c / TWO_PI,
-        "kappa_int_rad_s": res.kappa_int,
-        "kappa_int_sigma_rad_s": u["kappa_int"],
-        "kappa_int_over_2pi_hz": res.kappa_int / TWO_PI,
-        "q_c": res.q_c,
-        "q_c_sigma": _q_sigma(res.q_c, res.f_r, res.kappa_c, cov, 1),
-        "q_i": res.q_i,
-        "q_i_sigma": _q_sigma(res.q_i, res.f_r, res.kappa_int, cov, 2),
-        "q_l": res.q_l,
-        "phi0_rad": res.phi0,
-        "phi0_sigma_rad": u["phi0"],
-        "amplitude": env.amplitude,
-        "amplitude_sigma": u["amplitude"],
-        "alpha_rad": env.alpha,
-        "alpha_sigma_rad": u["alpha"],
-        "tau_s": env.tau,
-        "tau_sigma_s": u["tau"],
-        "n_photons": fit.n_photons,
-        "single_photon_power_dbm": single_photon_power(res),
-        "residual_rms": fit.residual_rms,
-        "flags": list(fit.flags),
-    }
 
 
 def _flag_warnings(results: dict) -> list[str]:
@@ -101,18 +49,16 @@ def _flag_warnings(results: dict) -> list[str]:
 
 
 def _require_single_trace(data, power_override) -> FrequencyTrace:
-    from .core import FrequencyTrace, PowerSweep
+    from dataclasses import replace
+
+    from .core import PowerSweep
 
     if isinstance(data, PowerSweep):
         raise DataError(
             "file contains a power sweep; use fit-power-sweep (or fit-kerr) instead"
         )
     if power_override is not None:
-        return FrequencyTrace(
-            frequencies=data.frequencies,
-            values=data.values,
-            drive_power=power_override,
-        )
+        return replace(data, drive_power=power_override)
     return data
 
 
@@ -127,17 +73,20 @@ def _require_sweep(data) -> PowerSweep:
     return data
 
 
+def _magnitude_plot(freqs: np.ndarray, data: np.ndarray, model: np.ndarray) -> dict:
+    import numpy as np
+
+    return plot_group(
+        "freq_hz", freqs, series("data_mag", np.abs(data)), series("model_mag", np.abs(model))
+    )
+
+
 def _trace_plots(trace: FrequencyTrace, model_values: np.ndarray) -> dict:
     import numpy as np
 
     f = trace.frequencies
     return {
-        "magnitude": plot_group(
-            "freq_hz",
-            f,
-            series("data_mag", np.abs(trace.values)),
-            series("model_mag", np.abs(model_values)),
-        ),
+        "magnitude": _magnitude_plot(f, trace.values, model_values),
         "phase": plot_group(
             "freq_hz",
             f,
@@ -156,10 +105,8 @@ def _fit_options(opts) -> FitOptions:
 
 
 def _handle_fit_linear(opts) -> tuple[dict, dict]:
-    import numpy as np
-
     from .io import parse_trace_csv
-    from .linfit import fit_linear, model_s21_linear, segment_trace
+    from .linfit import fit_linear, linear_payload, model_s21_linear, segment_trace
 
     data = parse_trace_csv(opts["csv"])
     trace = _require_single_trace(data, opts["power_dbm"])
@@ -173,25 +120,21 @@ def _handle_fit_linear(opts) -> tuple[dict, dict]:
                 f"no dips at least {opts['prominence_db']} dB below the median background"
             )
         fits = [fit_linear(w, fit_opts) for w in windows]
-        results = {"dips": [_linear_payload(f) for f in fits]}
-        plots = {}
-        for i, (w, f) in enumerate(zip(windows, fits)):
-            model = model_s21_linear(f.resonator, f.environment, w.frequencies)
-            plots[f"dip_{i}_magnitude"] = plot_group(
-                "freq_hz",
-                w.frequencies,
-                series("data_mag", np.abs(w.values)),
-                series("model_mag", np.abs(model)),
+        plots = {
+            f"dip_{i}_magnitude": _magnitude_plot(
+                w.frequencies, w.values, model_s21_linear(f.resonator, f.environment, w.frequencies)
             )
-        return results, plots
+            for i, (w, f) in enumerate(zip(windows, fits))
+        }
+        return {"dips": [linear_payload(f) for f in fits]}, plots
     fit = fit_linear(trace, fit_opts)
     model = model_s21_linear(fit.resonator, fit.environment, trace.frequencies)
-    return _linear_payload(fit), _trace_plots(trace, model)
+    return linear_payload(fit), _trace_plots(trace, model)
 
 
 def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
     from .io import parse_trace_csv
-    from .linfit import fit_linear, photon_number
+    from .linfit import fit_linear, linear_payload, photon_number
 
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
     fit_opts = _fit_options(opts)
@@ -199,7 +142,7 @@ def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
     reference = fits[0].resonator
     slices = []
     for trace, fit in zip(sweep.traces, fits):
-        payload = _linear_payload(fit)
+        payload = linear_payload(fit)
         if opts["global_calibration"]:
             payload["n_photons"] = photon_number(reference, trace.drive_power)
         payload["power_dbm"] = trace.drive_power
@@ -225,11 +168,10 @@ def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
 
 
 def _handle_fit_kerr(opts) -> tuple[dict, dict]:
-    import numpy as np
-
+    from .core import dip_frequency
     from .io import parse_trace_csv
     from .kerrfit import KerrFitOptions, fit_kerr, model_s21_kerr
-    from .linfit import fit_linear
+    from .linfit import fit_linear, linear_payload
 
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
     # Stage 1, the lowest slice alone, seeds the joint fit of every slice and
@@ -256,29 +198,20 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
         "phi_sigma_rad": fit.phi_uncertainty,
         "branch": opts["branch"],
         "residual_rms": fit.residual_rms,
-        "stage1": {**_linear_payload(stage1), "stage1_slices": [sweep.traces[0].drive_power]},
+        "stage1": {**linear_payload(stage1), "stage1_slices": [sweep.traces[0].drive_power]},
     }
     powers = [t.drive_power for t in sweep.traces]
     freqs = sweep.frequencies
-    dip_data, dip_model = [], []
-    for trace, p in zip(sweep.traces, powers):
-        model = model_s21_kerr(params, freqs, p, opts["branch"])
-        dip_data.append(freqs[int(np.argmin(np.abs(trace.values)))])
-        dip_model.append(freqs[int(np.argmin(np.abs(model)))])
-    # the loop ends on the highest-power slice, and trace/model hold it
+    data = [t.values for t in sweep.traces]
+    models = [model_s21_kerr(params, freqs, p, opts["branch"]) for p in powers]
     plots = {
         "dip_trajectory": plot_group(
             "power_dbm",
             powers,
-            series("dip_freq_data_hz", dip_data),
-            series("dip_freq_model_hz", dip_model),
+            series("dip_freq_data_hz", dip_frequency(freqs, data)),
+            series("dip_freq_model_hz", dip_frequency(freqs, models)),
         ),
-        "highest_power_slice": plot_group(
-            "freq_hz",
-            freqs,
-            series("data_mag", np.abs(trace.values)),
-            series("model_mag", np.abs(model)),
-        ),
+        "highest_power_slice": _magnitude_plot(freqs, data[-1], models[-1]),
     }
     return results, plots
 
@@ -331,6 +264,7 @@ def _handle_design(opts) -> tuple[dict, dict]:
     from .designer import (
         ArraySpec,
         JunctionSpec,
+        characteristic_impedance,
         extra_inductance_for_total,
         f_bare_vs_n,
         loaded_capacitance_from_frequency,
@@ -381,7 +315,7 @@ def _handle_design(opts) -> tuple[dict, dict]:
         results["loaded"] = {
             "f_loaded_hz": opts["f_loaded"],
             "c_eq_loaded_f": c_loaded,
-            "z_eq_loaded_ohm": math.sqrt(report.l_eq / c_loaded),
+            "z_eq_loaded_ohm": characteristic_impedance(report.l_eq, c_loaded),
         }
     n_values = range(1, 2 * opts["n_junctions"] + 1)
     plots = {
@@ -402,16 +336,10 @@ def _handle_predict_field(opts) -> tuple[dict, dict]:
         parallel_critical_field,
     )
 
-    films = []
-    for tag in ("1", "2"):
-        films.append(
-            FilmSpec(
-                thickness=opts[f"d{tag}"],
-                london_depth=opts["london_depth"],
-                pippard_length=opts["pippard_length"],
-                bulk_critical_field=opts["bulk_critical_field"],
-            )
-        )
+    films = [
+        FilmSpec(d, opts["london_depth"], opts["pippard_length"], opts["bulk_critical_field"])
+        for d in (opts["d1"], opts["d2"])
+    ]
     lam = [effective_penetration_depth(f) for f in films]
     b_crit = [parallel_critical_field(f) for f in films]
     b_phi0 = flux_quantum_field(opts["width"], opts["t_ox"], films[0], films[1])
@@ -436,34 +364,22 @@ def _handle_predict_field(opts) -> tuple[dict, dict]:
     return results, plots
 
 
-def _synth_resonator(opts) -> tuple[LinearResonatorParams, EnvironmentParams]:
+def _synth_inputs(opts):
     from .core import EnvironmentParams, LinearResonatorParams
+    from .synth import frequency_grid
 
-    f_r = opts["f_r"]
-    res = LinearResonatorParams(
-        f_r=f_r,
-        kappa_c=TWO_PI * f_r / opts["q_c"],
-        kappa_int=TWO_PI * f_r / opts["q_i"],
-        phi0=opts["phi0"],
+    res = LinearResonatorParams.from_q(opts["f_r"], opts["q_c"], opts["q_i"], opts["phi0"])
+    env = EnvironmentParams(opts["amplitude"], opts["alpha"], opts["tau"])
+    grid = frequency_grid(
+        res, opts["points"], opts["span_linewidths"], opts["f_center"], opts["span_hz"]
     )
-    env = EnvironmentParams(
-        amplitude=opts["amplitude"], alpha=opts["alpha"], tau=opts["tau"]
-    )
-    return res, env
-
-
-def _synth_grid(opts, res: LinearResonatorParams) -> np.ndarray:
-    import numpy as np
-
-    kl_hz = res.kappa_l / TWO_PI
-    center = opts["f_center"] if opts["f_center"] is not None else res.f_r
-    span = opts["span_hz"] if opts["span_hz"] is not None else opts["span_linewidths"] * kl_hz
-    return np.linspace(center - span / 2.0, center + span / 2.0, opts["points"])
+    return res, env, grid
 
 
 def _handle_synth(opts) -> tuple[dict, dict]:
     import numpy as np
 
+    from .core import dip_frequency
     from .fieldmodel import FieldModelParams
     from .io import write_field_csv, write_trace_csv
     from .kerrfit import KerrParams
@@ -473,19 +389,19 @@ def _handle_synth(opts) -> tuple[dict, dict]:
     noise = NoiseSpec(snr_db=opts["snr_db"], seed=opts["seed"])
     out_csv = opts["out_csv"]
     if kind == "linear":
-        res, env = _synth_resonator(opts)
-        grid = _synth_grid(opts, res)
+        res, env, grid = _synth_inputs(opts)
         trace = generate_linear_trace(res, env, grid, opts["power_dbm"], noise)
         write_trace_csv(out_csv, trace)
-        results = {"kind": kind, "csv": str(out_csv), "n_samples": len(trace)}
+        results = {"n_samples": len(trace)}
         plots = {
             "generated_magnitude": plot_group(
                 "freq_hz", grid, series("mag", np.abs(trace.values))
             )
         }
     elif kind == "kerr":
-        res, env = _synth_resonator(opts)
-        grid = _synth_grid(opts, res)
+        if not opts["power_step"] > 0.0:
+            raise ValueError(f"--power-step must be positive, got {opts['power_step']}")
+        res, env, grid = _synth_inputs(opts)
         powers = np.arange(opts["power_min"], opts["power_max"] + 1e-9, opts["power_step"])
         params = KerrParams(
             linear=res,
@@ -495,18 +411,9 @@ def _handle_synth(opts) -> tuple[dict, dict]:
         )
         sweep = generate_kerr_sweep(params, grid, powers, opts["branch"], noise)
         write_trace_csv(out_csv, sweep)
-        dips = [t.frequencies[int(np.argmin(np.abs(t.values)))] for t in sweep.traces]
-        results = {
-            "kind": kind,
-            "csv": str(out_csv),
-            "n_powers": len(sweep),
-            "n_samples": len(grid),
-        }
-        plots = {
-            "dip_trajectory": plot_group(
-                "power_dbm", powers, series("dip_freq_hz", dips)
-            )
-        }
+        results = {"n_powers": len(sweep), "n_samples": len(grid)}
+        dips = dip_frequency(grid, [t.values for t in sweep.traces])
+        plots = {"dip_trajectory": plot_group("power_dbm", powers, series("dip_freq_hz", dips))}
     elif kind == "field":
         params = FieldModelParams(
             f0=opts["f0"], b_crit=opts["b_crit"], b_phi0=opts["b_phi0"]
@@ -514,7 +421,7 @@ def _handle_synth(opts) -> tuple[dict, dict]:
         fields = np.linspace(opts["b_min"], opts["b_max"], opts["b_points"])
         points = generate_field_sweep(params, fields, opts["sigma_f"], opts["seed"])
         write_field_csv(out_csv, points)
-        results = {"kind": kind, "csv": str(out_csv), "n_points": len(points)}
+        results = {"n_points": len(points)}
         plots = {
             "generated_tuning": plot_group(
                 "field_t", fields, series("fr_hz", [p.resonance for p in points])
@@ -522,7 +429,7 @@ def _handle_synth(opts) -> tuple[dict, dict]:
         }
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown synth kind {kind!r}")
-    return results, plots
+    return {"kind": kind, "csv": str(out_csv), **results}, plots
 
 
 # Each subcommand's handler, help line and options, every option declared
@@ -586,14 +493,15 @@ COMMANDS: dict[str, tuple] = {
         "london_depth": (float, 16e-9, "London penetration depth [m]"),
         "pippard_length": (float, 1600e-9, "Pippard coherence length [m]"),
         "bulk_critical_field": (float, 10e-3, "bulk critical field [T]"),
+        # 35 nm and 130 nm nominal over sqrt(2), written out to the last bit
         "d1": (
             float,
-            35e-9 / SQRT2,
+            2.4748737341529165e-08,
             "bottom lead thickness [m] (nominal/sqrt(2) for 45-degree evaporation)",
         ),
         "d2": (
             float,
-            130e-9 / SQRT2,
+            9.192388155425117e-08,
             "top lead thickness [m] (nominal/sqrt(2) for 45-degree evaporation)",
         ),
         "width": (float, 520e-9, "junction width [m]"),

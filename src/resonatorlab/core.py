@@ -31,6 +31,7 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "photon_flux",
+    "dip_frequency",
 ]
 
 
@@ -59,6 +60,11 @@ def photon_flux(p_watts: float, frequency: float) -> float:
     if p_watts < 0.0:
         raise DomainError(f"power must be non-negative, got {p_watts}")
     return p_watts / (PLANCK * frequency)
+
+
+def dip_frequency(frequencies: np.ndarray, values) -> np.ndarray:
+    """Frequency of the deepest ``|S21|`` point: of each row, for a 2-D ``values``."""
+    return frequencies[np.argmin(np.abs(values), axis=-1)]
 
 
 def _freeze_array(values, dtype) -> np.ndarray:
@@ -181,6 +187,14 @@ class LinearResonatorParams:
             raise ValueError(f"kappa_int must be non-negative and finite, got {self.kappa_int}")
         if not abs(self.phi0) < math.pi / 2:
             raise ValueError(f"|phi0| must be below pi/2, got {self.phi0}")
+
+    @classmethod
+    def from_q(cls, f_r: float, q_c: float, q_i: float, phi0: float = 0.0) -> LinearResonatorParams:
+        """The resonator with ``kappa_x = 2 pi f_r / Q_x``; ``q_i = inf`` means no internal loss."""
+        for name, q in (("q_c", q_c), ("q_i", q_i)):
+            if not q > 0.0:
+                raise ValueError(f"{name} must be positive, got {q}")
+        return cls(f_r, 2.0 * math.pi * f_r / q_c, 2.0 * math.pi * f_r / q_i, phi0)
 
     @property
     def kappa_l(self) -> float:

@@ -26,6 +26,7 @@ __all__ = [
     "extra_inductance_for_total",
     "f_bare_vs_n",
     "loaded_capacitance_from_frequency",
+    "characteristic_impedance",
     "kerr_from_array",
 ]
 
@@ -148,7 +149,7 @@ def quarter_wave(array: ArraySpec, l_eq_override: float | None = None) -> ArrayD
     l_eq = l_eq_override if l_eq_override is not None else quarter_wave_inductance(l_total)
     c_eq = c_total / 2.0
     f_bare = 1.0 / (2.0 * math.pi * math.sqrt(l_eq * c_eq))
-    z_eq = math.sqrt(l_eq / c_eq)
+    z_eq = characteristic_impedance(l_eq, c_eq)
     return ArrayDesignReport(
         i_c=i_c,
         l_j=l_j,
@@ -180,6 +181,11 @@ def loaded_capacitance_from_frequency(f_loaded: float, l_eq: float) -> float:
     if not (f_loaded > 0.0 and l_eq > 0.0):
         raise ValueError("f_loaded and l_eq must be positive")
     return 1.0 / ((2.0 * math.pi * f_loaded) ** 2 * l_eq)
+
+
+def characteristic_impedance(l_eq: float, c_eq: float) -> float:
+    """Impedance ``Z = sqrt(L_eq / C_eq)`` [Ohm] of a lumped LC mode."""
+    return math.sqrt(l_eq / c_eq)
 
 
 def kerr_from_array(e_c: float, n: int) -> float:

@@ -42,6 +42,7 @@ from .core import (
     LinearResonatorParams,
     PowerSweep,
     dbm_to_watts,
+    dip_frequency,
 )
 from .errors import ConvergenceError, DataError
 from .linfit import (
@@ -326,15 +327,11 @@ def model_s21_kerr(
 
 def _estimate_k_init(sweep: PowerSweep, res: LinearResonatorParams) -> float:
     """Slope of the dip frequency versus linear photon number, negated."""
-    dips = np.array(
-        [t.frequencies[np.argmin(np.abs(t.values))] for t in sweep.traces], dtype=float
-    )
+    dips = dip_frequency(sweep.frequencies, [t.values for t in sweep.traces])
     n_ph = np.array([photon_number(res, t.drive_power) for t in sweep.traces])
     dn = n_ph - n_ph.mean()
     denom = float(np.dot(dn, dn))
-    if denom <= 0.0:
-        return res.kappa_l / (2.0 * math.pi) * 1e-2
-    k0 = -float(np.dot(dn, dips - dips.mean())) / denom
+    k0 = -float(np.dot(dn, dips - dips.mean())) / denom if denom > 0.0 else 0.0
     if not math.isfinite(k0) or k0 == 0.0:
         return res.kappa_l / (2.0 * math.pi) * 1e-2
     return k0

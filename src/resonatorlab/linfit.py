@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +42,8 @@ __all__ = [
     "photon_number",
     "single_photon_power",
     "segment_trace",
+    "q_sigma",
+    "linear_payload",
 ]
 
 #: Order of the free parameters in covariance matrices and uncertainty maps.
@@ -442,6 +444,59 @@ def single_photon_power(res: LinearResonatorParams) -> float:
     omega0 = 2.0 * math.pi * res.f_r
     p_watts = HBAR * omega0 * res.kappa_l**2 / (2.0 * res.kappa_c)
     return watts_to_dbm(p_watts)
+
+
+def q_sigma(
+    f_r: float, kappa: float, covariance: np.ndarray, names: Sequence[str], kappa_name: str
+) -> float | None:
+    """1-sigma on ``Q = 2 pi f_r / kappa`` from ``covariance``, whose rows and
+    columns follow ``names``; ``None`` where Q is not finite."""
+    q = 2.0 * math.pi * f_r / kappa if kappa > 0.0 else math.inf
+    if not math.isfinite(q):
+        return None
+    i, k = names.index("f_r"), names.index(kappa_name)
+    dq_df = 2.0 * math.pi / kappa
+    dq_dk = -q / kappa
+    var = (
+        dq_df**2 * covariance[i, i]
+        + dq_dk**2 * covariance[k, k]
+        + 2.0 * dq_df * dq_dk * covariance[i, k]
+    )
+    return math.sqrt(max(var, 0.0))
+
+
+def linear_payload(fit: LinearFitResult) -> dict:
+    """The report block of a linear fit: parameters, sigmas, quality factors,
+    photon calibration and flags."""
+    res, env, u = fit.resonator, fit.environment, fit.uncertainties
+    cov = fit.covariance
+    return {
+        "f_r_hz": res.f_r,
+        "f_r_sigma_hz": u["f_r"],
+        "kappa_c_rad_s": res.kappa_c,
+        "kappa_c_sigma_rad_s": u["kappa_c"],
+        "kappa_c_over_2pi_hz": res.kappa_c / (2.0 * math.pi),
+        "kappa_int_rad_s": res.kappa_int,
+        "kappa_int_sigma_rad_s": u["kappa_int"],
+        "kappa_int_over_2pi_hz": res.kappa_int / (2.0 * math.pi),
+        "q_c": res.q_c,
+        "q_c_sigma": q_sigma(res.f_r, res.kappa_c, cov, PARAM_NAMES, "kappa_c"),
+        "q_i": res.q_i,
+        "q_i_sigma": q_sigma(res.f_r, res.kappa_int, cov, PARAM_NAMES, "kappa_int"),
+        "q_l": res.q_l,
+        "phi0_rad": res.phi0,
+        "phi0_sigma_rad": u["phi0"],
+        "amplitude": env.amplitude,
+        "amplitude_sigma": u["amplitude"],
+        "alpha_rad": env.alpha,
+        "alpha_sigma_rad": u["alpha"],
+        "tau_s": env.tau,
+        "tau_sigma_s": u["tau"],
+        "n_photons": fit.n_photons,
+        "single_photon_power_dbm": single_photon_power(res),
+        "residual_rms": fit.residual_rms,
+        "flags": list(fit.flags),
+    }
 
 
 def segment_trace(

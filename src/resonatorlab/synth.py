@@ -35,6 +35,7 @@ __all__ = [
     "generate_linear_trace",
     "generate_kerr_sweep",
     "generate_field_sweep",
+    "frequency_grid",
 ]
 
 #: Sigma recorded for noiseless field sweeps so 1/sigma^2 weighting stays defined.
@@ -71,6 +72,22 @@ def _add_noise(values: np.ndarray, amplitude: float, noise: NoiseSpec) -> np.nda
     re = rng.standard_normal(values.size)
     im = rng.standard_normal(values.size)
     return values + sigma * (re + 1j * im)
+
+
+def frequency_grid(
+    res: LinearResonatorParams,
+    points: int,
+    span_linewidths: float,
+    f_center: float | None = None,
+    span_hz: float | None = None,
+) -> np.ndarray:
+    """``points`` evenly spaced frequencies around ``f_center`` (default ``f_r``)
+    over ``span_hz``, or else over ``span_linewidths`` loaded linewidths
+    ``kappa_L / 2 pi``."""
+    center = f_center if f_center is not None else res.f_r
+    if span_hz is None:
+        span_hz = span_linewidths * (res.kappa_l / (2.0 * math.pi))
+    return np.linspace(center - span_hz / 2.0, center + span_hz / 2.0, points)
 
 
 def generate_linear_trace(

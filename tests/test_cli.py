@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import warnings
 
 import numpy as np
@@ -217,6 +218,24 @@ class TestErrors:
         assert code == 2
         assert doc["error"]["type"] == "DataError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linear", "--q-c", "0"],
+            ["linear", "--q-i", "0"],
+            ["kerr", "--power-step", "0"],
+            ["kerr", "--power-step", "-2.5"],
+        ],
+        ids=["linear-q-c", "linear-q-i", "kerr-power-step", "kerr-negative-step"],
+    )
+    def test_non_positive_synth_value_is_data_error(self, tmp_path, capsys, argv):
+        out_csv = tmp_path / "x.csv"
+        code, doc = run_cli(capsys, "synth", argv[0], "--out-csv", str(out_csv), *argv[1:])
+        assert code == 2
+        assert doc["error"]["exit_code"] == 2
+        assert "must be positive" in doc["error"]["message"]
+        assert not out_csv.exists()
+
     def test_sweep_required_for_fit_kerr(self, tmp_path, capsys):
         csv = synth_linear_csv(tmp_path, capsys)
         code, doc = run_cli(capsys, "fit-kerr", str(csv))
@@ -368,6 +387,8 @@ class TestPowerSweepAndKerr:
         assert first["n_photons"] == direct.n_photons
 
     def test_global_calibration_flag(self, sweep_csv, capsys):
+        from resonatorlab.io import parse_trace_csv
+
         _, per_slice = run_cli(capsys, "fit-power-sweep", str(sweep_csv))
         _, global_cal = run_cli(
             capsys, "fit-power-sweep", str(sweep_csv), "--global-calibration"
@@ -377,6 +398,13 @@ class TestPowerSweepAndKerr:
         n1 = [s["n_photons"] for s in per_slice["results"]["slices"]]
         n2 = [s["n_photons"] for s in global_cal["results"]["slices"]]
         assert n1 != n2
+        # per slice: each slice's own fit; global: the lowest slice's resonator
+        sweep = parse_trace_csv(sweep_csv)
+        fits = [rl.fit_linear(t) for t in sweep.traces]
+        assert n1 == [f.n_photons for f in fits]
+        reference = fits[0].resonator
+        assert n2 == [rl.photon_number(reference, t.drive_power) for t in sweep.traces]
+        assert n1[0] == n2[0]
 
     def test_fit_kerr_recovers_coefficient(self, sweep_csv, capsys):
         code, doc = run_cli(capsys, "fit-kerr", str(sweep_csv))
@@ -472,3 +500,9 @@ class TestSegmentation:
 
 def test_help_without_command(capsys):
     assert main([]) == 2
+
+
+def test_predict_field_lead_defaults_are_nominal_over_sqrt2():
+    options = COMMANDS["predict-field"][2]
+    assert options["d1"][1] == 35e-9 / math.sqrt(2.0)
+    assert options["d2"][1] == 130e-9 / math.sqrt(2.0)

@@ -5,6 +5,7 @@ import pytest
 
 import resonatorlab as rl
 from resonatorlab.constants import PLANCK
+from resonatorlab.core import dip_frequency
 
 
 def test_dbm_to_watts_definition():
@@ -99,3 +100,32 @@ class TestContainers:
             assert 2 * math.pi * f_r / res.q_c == pytest.approx(kc, rel=1e-12)
             if ki > 0:
                 assert 2 * math.pi * f_r / res.q_i == pytest.approx(ki, rel=1e-12)
+
+
+class TestFromQ:
+    def test_rates_follow_the_quality_factors(self):
+        res = rl.LinearResonatorParams.from_q(6.117e9, 1500.0, 15800.0, 0.2)
+        assert res.kappa_c == 2.0 * math.pi * 6.117e9 / 1500.0
+        assert res.kappa_int == 2.0 * math.pi * 6.117e9 / 15800.0
+        assert res.phi0 == 0.2
+        assert (res.q_c, res.q_i) == pytest.approx((1500.0, 15800.0), rel=1e-15)
+
+    def test_infinite_q_i_is_lossless(self):
+        res = rl.LinearResonatorParams.from_q(6e9, 1e3, math.inf)
+        assert res.kappa_int == 0.0
+        assert res.q_i == math.inf
+
+    @pytest.mark.parametrize(
+        "q_c, q_i", [(0.0, 1e4), (1e3, 0.0), (-1e3, 1e4), (1e3, -1e4), (math.nan, 1e4)]
+    )
+    def test_non_positive_q_rejected(self, q_c, q_i):
+        with pytest.raises(ValueError, match="must be positive"):
+            rl.LinearResonatorParams.from_q(6e9, q_c, q_i)
+
+
+def test_dip_frequency_of_a_trace_and_of_each_row():
+    f = np.array([1e9, 2e9, 3e9, 4e9])
+    rows = np.array([[1.0, 0.5, 0.2j, 1.0], [1.0, -0.1, 1.0, 0.3]])
+    assert dip_frequency(f, rows[0]) == 3e9
+    assert dip_frequency(f, rows).tolist() == [3e9, 2e9]
+    assert dip_frequency(f, list(rows)).tolist() == [3e9, 2e9]

@@ -93,6 +93,20 @@ def test_kerrfit_takes_no_factorization_of_its_own():
     assert offenders == []
 
 
+def test_cli_holds_no_physics_formulas():
+    # square roots, dips and 2 pi factors live in the modules that own the
+    # physics; cli.py only parses options and formats output
+    banned = {"argmin", "sqrt", "TWO_PI"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    offenders = [
+        f"cli.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in banned)
+        or (isinstance(node, ast.Name) and node.id in banned)
+    ]
+    assert offenders == []
+
+
 def _python(code: str, *argv: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter with the package on its path."""
     env = dict(os.environ)

@@ -8,7 +8,14 @@ import resonatorlab as rl
 import conftest
 from conftest import grid_around, linewidth_hz, resonator
 from oracles import central_jacobian
-from resonatorlab.linfit import QR_BLOCK_ROWS, _refinement_problem, _scaled_pinv
+from resonatorlab.linfit import (
+    PARAM_NAMES,
+    QR_BLOCK_ROWS,
+    _refinement_problem,
+    _scaled_pinv,
+    linear_payload,
+    q_sigma,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -388,3 +395,47 @@ def test_photon_number_doubles_with_kappa_c_at_fixed_kappa_l():
     assert rl.photon_number(double, -135.0) == pytest.approx(
         2 * rl.photon_number(base, -135.0), rel=1e-12
     )
+
+
+class TestQSigma:
+    @pytest.fixture(scope="class")
+    def fit(self):
+        res, env = resonator(phi0=0.2), rl.EnvironmentParams(0.87, 0.4, 40e-9)
+        trace = rl.generate_linear_trace(
+            res, env, grid_around(res), -140.0, rl.NoiseSpec(snr_db=30, seed=5)
+        )
+        return rl.fit_linear(trace)
+
+    @staticmethod
+    def reference(f_r, kappa, cov, k):
+        # Q = 2 pi f_r / kappa, so g = dQ/dp is nonzero at f_r and kappa only
+        g = np.zeros(len(cov))
+        g[0] = TWO_PI / kappa
+        g[k] = -TWO_PI * f_r / kappa**2
+        return math.sqrt(g @ cov @ g)
+
+    @pytest.mark.parametrize("kappa_name, key", [("kappa_c", "q_c"), ("kappa_int", "q_i")])
+    def test_matches_g_sigma_gt(self, fit, kappa_name, key):
+        res, cov = fit.resonator, fit.covariance
+        kappa = getattr(res, kappa_name)
+        expected = self.reference(res.f_r, kappa, cov, PARAM_NAMES.index(kappa_name))
+        assert expected > 0.0
+        assert q_sigma(res.f_r, kappa, cov, PARAM_NAMES, kappa_name) == pytest.approx(
+            expected, rel=1e-9
+        )
+        assert linear_payload(fit)[f"{key}_sigma"] == pytest.approx(expected, rel=1e-9)
+
+    def test_permuted_covariance_gives_the_same_sigma(self, fit):
+        res, cov = fit.resonator, fit.covariance
+        perm = np.random.default_rng(2).permutation(len(PARAM_NAMES))
+        assert perm[0] != 0
+        names = [PARAM_NAMES[i] for i in perm]
+        permuted = cov[np.ix_(perm, perm)]
+        for kappa_name in ("kappa_c", "kappa_int"):
+            kappa = getattr(res, kappa_name)
+            assert q_sigma(res.f_r, kappa, permuted, names, kappa_name) == q_sigma(
+                res.f_r, kappa, cov, PARAM_NAMES, kappa_name
+            )
+
+    def test_no_sigma_without_a_finite_q(self, fit):
+        assert q_sigma(6e9, 0.0, fit.covariance, PARAM_NAMES, "kappa_int") is None
