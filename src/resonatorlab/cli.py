@@ -170,7 +170,7 @@ def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
 def _handle_fit_kerr(opts) -> tuple[dict, dict]:
     from .core import dip_frequency
     from .io import parse_trace_csv
-    from .kerrfit import KerrFitOptions, fit_kerr, model_s21_kerr
+    from .kerrfit import KerrFitOptions, fit_kerr
     from .linfit import fit_linear, linear_payload
 
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
@@ -203,15 +203,14 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
     powers = [t.drive_power for t in sweep.traces]
     freqs = sweep.frequencies
     data = [t.values for t in sweep.traces]
-    models = [model_s21_kerr(params, freqs, p, opts["branch"]) for p in powers]
     plots = {
         "dip_trajectory": plot_group(
             "power_dbm",
             powers,
             series("dip_freq_data_hz", dip_frequency(freqs, data)),
-            series("dip_freq_model_hz", dip_frequency(freqs, models)),
+            series("dip_freq_model_hz", dip_frequency(freqs, fit.model_s21)),
         ),
-        "highest_power_slice": _magnitude_plot(freqs, data[-1], models[-1]),
+        "highest_power_slice": _magnitude_plot(freqs, data[-1], fit.model_s21[-1]),
     }
     return results, plots
 
@@ -380,12 +379,20 @@ def _handle_synth(opts) -> tuple[dict, dict]:
     import numpy as np
 
     from .core import dip_frequency
-    from .fieldmodel import FieldModelParams
+    from .fieldmodel import MIN_FIELD_POINTS, FieldModelParams
     from .io import write_field_csv, write_trace_csv
     from .kerrfit import KerrParams
+    from .linfit import MIN_FIT_SAMPLES
     from .synth import NoiseSpec, generate_field_sweep, generate_kerr_sweep, generate_linear_trace
 
     kind = opts["kind"]
+    # a grid too small for every fit would only be written to be refused
+    size, least = ("points", MIN_FIT_SAMPLES)
+    if kind == "field":
+        size, least = ("b_points", MIN_FIELD_POINTS)
+    if opts[size] < least:
+        flag = "--" + size.replace("_", "-")
+        raise ValueError(f"{flag} must be at least {least} for kind={kind}, got {opts[size]}")
     noise = NoiseSpec(snr_db=opts["snr_db"], seed=opts["seed"])
     out_csv = opts["out_csv"]
     if kind == "linear":
@@ -461,7 +468,7 @@ COMMANDS: dict[str, tuple] = {
         ),
         **_FIT_OPTIONS,
     }),
-    "fit-kerr": (_handle_fit_kerr, "two-stage self-Kerr fit of a 2-D power sweep", {
+    "fit-kerr": (_handle_fit_kerr, "joint self-Kerr fit of a 2-D power sweep", {
         "csv": (str, None, "power-sweep CSV (power_dbm column required)"),
         "branch": (BRANCH_RULES, "lowest", None),
         "k_init": (float, None, "initial Kerr coefficient [Hz]"),

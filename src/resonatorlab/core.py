@@ -202,6 +202,11 @@ class LinearResonatorParams:
         return self.kappa_c + self.kappa_int
 
     @property
+    def linewidth_hz(self) -> float:
+        """Loaded linewidth ``kappa_L / 2 pi`` [Hz]."""
+        return self.kappa_l / (2.0 * math.pi)
+
+    @property
     def q_c(self) -> float:
         return 2.0 * math.pi * self.f_r / self.kappa_c
 

@@ -41,6 +41,9 @@ __all__ = [
 
 SQRT24 = math.sqrt(24.0)
 
+#: Fewest field points :func:`fit_field_sweep` fits: one more than its parameters.
+MIN_FIELD_POINTS = 4
+
 
 @dataclass(frozen=True)
 class FilmSpec:
@@ -213,9 +216,9 @@ def fit_field_sweep(
     NaN correlations.
     """
     points = list(points)
-    if len(points) < 4:
+    if len(points) < MIN_FIELD_POINTS:
         raise InsufficientDataError(
-            f"need at least 4 field points to fit 3 parameters, got {len(points)}"
+            f"need at least {MIN_FIELD_POINTS} field points to fit 3 parameters, got {len(points)}"
         )
     fields = np.array([p.field for p in points])
     freqs = np.array([p.resonance for p in points])

@@ -158,7 +158,9 @@ def write_trace_csv(
     include_power = isinstance(data, PowerSweep) or traces[0].drive_power is not None
     value_cols = ["re", "im"] if form == "re_im" else ["mag_db", "phase_rad"]
     header = ["freq_hz", *value_cols] + (["power_dbm"] if include_power else [])
-    lines = [",".join(header)]
+    blocks = [",".join(header)]
+    # the traces of a PowerSweep share one grid, so it is formatted once
+    freqs = [repr(f) for f in traces[0].frequencies.tolist()]
     for trace in traces:
         if form == "re_im":
             first, second = trace.values.real.tolist(), trace.values.imag.tolist()
@@ -166,17 +168,19 @@ def write_trace_csv(
             first = [20.0 * math.log10(abs(v)) for v in trace.values]
             second = [float(np.angle(v)) for v in trace.values]
         power = f",{float(trace.drive_power)!r}" if include_power else ""
-        lines += [
-            f"{f!r},{a!r},{b!r}{power}"
-            for f, a, b in zip(trace.frequencies.tolist(), first, second)
-        ]
-    _write_lines(path, lines)
+        # one string per trace, so only one trace's row strings are held at a time
+        blocks.append(
+            "\r\n".join([f"{f},{a!r},{b!r}{power}" for f, a, b in zip(freqs, first, second)])
+        )
+    _write_lines(path, blocks)
 
 
 def _write_lines(path: str | Path, lines: list[str]) -> None:
-    """One write of ``lines`` with the CRLF terminators of a ``csv`` writer."""
+    """Write ``lines`` with the CRLF terminators of a ``csv`` writer; a line may
+    be a block of rows already joined by CRLF. Opened only once every line is
+    formatted, so a formatting error leaves no file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.writelines(line + "\r\n" for line in lines)
 
 
 def parse_field_csv(path: str | Path) -> list[FieldSweepPoint]:

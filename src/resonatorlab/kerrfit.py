@@ -1,6 +1,6 @@
 """Kerr-nonlinear notch model: photon cubic, branch selection, one forward
-model of a whole power sweep with its Jacobian, and the two-stage
-power-sweep fit for the self-Kerr coefficient.
+model of a whole power sweep with its Jacobian, and the joint power-sweep
+fit for the self-Kerr coefficient.
 
 Conventions. ``K`` is the self-Kerr coefficient in Hz; positive ``K``
 softens the resonator, so the dip moves to lower frequency as the drive
@@ -30,8 +30,8 @@ J. Appl. Phys. 113, 104501 (2013)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +72,9 @@ XI_NEWTON = 1e-8
 #: Parameter vector of :func:`_sweep_model`: the linear parameters, then (K, phi).
 SWEEP_PARAM_NAMES = PARAM_NAMES + ("kerr", "phi")
 
+#: Highest-power slices on which :func:`fit_kerr` ranks its start candidates.
+RANK_ROWS = 3
+
 
 @dataclass(frozen=True)
 class KerrParams:
@@ -110,6 +113,9 @@ class KerrFitResult:
     k_uncertainty: float  # Hz, 1-sigma
     phi_uncertainty: float  # rad, 1-sigma
     residual_rms: float
+    #: (P, F) S21 of the fitted model on the sweep grid: :func:`model_s21_kerr`
+    #: of ``params`` at each power
+    model_s21: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.k_uncertainty < 0.0 or self.phi_uncertainty < 0.0:
@@ -238,8 +244,62 @@ def _sweep_vector(res, env, kerr, phi) -> np.ndarray:
     return np.array([*linear, kerr, phi])
 
 
+class _Solve(NamedTuple):
+    """The photon numbers of a sweep at one point of the cubic's inputs.
+
+    A solve holds for the grid, powers and branch rule it was made on; only
+    ``key`` is checked when it is offered again.
+    """
+
+    key: bytes  # _cubic_key of the vector solved at
+    n: np.ndarray  # (P, F) photon numbers on the branch
+    three: np.ndarray  # (P, F) flags of the points where the cubic has three roots
+
+
+def _cubic_key(p: np.ndarray) -> bytes:
+    """The parameters the cubic depends on, bit for bit: f_r, kappa_c, the
+    clipped kappa_int and K. The other five do not enter it."""
+    return np.array([p[0], p[1], max(p[2], 0.0), p[7]]).tobytes()
+
+
+def _drives(p: np.ndarray, f: np.ndarray, watts: Sequence[float]):
+    """``kappa_L``, the reduced detuning, and an iterator of ``(|alpha_in|^2, xi)``
+    over the power rows."""
+    f_r, kappa_c, kappa_int, kerr = p[0], p[1], max(p[2], 0.0), p[7]
+    kappa_l = kappa_c + kappa_int
+    hbar_omega = HBAR * (2.0 * math.pi * f)
+    # subtract frequencies before scaling: forming omega_0 - omega_d from
+    # two large rounded products would cost ~4 digits of detuning accuracy
+    delta = 2.0 * math.pi * (f_r - f) / kappa_l
+
+    def rows():  # one row at a time, so no sweep-sized array is held
+        for power in watts:
+            alpha_in_sq = power / hbar_omega
+            yield alpha_in_sq, alpha_in_sq * kappa_c * (2.0 * math.pi * kerr) / kappa_l**3
+
+    return kappa_l, delta, rows()
+
+
+def _solve_sweep(p: np.ndarray, f: np.ndarray, watts: Sequence[float], branch: str) -> _Solve:
+    """Solve the photon cubic on every power row at ``p``: one kernel call per row."""
+    _, delta, rows = _drives(p, f, watts)
+    sign = -1.0 if p[7] < 0.0 else 1.0
+    n = np.empty((len(watts), f.size))
+    three = np.empty(n.shape, dtype=bool)
+    for i, (_, xi) in enumerate(rows):
+        roots = photon_cubic_roots(sign * delta, sign * xi)
+        three[i] = np.isfinite(roots[:, 2])
+        n[i] = _select_branch(roots, branch)
+    return _Solve(_cubic_key(p), n, three)
+
+
 def _sweep_model(
-    p: np.ndarray, f: np.ndarray, watts: Sequence[float], branch: str, columns: Sequence[int] = ()
+    p: np.ndarray,
+    f: np.ndarray,
+    watts: Sequence[float],
+    branch: str,
+    columns: Sequence[int] = (),
+    solve: _Solve | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S21 over the (power x frequency) grid, with Jacobian columns on request.
 
@@ -249,29 +309,23 @@ def _sweep_model(
     raveled grid over the imaginary parts as in a stacked residual; and the
     ``(P, F)`` flags of the points where the cubic has three roots. Each power
     row is one sweep for ``"sweep-continuation"``. ``phi0`` does not enter the
-    model (``phi`` takes its role), so its column is zero.
+    model (``phi`` takes its role), so its column is zero. ``solve`` is used
+    when it was made at the same cubic inputs as ``p``, bit for bit, and the
+    cubic is solved afresh otherwise.
     """
+    if solve is None or solve.key != _cubic_key(p):
+        solve = _solve_sweep(p, f, watts, branch)
     f_r, kappa_c, kappa_int, _, amplitude, alpha, tau, kerr, phi = p
-    kappa_int = max(kappa_int, 0.0)
-    kappa_l = kappa_c + kappa_int
-    linear = (f_r, kappa_c, kappa_int, phi, amplitude, alpha, tau)
-    hbar_omega = HBAR * (2.0 * math.pi * f)
-    # subtract frequencies before scaling: forming omega_0 - omega_d from
-    # two large rounded products would cost ~4 digits of detuning accuracy
-    delta = 2.0 * math.pi * (f_r - f) / kappa_l
-    sign = -1.0 if kerr < 0.0 else 1.0
+    linear = (f_r, kappa_c, max(kappa_int, 0.0), phi, amplitude, alpha, tau)
+    kappa_l, delta, rows = _drives(p, f, watts)
 
-    s21 = np.empty((len(watts), f.size), dtype=complex)
-    three = np.empty(s21.shape, dtype=bool)
-    jac = np.zeros((2 * s21.size, len(columns)))
+    s21 = np.empty(solve.n.shape, dtype=complex)
+    jac = np.empty((2 * s21.size, len(columns)))
     jac_parts = jac.reshape(2, *s21.shape, len(columns))  # a view: real, imag
-    zero = np.zeros(f.size)
-    for i, power in enumerate(watts):
-        alpha_in_sq = power / hbar_omega
-        xi = alpha_in_sq * kappa_c * (2.0 * math.pi * kerr) / kappa_l**3
-        roots = photon_cubic_roots(sign * delta, sign * xi)
-        three[i] = np.isfinite(roots[:, 2])
-        n = _select_branch(roots, branch)
+    if columns:
+        delta_sq, delta_4 = delta * delta, 4.0 * delta  # the same on every row
+    for i, (alpha_in_sq, xi) in enumerate(rows):
+        n = solve.n[i]
         # the linear model at the detuning shifted by kappa_L xi n, which is
         # exactly 0 at K = 0
         s21[i], c = _notch(linear, f, kappa_l * xi * n, jac=bool(columns))
@@ -282,27 +336,29 @@ def _sweep_model(
         # dS/d(shift) = -w with w = c_0/(2 pi). Implicit differentiation of
         # the cubic gives du = g (d delta - n d xi) with g = (u^2 + 1/4)/F_n.
         u = delta - xi * n
-        f_n = (3.0 * xi * n - 4.0 * delta) * xi * n + delta * delta + 0.25
+        xn_3 = 3.0 * xi * n
+        f_n = (xn_3 - delta_4) * xi * n + delta_sq + 0.25
         with np.errstate(divide="ignore", invalid="ignore"):  # F_n -> 0 at the folds
             g = (u * u + 0.25) / f_n
             w = c[:, 0] / (2.0 * math.pi)
-            drift = u - g * (delta - 3.0 * xi * n)  # -d(shift)/d(kappa_int)
+            drift = u - g * (delta - xn_3)  # -d(shift)/d(kappa_int)
             feed = kappa_l * g * n * (alpha_in_sq * 2.0 * math.pi / kappa_l**3)  # per d(kappa_c K)
-            cols = (
-                c[:, 0] * g,
-                c[:, 1] + w * (drift - feed * kerr),
-                c[:, 2] + w * drift if p[2] >= 0.0 else zero,  # zero when clipped
-                zero,  # phi0 does not enter; phi takes its role
-                c[:, 4],
-                c[:, 5],
-                c[:, 6],
-                -w * feed * kappa_c,
-                c[:, 3],
-            )
         for col, j in enumerate(columns):
-            jac_parts[0, i, :, col] = cols[j].real
-            jac_parts[1, i, :, col] = cols[j].imag
-    return s21, jac, three
+            if j == 0:
+                v = c[:, 0] * g
+            elif j == 1:
+                v = c[:, 1] + w * (drift - feed * kerr)
+            elif j == 2:
+                v = c[:, 2] + w * drift if p[2] >= 0.0 else 0.0  # zero when clipped
+            elif j == 3:
+                v = 0.0  # phi0 does not enter; phi takes its role
+            elif j == 7:
+                v = -w * feed * kappa_c
+            else:  # amplitude, alpha and tau enter as in the linear model, phi as phi0
+                v = c[:, 3 if j == 8 else j]
+            jac_parts[0, i, :, col] = np.real(v)
+            jac_parts[1, i, :, col] = np.imag(v)
+    return s21, jac, solve.three
 
 
 def model_s21_kerr(
@@ -333,7 +389,7 @@ def _estimate_k_init(sweep: PowerSweep, res: LinearResonatorParams) -> float:
     denom = float(np.dot(dn, dn))
     k0 = -float(np.dot(dn, dips - dips.mean())) / denom if denom > 0.0 else 0.0
     if not math.isfinite(k0) or k0 == 0.0:
-        return res.kappa_l / (2.0 * math.pi) * 1e-2
+        return res.linewidth_hz * 1e-2
     return k0
 
 
@@ -347,11 +403,16 @@ def fit_kerr(
     ``linear`` seeds the fit and should come from a sub-single-photon slice
     of the same sweep; a resonance outside the sweep's grid is rejected as a
     mismatch. The fit starts from the best of four K values by the unmasked
-    sum of squares, and ``mask_bistable`` drops the points with three roots
-    at that start. Every linear parameter but ``phi0`` (``phi`` takes its
-    role) is fitted with (K, phi) over every slice, with alpha refined at
-    the sweep centre, and ``k_uncertainty`` is marginal: it comes from the
-    joint covariance of all eight free parameters.
+    sum of squares over the :data:`RANK_ROWS` highest-power slices, and
+    ``mask_bistable`` drops the points with three roots at that start.
+    Every linear parameter but ``phi0`` (``phi`` takes its role) is fitted
+    with (K, phi) over every slice, with alpha refined at the sweep centre,
+    and ``k_uncertainty`` is marginal: it comes from the joint covariance of
+    all eight free parameters.
+
+    The photon cubic is solved once per distinct (f_r, kappa_c, kappa_int,
+    K): a Jacobian reuses the solve of the residual at its point, and
+    ``model_s21`` that of the covariance's Jacobian.
     """
     options = options or KerrFitOptions()
     res0 = linear.resonator
@@ -363,20 +424,26 @@ def fit_kerr(
             f"[{freqs[0]}, {freqs[-1]}] Hz; sweep and linear fit do not match"
         )
     watts = [dbm_to_watts(t.drive_power) for t in sweep.traces]
-    data = np.concatenate([t.values for t in sweep.traces])
+    data = [t.values for t in sweep.traces]  # rows, not a copy of the sweep
     span = sweep.traces[0].span
 
     k0 = options.k_init if options.k_init is not None else _estimate_k_init(sweep, res0)
-    k_scale = max(abs(k0), res0.kappa_l / (2.0 * math.pi) * 1e-3)
+    k_scale = max(abs(k0), res0.linewidth_hz * 1e-3)
     p0 = _sweep_vector(res0, env0, k0, res0.phi0)
     scale = np.array(
-        [res0.kappa_l / (2.0 * math.pi), res0.kappa_l, res0.kappa_l, 0.3, env0.amplitude, 0.3]
+        [res0.linewidth_hz, res0.kappa_l, res0.kappa_l, 0.3, env0.amplitude, 0.3]
         + [1.0 / (2.0 * math.pi * span), k_scale, 0.3]
     )
     free = [7, 8, 0, 1, 2, 4, 5, 6]  # (K, phi), then the linear parameters but phi0
     x0 = p0[free]
     x_scale = scale[free]
     keep = None  # grid points the fit uses; all of them unless masked
+    # The solves kept for reuse: the latest residual's, and the one at the
+    # solver's current point, where it took its latest Jacobian. A Jacobian
+    # comes at the point of the residual just before it, and the covariance's
+    # at sol.x: the latest residual's point, or the current one after a
+    # rejected last step.
+    solves: list[_Solve | None] = [None, None]
 
     def full(x):  # the SWEEP_PARAM_NAMES vector at free values x
         p = p0.copy()
@@ -384,10 +451,20 @@ def fit_kerr(
         return p
 
     def evaluate(x, columns=()):
-        return _sweep_model(full(x), freqs, watts, options.branch, columns)
+        p = full(x)
+        key = _cubic_key(p)
+        solve = next((s for s in solves if s is not None and s.key == key), None)
+        if solve is None:
+            solve = solves[0] = _solve_sweep(p, freqs, watts, options.branch)
+        if columns:  # drop any other solve before the Jacobian is built
+            solves[:] = [solve, solve]
+        return _sweep_model(p, freqs, watts, options.branch, columns, solve)
 
     def residual(x):
-        delta_z = evaluate(x)[0].ravel() - data
+        delta_z = evaluate(x)[0]
+        for row, measured in zip(delta_z, data):
+            row -= measured
+        delta_z = delta_z.ravel()
         if keep is not None:
             delta_z = delta_z[keep]
         return np.concatenate([delta_z.real, delta_z.imag])
@@ -398,9 +475,11 @@ def fit_kerr(
 
     # Pick the best of a few starting K values before refining; the SSR
     # landscape is benign but the slope estimate can be off by a factor.
+    # K shows most at the highest powers, so those rows alone rank them.
     def ssr_at(k):
-        r = residual(np.array([k, *x0[1:]]))
-        return float(np.dot(r, r))
+        p = full(np.array([k, *x0[1:]]))
+        r = _sweep_model(p, freqs, watts[-RANK_ROWS:], options.branch)[0] - data[-RANK_ROWS:]
+        return float(np.vdot(r, r).real)
 
     candidates = {float(k0), float(3.0 * k0), float(k0 / 3.0), float(-k0)}
     x0[0] = min(candidates, key=ssr_at)
@@ -441,10 +520,13 @@ def fit_kerr(
         kerr=kerr,
         phi=_wrap_half_pi(phi),
     )
+    # phi does not enter the cubic: the covariance's solve holds at the reported values
+    p = _sweep_vector(params.linear, params.environment, kerr, params.phi)
     return KerrFitResult(
         params=params,
         k_uncertainty=float(sigmas[0]),
         phi_uncertainty=float(sigmas[1]),
         residual_rms=math.sqrt(ssr / (m / 2)),
+        model_s21=_sweep_model(p, freqs, watts, options.branch, solve=solves[1])[0],
     )
 

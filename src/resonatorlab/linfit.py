@@ -409,7 +409,7 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
         f_r=float(f_r), kappa_c=float(kappa_c), kappa_int=float(kappa_int), phi0=float(phi0)
     )
     environment = EnvironmentParams(amplitude=float(amplitude), alpha=float(alpha), tau=float(tau))
-    if span < 5.0 * resonator.kappa_l / (2.0 * math.pi):
+    if span < 5.0 * resonator.linewidth_hz:
         flags.append("trace span below 5 linewidths; parameters may be poorly constrained")
 
     n_photons = None

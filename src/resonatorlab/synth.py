@@ -86,7 +86,7 @@ def frequency_grid(
     ``kappa_L / 2 pi``."""
     center = f_center if f_center is not None else res.f_r
     if span_hz is None:
-        span_hz = span_linewidths * (res.kappa_l / (2.0 * math.pi))
+        span_hz = span_linewidths * res.linewidth_hz
     return np.linspace(center - span_hz / 2.0, center + span_hz / 2.0, points)
 
 

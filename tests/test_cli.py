@@ -11,7 +11,8 @@ from conftest import resonator
 from resonatorlab.cli import COMMANDS, main
 from resonatorlab.errors import ReportSchemaError
 from resonatorlab.io import write_trace_csv
-from resonatorlab.linfit import segment_trace
+from resonatorlab.fieldmodel import MIN_FIELD_POINTS
+from resonatorlab.linfit import MIN_FIT_SAMPLES, segment_trace
 from resonatorlab.reports import validate_report
 
 
@@ -235,6 +236,39 @@ class TestErrors:
         assert doc["error"]["exit_code"] == 2
         assert "must be positive" in doc["error"]["message"]
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "argv, smallest",
+        [
+            (["linear", "--points", "1"], MIN_FIT_SAMPLES),
+            (["linear", "--points", str(MIN_FIT_SAMPLES - 1)], MIN_FIT_SAMPLES),
+            (["kerr", "--points", "0"], MIN_FIT_SAMPLES),
+            (["field", "--b-points", "0"], MIN_FIELD_POINTS),
+            (["field", "--b-points", str(MIN_FIELD_POINTS - 1)], MIN_FIELD_POINTS),
+        ],
+        ids=["linear-1", "linear-below-min", "kerr-0", "field-0", "field-3"],
+    )
+    def test_synth_grid_too_small_to_fit_is_data_error(self, tmp_path, capsys, argv, smallest):
+        out_csv = tmp_path / "x.csv"
+        code, doc = run_cli(capsys, "synth", argv[0], "--out-csv", str(out_csv), *argv[1:])
+        assert code == 2
+        assert doc["error"]["exit_code"] == 2
+        assert f"{argv[1]} must be at least {smallest}" in doc["error"]["message"]
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linear", "--points", str(MIN_FIT_SAMPLES)],
+            ["field", "--b-points", str(MIN_FIELD_POINTS)],
+        ],
+        ids=["linear", "field"],
+    )
+    def test_synth_smallest_grid_is_written(self, tmp_path, capsys, argv):
+        out_csv = tmp_path / "x.csv"
+        code, doc = run_cli(capsys, "synth", argv[0], "--out-csv", str(out_csv), *argv[1:])
+        assert code == 0
+        assert out_csv.read_text().count("\n") == int(argv[2]) + 1
 
     def test_sweep_required_for_fit_kerr(self, tmp_path, capsys):
         csv = synth_linear_csv(tmp_path, capsys)

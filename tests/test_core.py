@@ -129,3 +129,9 @@ def test_dip_frequency_of_a_trace_and_of_each_row():
     assert dip_frequency(f, rows[0]) == 3e9
     assert dip_frequency(f, rows).tolist() == [3e9, 2e9]
     assert dip_frequency(f, list(rows)).tolist() == [3e9, 2e9]
+
+
+def test_linewidth_is_the_loaded_rate_in_hz():
+    res = rl.LinearResonatorParams.from_q(6.117e9, 1500.0, 15800.0)
+    assert res.linewidth_hz == res.kappa_l / (2.0 * math.pi)
+    assert res.linewidth_hz == pytest.approx(res.f_r / res.q_l, rel=1e-15)

@@ -14,7 +14,14 @@ from oracles import (
     reference_photon_cubic_roots,
     scanned_roots,
 )
-from resonatorlab.kerrfit import XI_NEWTON, _select_branch, _sweep_model, _sweep_vector
+from resonatorlab.kerrfit import (
+    RANK_ROWS,
+    XI_NEWTON,
+    _select_branch,
+    _solve_sweep,
+    _sweep_model,
+    _sweep_vector,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -403,6 +410,91 @@ class TestFitKerr:
         kerr, sigma = np.array(kerr), np.array(sigma)
         assert 0.5 <= np.std(kerr, ddof=1) / np.median(sigma) <= 2.0
         assert abs(np.median((kerr - 100e3) / sigma)) <= 1.0
+
+
+class TestSolveReuse:
+    """The photon cubic is solved once per distinct (f_r, kappa_c, kappa_int, K)."""
+
+    @staticmethod
+    def _draw(index):
+        k_true, sweep = next(itertools.islice(kerr_recovery_draws(), index, None))
+        return k_true, sweep, [rl.dbm_to_watts(t.drive_power) for t in sweep.traces]
+
+    @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
+    def test_stored_solve_gives_the_fresh_model_bit_for_bit(self, branch, monkeypatch):
+        k_true, sweep, watts = self._draw(4)
+        lin = rl.fit_linear(sweep.traces[0])
+        p = _sweep_vector(lin.resonator, lin.environment, k_true, lin.resonator.phi0)
+        f = sweep.frequencies
+        solve = _solve_sweep(p, f, watts, branch)
+        # phi0, amplitude, alpha, tau and phi do not enter the cubic
+        moved = p.copy()
+        moved[[3, 4, 5, 6, 8]] += [0.1, 0.05, 0.2, 1e-9, -0.1]
+        other_k, other_f_r = p.copy(), p.copy()
+        other_k[7] *= 1.5
+        other_f_r[0] += 0.1 * linewidth_hz(lin.resonator)
+        cases = (p, moved, other_k, other_f_r)
+        fresh = [_sweep_model(q, f, watts, branch, range(9)) for q in cases]
+        assert fresh[0][2].any()  # the draw is bistable at its true K
+
+        kernel = rl.kerrfit.photon_cubic_roots
+        calls = []
+        monkeypatch.setattr(
+            rl.kerrfit, "photon_cubic_roots", lambda *a: calls.append(1) or kernel(*a)
+        )
+        for q, (s21, jac, three) in zip(cases, fresh):
+            stored = _sweep_model(q, f, watts, branch, range(9), solve=solve)
+            assert np.array_equal(stored[0], s21)
+            assert np.array_equal(stored[1], jac, equal_nan=True)
+            assert np.array_equal(stored[2], three)
+        # the solve served p and moved; other_k and other_f_r were solved afresh
+        assert len(calls) == 2 * len(sweep)
+        assert not np.array_equal(fresh[2][0], fresh[0][0])
+        assert not np.array_equal(fresh[3][0], fresh[0][0])
+
+    @pytest.mark.parametrize(
+        "index, mask, rejected_last",
+        [(0, False, False), (7, False, True), (0, True, False)],
+        ids=["accepted-last-step", "rejected-last-step", "mask-bistable"],
+    )
+    def test_jacobians_add_no_kernel_calls(self, monkeypatch, index, mask, rejected_last):
+        # one kernel call per row for each residual of the solver, and one per
+        # ranked row for each start candidate; no more for the Jacobians, the
+        # covariance at the solution, the mask or model_s21
+        _, sweep, _ = self._draw(index)
+        lin = rl.fit_linear(sweep.traces[0])
+        kernel, solver = rl.kerrfit.photon_cubic_roots, rl.kerrfit.least_squares
+        calls, runs = [], []
+
+        def counted_solver(fun, x0, jac, **kwargs):
+            points = []
+
+            def residual(x):
+                points.append(x.copy())
+                return fun(x)
+
+            sol = solver(residual, x0, jac=jac, **kwargs)
+            runs.append((sol, points[-1]))
+            return sol
+
+        monkeypatch.setattr(
+            rl.kerrfit, "photon_cubic_roots", lambda *a: calls.append(1) or kernel(*a)
+        )
+        monkeypatch.setattr(rl.kerrfit, "least_squares", counted_solver)
+        rl.fit_kerr(sweep, lin, rl.KerrFitOptions(mask_bistable=mask))
+        [(sol, last_point)] = runs
+        # the covariance Jacobian at sol.x follows an accepted or a rejected step
+        assert (not np.array_equal(last_point, sol.x)) == rejected_last
+        assert len(calls) == len(sweep) * sol.nfev + 4 * RANK_ROWS
+
+    @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
+    def test_model_s21_is_the_model_at_the_reported_values(self, branch):
+        _, sweep, _ = self._draw(4)
+        fit = rl.fit_kerr(sweep, rl.fit_linear(sweep.traces[0]), rl.KerrFitOptions(branch=branch))
+        assert fit.model_s21.shape == (len(sweep), sweep.frequencies.size)
+        for row, trace in zip(fit.model_s21, sweep.traces):
+            expected = rl.model_s21_kerr(fit.params, sweep.frequencies, trace.drive_power, branch)
+            assert np.array_equal(row, expected)
 
 
 @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
