@@ -50,6 +50,7 @@ from .linfit import (
     LinearFitResult,
     _centre_alpha,
     _notch,
+    _notch_rows,
     _scaled_pinv,
     _wrap_half_pi,
     photon_number,
@@ -305,8 +306,9 @@ def _sweep_model(
 
     ``p`` holds :data:`SWEEP_PARAM_NAMES`, ``watts`` the feedline power [W] of
     each row. Returns the complex S21 ``(P, F)``; ``dS21/dp[j]`` for each ``j``
-    in ``columns`` as one real ``(2 P F, k)`` array, the real parts of the
-    raveled grid over the imaginary parts as in a stacked residual; and the
+    in ``columns`` as the transpose of one C-ordered ``(k, 2 P F)`` array, the
+    real parts of the raveled grid over the imaginary parts as in a stacked
+    residual, the layout of :func:`linfit._refinement_problem`; and the
     ``(P, F)`` flags of the points where the cubic has three roots. Each power
     row is one sweep for ``"sweep-continuation"``. ``phi0`` does not enter the
     model (``phi`` takes its role), so its column is zero. ``solve`` is used
@@ -320,45 +322,47 @@ def _sweep_model(
     kappa_l, delta, rows = _drives(p, f, watts)
 
     s21 = np.empty(solve.n.shape, dtype=complex)
-    jac = np.empty((2 * s21.size, len(columns)))
-    jac_parts = jac.reshape(2, *s21.shape, len(columns))  # a view: real, imag
+    jac = np.empty((len(columns), 2) + s21.shape)  # one contiguous row per column
     if columns:
         delta_sq, delta_4 = delta * delta, 4.0 * delta  # the same on every row
+        c = np.empty((len(linear), f.size), dtype=complex)  # each row's linear derivatives
     for i, (alpha_in_sq, xi) in enumerate(rows):
         n = solve.n[i]
         # the linear model at the detuning shifted by kappa_L xi n, which is
         # exactly 0 at K = 0
-        s21[i], c = _notch(linear, f, kappa_l * xi * n, jac=bool(columns))
+        terms = _notch(linear, f, kappa_l * xi * n)
+        s21[i] = terms.s
         if not columns:
             continue
 
         # c holds the shift kappa_L (delta - u), u = delta - xi n, fixed, and
         # dS/d(shift) = -w with w = c_0/(2 pi). Implicit differentiation of
         # the cubic gives du = g (d delta - n d xi) with g = (u^2 + 1/4)/F_n.
+        _notch_rows(linear, f, terms, c)
         u = delta - xi * n
         xn_3 = 3.0 * xi * n
         f_n = (xn_3 - delta_4) * xi * n + delta_sq + 0.25
         with np.errstate(divide="ignore", invalid="ignore"):  # F_n -> 0 at the folds
             g = (u * u + 0.25) / f_n
-            w = c[:, 0] / (2.0 * math.pi)
+            w = c[0] / (2.0 * math.pi)
             drift = u - g * (delta - xn_3)  # -d(shift)/d(kappa_int)
             feed = kappa_l * g * n * (alpha_in_sq * 2.0 * math.pi / kappa_l**3)  # per d(kappa_c K)
         for col, j in enumerate(columns):
             if j == 0:
-                v = c[:, 0] * g
+                v = c[0] * g
             elif j == 1:
-                v = c[:, 1] + w * (drift - feed * kerr)
+                v = c[1] + w * (drift - feed * kerr)
             elif j == 2:
-                v = c[:, 2] + w * drift if p[2] >= 0.0 else 0.0  # zero when clipped
+                v = c[2] + w * drift if p[2] >= 0.0 else 0.0  # zero when clipped
             elif j == 3:
                 v = 0.0  # phi0 does not enter; phi takes its role
             elif j == 7:
                 v = -w * feed * kappa_c
             else:  # amplitude, alpha and tau enter as in the linear model, phi as phi0
-                v = c[:, 3 if j == 8 else j]
-            jac_parts[0, i, :, col] = np.real(v)
-            jac_parts[1, i, :, col] = np.imag(v)
-    return s21, jac, solve.three
+                v = c[3 if j == 8 else j]
+            jac[col, 0, i] = np.real(v)
+            jac[col, 1, i] = np.imag(v)
+    return s21, jac.reshape(len(columns), 2 * s21.size).T, solve.three
 
 
 def model_s21_kerr(
@@ -471,7 +475,7 @@ def fit_kerr(
 
     def jacobian(x):
         jac = evaluate(x, free)[1]
-        return jac if keep is None else jac[np.concatenate([keep, keep])]
+        return jac if keep is None else jac.T[:, np.concatenate([keep, keep])].T
 
     # Pick the best of a few starting K values before refining; the SSR
     # landscape is benign but the slope estimate can be off by a factor.

@@ -5,19 +5,21 @@ phase slope of the trace wings, seed the resonance by a global scan of the
 cost profiled over its linear parameters, then refine all seven parameters
 with one Levenberg-Marquardt pass on the complex residuals. The refinement
 and the covariance use a closed-form Jacobian, so neither depends on a
-finite-difference step rule of the optimizer. The model and its Jacobian
-come from one core, ``_notch``, which the Kerr model of ``kerrfit``
-evaluates at a shifted detuning. The photon calibration of a linear fit,
+finite-difference step rule of the optimizer. The model is written once, in
+a forward step, ``_notch``, and a derivative step, ``_notch_rows``, that
+builds the Jacobian from the forward terms; the Kerr model of ``kerrfit``
+evaluates both at a shifted detuning. The photon calibration of a linear fit,
 :func:`photon_number` and its inverse :func:`single_photon_power`, lives
 here too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,21 +51,35 @@ __all__ = [
 #: Order of the free parameters in covariance matrices and uncertainty maps.
 PARAM_NAMES = ("f_r", "kappa_c", "kappa_int", "phi0", "amplitude", "alpha", "tau")
 
-MIN_FIT_SAMPLES = 16
+#: Fewest samples in each wing from which :func:`estimate_delay` takes a slope.
+MIN_WING_SAMPLES = 4
 
 #: Rows of the scaled Jacobian that :func:`_scaled_pinv` factors at a time.
-QR_BLOCK_ROWS = 8192
+QR_BLOCK_ROWS = 1024
 
 
-def _notch(p, f: np.ndarray, shift: float = 0.0, jac: bool = False):
-    """Notch S21 at the :data:`PARAM_NAMES` vector ``p``, with its Jacobian on request.
+class _Terms(NamedTuple):
+    """The forward terms of the notch model at one parameter vector.
+
+    ``S = B (1 - m/d)`` with ``d = 2i delta_r + kappa_L``,
+    ``m = kappa_c e^{i phi0}/cos(phi0)`` and ``B = A e^{i alpha} e^{-2 pi i f tau}``.
+    """
+
+    d: np.ndarray  # 2i delta_r + kappa_L
+    tilt: complex  # e^{i phi0}
+    mismatch: complex  # m
+    resonant: np.ndarray  # (d - m)/d
+    delay: np.ndarray  # e^{-2 pi i f tau}
+    rotation: complex  # e^{i alpha}
+    background: np.ndarray  # B
+    s: np.ndarray  # S
+
+
+def _notch(p, f: np.ndarray, shift: float | np.ndarray = 0.0) -> _Terms:
+    """Forward terms of the notch S21 at the :data:`PARAM_NAMES` vector ``p``.
 
     ``shift`` [rad/s] is subtracted from the detuning ``delta_r = omega_0 -
     omega_d``; the Kerr model is this model at ``shift = kappa_L xi n``.
-    Returns ``(S, cols)``, with ``cols`` the complex ``(F, 7)`` derivatives
-    at fixed ``shift`` when ``jac`` is set and ``None`` otherwise. With
-    ``S = B (1 - m/d)``, ``B = A e^{i alpha} e^{-2 pi i f tau}``,
-    ``m = kappa_c e^{i phi0}/cos(phi0)`` and ``d = 2i delta_r + kappa_L``.
     """
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
     delta_r = 2.0 * math.pi * (f_r - f) - shift
@@ -74,22 +90,27 @@ def _notch(p, f: np.ndarray, shift: float = 0.0, jac: bool = False):
     delay = np.exp(-2j * math.pi * f * tau)
     rotation = np.exp(1j * alpha)
     background = amplitude * rotation * delay
-    s = background * resonant
-    if not jac:
-        return s, None
-    b_m_d2 = background * mismatch / (d * d)
-    cols = np.column_stack(
-        [
-            4j * math.pi * b_m_d2,
-            b_m_d2 - background * (tilt / math.cos(phi0)) / d,
-            b_m_d2,
-            -1j * kappa_c / math.cos(phi0) ** 2 * background / d,
-            rotation * delay * resonant,
-            1j * s,
-            -2j * math.pi * f * s,
-        ]
-    )
-    return s, cols
+    return _Terms(d, tilt, mismatch, resonant, delay, rotation, background, background * resonant)
+
+
+def _notch_rows(p, f: np.ndarray, t: _Terms, rows: np.ndarray) -> np.ndarray:
+    """The complex derivatives of S21 in :data:`PARAM_NAMES` order at fixed
+    shift, from the forward terms ``t`` of :func:`_notch` at ``p``, written
+    into the ``(7, F)`` array ``rows`` and returned."""
+    kappa_c, phi0 = p[1], p[3]
+    q = np.divide(t.background, t.d, out=rows[3])  # B/d
+    b_m_d2 = np.divide(q, t.d, out=rows[2])
+    b_m_d2 *= t.mismatch  # B m/d^2
+    np.multiply(b_m_d2, 4j * math.pi, out=rows[0])
+    np.multiply(q, -t.tilt / math.cos(phi0), out=rows[1])
+    rows[1] += b_m_d2
+    q *= -1j * kappa_c / math.cos(phi0) ** 2
+    np.multiply(t.delay, t.rotation, out=rows[4])
+    rows[4] *= t.resonant
+    np.multiply(t.s, 1j, out=rows[5])
+    np.multiply(f, -2j * math.pi, out=rows[6])
+    rows[6] *= t.s
+    return rows
 
 
 def model_s21_linear(
@@ -102,8 +123,13 @@ def model_s21_linear(
     ``phi0 -> phi0 + pi``, so ``phi0`` is reported in (-pi/2, pi/2).
     """
     p = (res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau)
-    out = _notch(p, np.asarray(f, dtype=float))[0]
+    out = _notch(p, np.asarray(f, dtype=float)).s
     return out if out.ndim else complex(out)
+
+
+def _wing_size(n: int, wing_fraction: float) -> int:
+    """Samples in each wing of an ``n``-sample trace."""
+    return int(round(n * wing_fraction))
 
 
 def estimate_delay(trace: FrequencyTrace, wing_fraction: float = 0.1) -> float:
@@ -115,17 +141,18 @@ def estimate_delay(trace: FrequencyTrace, wing_fraction: float = 0.1) -> float:
     if not 0.0 < wing_fraction <= 0.25:
         raise ValueError(f"wing_fraction must be in (0, 0.25], got {wing_fraction}")
     n = len(trace)
-    n_wing = int(round(n * wing_fraction))
-    if n_wing < 4:
+    n_wing = _wing_size(n, wing_fraction)
+    if n_wing < MIN_WING_SAMPLES:
         raise InsufficientDataError(
-            f"need at least 4 samples per wing, got {n_wing} "
+            f"need at least {MIN_WING_SAMPLES} samples per wing, got {n_wing} "
             f"({n} samples at wing_fraction={wing_fraction})"
         )
     slopes = []
     for sl in (slice(0, n_wing), slice(n - n_wing, n)):
+        # the least-squares slope of the unwrapped phase, from centred sums
+        df = trace.frequencies[sl] - trace.frequencies[sl].mean()
         phase = np.unwrap(np.angle(trace.values[sl]))
-        slope = np.polyfit(trace.frequencies[sl], phase, 1)[0]
-        slopes.append(slope)
+        slopes.append(df @ (phase - phase.mean()) / (df @ df))
     return -float(np.mean(slopes)) / (2.0 * math.pi)
 
 
@@ -188,7 +215,11 @@ def _profiled_seed(freqs: np.ndarray, z: np.ndarray):
     f_r, q_l = float(fb[i]), float(q_levels[k])
     g = 1.0 / (1.0 - 2j * q_l * (freqs / f_r - 1.0))
     design = np.column_stack([np.ones(freqs.size), (freqs - f_mid) / span, g])
-    (a0, a1, b), *_ = np.linalg.lstsq(design, z, rcond=None)
+    adjoint = design.T.conj()
+    try:  # the 3 x 3 normal equations of the background and the dip
+        a0, a1, b = np.linalg.solve(adjoint @ design, adjoint @ z)
+    except np.linalg.LinAlgError:
+        raise DegenerateGeometryError("the trace's background and dip are degenerate") from None
     a = a0 + a1 * (f_r - f_mid) / span
     if not abs(a) > 0.0:
         raise DegenerateGeometryError("the trace has no off-resonant background")
@@ -206,6 +237,15 @@ class FitOptions:
     wing_fraction: float = 0.1
     max_iterations: int = 200
     weights: np.ndarray | None = None  # optional per-point sigma weighting (1/sigma)
+
+
+#: Fewest samples :func:`fit_linear` takes: the shortest trace whose wings
+#: hold :data:`MIN_WING_SAMPLES` each at the default ``wing_fraction``.
+MIN_FIT_SAMPLES = next(
+    n
+    for n in itertools.count(MIN_WING_SAMPLES)
+    if _wing_size(n, FitOptions.wing_fraction) >= MIN_WING_SAMPLES
+)
 
 
 @dataclass(frozen=True)
@@ -294,20 +334,39 @@ def _refinement_problem(freqs: np.ndarray, values: np.ndarray, w: np.ndarray | N
     """Residual and closed-form Jacobian of the 7-parameter refinement.
 
     Both stack the real parts over the imaginary parts and carry the
-    optional per-point weights ``w``.
+    optional per-point weights ``w``. The Jacobian is the transpose of a
+    C-ordered (7, 2F) array, one contiguous row per parameter. The forward
+    terms are computed once per parameter vector: the problem keeps those
+    of the latest residual and those of the solver's current point, where
+    it took its latest Jacobian, and a Jacobian at either point, bit for
+    bit, reuses them. The solver asks for a Jacobian at the point of the
+    residual just before it, and for the covariance at its solution: the
+    latest residual's point, or the current one after a rejected last step.
     """
+    kept: list[tuple[bytes, _Terms] | None] = [None, None]
+    buffer = np.empty((len(PARAM_NAMES), freqs.size), dtype=complex)  # every Jacobian's rows
 
     def residual(p):
-        r = _notch(p, freqs)[0] - values
+        terms = _notch(p, freqs)
+        kept[0] = (p.tobytes(), terms)
+        r = terms.s - values
         if w is not None:
             r = r * w
         return np.concatenate([r.real, r.imag])
 
     def jacobian(p):
-        d = _notch(p, freqs, jac=True)[1]
+        key = p.tobytes()
+        terms = next((t for k, t in filter(None, kept) if k == key), None)
+        if terms is None:
+            terms = _notch(p, freqs)
+        kept[:] = [(key, terms), (key, terms)]
+        rows = _notch_rows(p, freqs, terms, buffer)
         if w is not None:
-            d = d * w[:, None]
-        return np.concatenate([d.real, d.imag])
+            rows *= w
+        jac = np.empty((len(PARAM_NAMES), 2, freqs.size))
+        jac[:, 0] = rows.real
+        jac[:, 1] = rows.imag
+        return jac.reshape(len(PARAM_NAMES), -1).T
 
     return residual, jacobian
 

@@ -270,6 +270,13 @@ class TestErrors:
         assert code == 0
         assert out_csv.read_text().count("\n") == int(argv[2]) + 1
 
+    def test_smallest_linear_grid_fits(self, tmp_path, capsys):
+        # MIN_FIT_SAMPLES leaves estimate_delay enough samples per wing
+        csv = synth_linear_csv(tmp_path, capsys, **{"--points": MIN_FIT_SAMPLES})
+        code, doc = run_cli(capsys, "fit-linear", str(csv))
+        assert code == 0
+        validate_report(doc)
+
     def test_sweep_required_for_fit_kerr(self, tmp_path, capsys):
         csv = synth_linear_csv(tmp_path, capsys)
         code, doc = run_cli(capsys, "fit-kerr", str(csv))

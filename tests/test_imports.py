@@ -93,6 +93,47 @@ def test_kerrfit_takes_no_factorization_of_its_own():
     assert offenders == []
 
 
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _notch_forward_term(node) -> str | None:
+    """The notch model's forward term that ``node`` writes out, if any: the
+    delay phasor ``exp(-2 pi i f tau)`` or the mismatch ``kappa_c .../cos(phi0)``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp":
+        imaginary = any(
+            isinstance(n, ast.Constant) and isinstance(n.value, complex) for n in ast.walk(node)
+        )
+        return "delay phasor" if imaginary and "tau" in _names(node) else None
+    if (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.right, ast.Call)
+        and getattr(node.right.func, "attr", None) == "cos"
+        and "kappa_c" in _names(node.left)
+    ):
+        return "mismatch"
+    return None
+
+
+def test_notch_model_is_written_once():
+    # the forward terms live in linfit._notch alone; the Jacobian and the Kerr
+    # model take them from there instead of a copy of the model
+    found = set()
+
+    def visit(node, module, function):
+        term = _notch_forward_term(node)
+        if term is not None:
+            found.add((module, function, term))
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            visit(child, module, inner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == {("linfit", "_notch", "delay phasor"), ("linfit", "_notch", "mismatch")}
+
+
 def test_cli_holds_no_physics_formulas():
     # square roots, dips and 2 pi factors live in the modules that own the
     # physics; cli.py only parses options and formats output

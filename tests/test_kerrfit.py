@@ -454,7 +454,7 @@ class TestSolveReuse:
 
     @pytest.mark.parametrize(
         "index, mask, rejected_last",
-        [(0, False, False), (7, False, True), (0, True, False)],
+        [(1, False, False), (7, False, True), (1, True, False)],
         ids=["accepted-last-step", "rejected-last-step", "mask-bistable"],
     )
     def test_jacobians_add_no_kernel_calls(self, monkeypatch, index, mask, rejected_last):

@@ -193,6 +193,18 @@ class TestFitLinear:
         with pytest.raises(rl.DegenerateGeometryError):
             rl.fit_linear(trace)
 
+    def test_singular_seed_solve_is_degenerate_geometry(self, sample_resonator, monkeypatch):
+        grid = grid_around(sample_resonator, points=401)
+        values = rl.model_s21_linear(sample_resonator, rl.EnvironmentParams(), grid)
+        trace = rl.FrequencyTrace(frequencies=grid, values=values)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(rl.DegenerateGeometryError):
+            rl.fit_linear(trace)
+
     def test_narrow_span_warns_and_flags(self, sample_resonator):
         res = sample_resonator
         grid = grid_around(res, span_linewidths=3.0, points=801)
@@ -263,6 +275,64 @@ def test_refinement_jacobian_matches_central_differences(
         assert err < 1e-5, name
 
 
+def test_refinement_residual_is_the_model_minus_the_data(sample_resonator, environment):
+    res, env = sample_resonator, environment
+    grid = grid_around(res, points=501)
+    trace = rl.generate_linear_trace(res, env, grid, -140.0, rl.NoiseSpec(snr_db=40, seed=1))
+    p = np.array([res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau])
+    residual, jacobian = _refinement_problem(grid, trace.values, None)
+    r = rl.model_s21_linear(res, env, grid) - trace.values
+    assert np.array_equal(residual(p), np.concatenate([r.real, r.imag]))
+    # the Jacobian built from the residual's forward terms is the fresh one,
+    # one contiguous row of 2F values per parameter
+    fresh = _refinement_problem(grid, trace.values, None)[1]
+    jac = jacobian(p)
+    assert jac.shape == (2 * grid.size, 7) and jac.T.flags.c_contiguous
+    assert np.array_equal(jac, fresh(p))
+    # after a residual at a rejected trial point q, the Jacobian at the
+    # current point p still uses p's terms, and one at q its own
+    q = p.copy()
+    q[0] += linewidth_hz(res)
+    residual(q)
+    assert np.array_equal(jacobian(p), fresh(p))
+    assert np.array_equal(jacobian(q), fresh(q))
+
+
+@pytest.mark.parametrize(
+    "seed, rejected_last", [(2, False), (4, True)], ids=["accepted-last-step", "rejected-last-step"]
+)
+def test_one_forward_pass_per_parameter_vector(
+    sample_resonator, environment, monkeypatch, seed, rejected_last
+):
+    # the forward step runs once for each point the solver evaluates; the
+    # Jacobians and the covariance at the solution reuse those terms
+    grid = grid_around(sample_resonator, points=501)
+    noise = rl.NoiseSpec(snr_db=40, seed=seed)
+    trace = rl.generate_linear_trace(sample_resonator, environment, grid, -140.0, noise)
+    forward, solver = rl.linfit._notch, rl.linfit.least_squares
+    calls, runs = [], []
+
+    def counted_solver(fun, x0, jac, **kwargs):
+        points = []
+
+        def residual(x):
+            points.append(x.copy())
+            return fun(x)
+
+        sol = solver(residual, x0, jac=jac, **kwargs)
+        runs.append((sol, points))
+        return sol
+
+    monkeypatch.setattr(rl.linfit, "_notch", lambda p, *a: calls.append(p.copy()) or forward(p, *a))
+    monkeypatch.setattr(rl.linfit, "least_squares", counted_solver)
+    rl.fit_linear(trace)
+    [(sol, points)] = runs
+    # the covariance Jacobian at sol.x follows an accepted or a rejected step
+    assert (not np.array_equal(points[-1], sol.x)) == rejected_last
+    assert sol.njev > 1
+    assert len(calls) == len({p.tobytes() for p in calls}) == len(points) == sol.nfev
+
+
 def test_high_q_covariance_matches_svd_reference(environment):
     # at Q_c = Q_i = 1e5 the alpha and tau columns are nearly parallel, since
     # alpha is the background phase at 0 Hz; inverting J^T J there loses the
@@ -296,7 +366,7 @@ def test_high_q_covariance_matches_svd_reference(environment):
     assert sigmas[6] == pytest.approx(np.std(taus, ddof=1), rel=0.25)
 
 
-@pytest.mark.parametrize("rows", [4002, 3 * QR_BLOCK_ROWS + 17])
+@pytest.mark.parametrize("rows", [QR_BLOCK_ROWS // 2, 4002, 3 * QR_BLOCK_ROWS + 17])
 def test_scaled_pinv_over_row_blocks_matches_svd_reference(rows):
     # a Jacobian taller than one block is factored block by block; one block
     # gives the R of a single QR bit for bit
