@@ -39,29 +39,28 @@ _POLAR = ("mag_db", "phase_rad")
 def _read_rows(path: str | Path) -> tuple[list[str], np.ndarray | list[list[str]]]:
     """The stripped lower-case header and the non-blank data rows.
 
-    The rows come as one float array from numpy's C reader. Where it refuses
-    the file, they come as ``csv`` cells instead, for :func:`_column` to parse
-    or report row by row: the reader knows neither quoting, blank cells nor
+    The file is read once, as lines. The rows come as one float array from
+    numpy's C reader on those lines. Where it refuses them, they come as
+    ``csv`` cells of the same lines instead, for :func:`_column` to parse or
+    report row by row: the reader knows neither quoting, blank cells nor
     whitespace-only lines, and it names no column in its errors.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty, expected a header row") from None
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            rows = None
-        # rows of equal length other than the header's are the row loop's error
-        if rows is None or (rows.size and rows.shape[1] != len(header)):
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty, expected a header row") from None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(lines[reader.line_num :], delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        rows = None
+    # rows of equal length other than the header's are the row loop's error
+    if rows is None or (rows.size and rows.shape[1] != len(header)):
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     header = [h.strip().lower() for h in header]
     if not len(rows):
         raise DataError(f"{path}: no data rows")

@@ -3,7 +3,10 @@
 The fit has three stages: estimate and remove the cable delay from the
 phase slope of the trace wings, seed the resonance by a global scan of the
 cost profiled over its linear parameters, then refine all seven parameters
-with one Levenberg-Marquardt pass on the complex residuals. The refinement
+with one Levenberg-Marquardt pass on the complex residuals. The scan runs
+on count-weighted means over bins of equal width, where each dip is a
+kernel in the lag between bins, so one FFT correlation per linewidth
+level gives the cost at every candidate resonance. The refinement
 and the covariance use a closed-form Jacobian, so neither depends on a
 finite-difference step rule of the optimizer. The model is written once, in
 a forward step, ``_notch``, and a derivative step, ``_notch_rows``, that
@@ -166,8 +169,57 @@ def _wrap_half_pi(phi: float) -> float:
     return float(-((-phi + math.pi / 2) % math.pi) + math.pi / 2)
 
 
+#: Most bins, and the number of Q_L levels, of the seed scan.
 SEED_BLOCKS = 128
 SEED_Q_LEVELS = 12
+
+
+def _seed_bins(freqs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point counts and mean values of ``z`` in ``min(F, SEED_BLOCKS)`` bins
+    of equal width across the trace; an empty bin has mean 0."""
+    n = min(freqs.size, SEED_BLOCKS)
+    edges = freqs[0] + (freqs[-1] - freqs[0]) / n * np.arange(n)
+    starts = np.searchsorted(freqs, edges)
+    counts = np.diff(starts, append=freqs.size)
+    sums = np.add.reduceat(z, starts)  # an empty bin's entry is z[start], not 0
+    return counts, np.divide(sums, counts, out=np.zeros(n, dtype=complex), where=counts > 0)
+
+
+def _seed_drops(counts: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cost drops of the seed scan on ``n`` bins, and its linewidth levels.
+
+    The levels are the span in linewidths, log-spaced from 1 to ``n/2``.
+    Entry ``[k, c]`` is ``|<g, r>|^2 / (sum w |g|^2 - |<g, b>|^2)``: how far
+    the count-weighted cost of the bin means falls when the dip centred on
+    bin ``c`` at level ``s_k``, ``g(m) = 1/(1 - 2i s_k m/n)`` in bin
+    ``c + m``, joins the background ``b``, orthonormal under the weights
+    ``w``; ``r`` is the residual after the background.
+    """
+    n = counts.size
+    u = np.sqrt(counts)
+    t = (np.arange(n) + 0.5) / n - 0.5  # the bin centres, in spans from the trace centre
+    b0 = u / math.sqrt(counts.sum())
+    b1 = u * t
+    b1 -= (b0 @ b1) * b0
+    b1 /= math.sqrt(b1 @ b1)
+    r = u * means
+    r -= (b0 @ r) * b0 + (b1 @ r) * b1
+    levels = (0.5 * n) ** (np.arange(SEED_Q_LEVELS) / (SEED_Q_LEVELS - 1))
+    # Each inner product is a correlation sum_m g(m) x[c + m] of a column x
+    # over the bins, taken as a product of spectra over 2n points so that no
+    # lag wraps around. g(-m) = conj g(m), so the kernel's spectrum is real
+    # and comes from the lags 0 .. n alone; irfft's 1/(2n) stands in for
+    # ifft's.
+    y = (2.0 / n) * levels[:, None] * np.arange(n + 1)
+    kernel = np.fft.irfft(1.0 / (1.0 - 1j * y), 2 * n)
+    columns = np.fft.fft([np.conj(u * r), u * b0, u * b1, counts], 2 * n)
+    overlap, along_b0, along_b1, weight = (
+        np.fft.ifft(kernel * col, norm="forward")[:, :n] for col in columns
+    )
+    norm = weight.real - np.abs(along_b0) ** 2 - np.abs(along_b1) ** 2
+    drops = np.zeros((SEED_Q_LEVELS, n))
+    np.divide(np.abs(overlap) ** 2, norm, out=drops, where=norm > 0.0)
+    return levels, drops
 
 
 def _profiled_seed(freqs: np.ndarray, z: np.ndarray):
@@ -176,48 +228,41 @@ def _profiled_seed(freqs: np.ndarray, z: np.ndarray):
     At fixed ``(f_r, Q_L)`` the delay-corrected model ``a (1 - c g)`` with
     ``g = 1/(1 - 2i Q_L x)`` and ``x = f/f_r - 1`` is linear in ``(a, a c)``,
     so its cost is profiled in closed form (Golub & Pereyra, SIAM J. Numer.
-    Anal. 10, 413 (1973)). The scan runs on at most ``SEED_BLOCKS`` block
-    means: ``f_r`` over the block frequencies, ``Q_L`` over log-spaced
-    linewidths from the whole span down to two blocks. A background slope
-    ``{1, f - f_mid}`` is projected out, so a residual delay that twists the
-    background does not pass for a span-wide dip. Returns
+    Anal. 10, 413 (1973)). The scan runs on the means of at most
+    ``SEED_BLOCKS`` bins of equal width, each weighted by its point count,
+    so an empty bin drops out: ``f_r`` over the bin centres, ``Q_L`` over
+    log-spaced linewidths from the whole span down to two bins. A background
+    slope ``{1, f - f_mid}`` is projected out, so a residual delay that
+    twists the background does not pass for a span-wide dip. In the scan
+    ``x`` is ``(f - f_r)/f_mid``, so ``g`` depends only on the lag between
+    two bins, and every inner product the cost needs is a correlation of
+    one kernel per ``Q_L`` level with a column over the bins: one FFT pass
+    covers all levels and centres (:func:`_seed_drops`). The background and
+    dip of the best cell are then solved on the full trace. Returns
     ``(f_r, kappa_c, kappa_l, phi0, a)`` with ``a`` the complex background
     at ``f_r``.
     """
-    n_blocks = min(freqs.size, SEED_BLOCKS)
-    starts = np.linspace(0, freqs.size, n_blocks, endpoint=False).astype(int)
-    counts = np.diff(np.append(starts, freqs.size))
-    fb = np.add.reduceat(freqs, starts) / counts
-    zb = np.add.reduceat(z, starts) / counts
-
     f_mid = 0.5 * (freqs[0] + freqs[-1])
     span = freqs[-1] - freqs[0]
-    basis, _ = np.linalg.qr(np.column_stack([np.ones(n_blocks), (fb - f_mid) / span]))
-    r = zb - basis @ (basis.T @ zb)
-    cols = np.column_stack([r.real, r.imag, basis])
-
-    # Cost drop |<g, r>|^2 / |P g|^2 of adding g to the background, where P
-    # projects out the background; |g|^2 = Re g, so each Q_L level costs two
-    # real matrix products over all candidate f_r at once.
-    q_levels = np.geomspace(f_mid / span, f_mid * n_blocks / (2.0 * span), SEED_Q_LEVELS)
-    drops = np.zeros((q_levels.size, n_blocks))
-    x = fb[None, :] / fb[:, None] - 1.0
-    for k, q_l in enumerate(q_levels):
-        y = 2.0 * q_l * x
-        d = 1.0 / (1.0 + y * y)
-        re_g = d @ cols  # <Re g, .> per candidate f_r
-        im_g = (y * d) @ cols  # <Im g, .>
-        overlap = (re_g[:, 0] + im_g[:, 1]) ** 2 + (re_g[:, 1] - im_g[:, 0]) ** 2
-        norm = d.sum(axis=1) - (re_g[:, 2:] ** 2 + im_g[:, 2:] ** 2).sum(axis=1)
-        np.divide(overlap, norm, out=drops[k], where=norm > 0.0)
-
+    counts, means = _seed_bins(freqs, z)
+    levels, drops = _seed_drops(counts, means)
     k, i = np.unravel_index(np.argmax(drops), drops.shape)
-    f_r, q_l = float(fb[i]), float(q_levels[k])
+    f_r = float(freqs[0] + (i + 0.5) * span / counts.size)
+    q_l = float(levels[k] * f_mid / span)
+
+    # the 3 x 3 normal equations of the background {1, t} and the dip g
     g = 1.0 / (1.0 - 2j * q_l * (freqs / f_r - 1.0))
-    design = np.column_stack([np.ones(freqs.size), (freqs - f_mid) / span, g])
-    adjoint = design.T.conj()
-    try:  # the 3 x 3 normal equations of the background and the dip
-        a0, a1, b = np.linalg.solve(adjoint @ design, adjoint @ z)
+    t = (freqs - f_mid) / span
+    sum_t, sum_g, t_g = t.sum(), g.sum(), t @ g
+    gram = np.array(
+        [
+            [freqs.size, sum_t, sum_g],
+            [sum_t, t @ t, t_g],
+            [sum_g.conjugate(), t_g.conjugate(), g.real.sum()],  # |g|^2 = Re g
+        ]
+    )
+    try:
+        a0, a1, b = np.linalg.solve(gram, np.array([z.sum(), t @ z, np.vdot(g, z)]))
     except np.linalg.LinAlgError:
         raise DegenerateGeometryError("the trace's background and dip are degenerate") from None
     a = a0 + a1 * (f_r - f_mid) / span

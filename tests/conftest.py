@@ -99,3 +99,30 @@ def shallow_dip_trace():
     grid = grid_around(res, span_linewidths=24.970360938787856, points=2001)
     noise = rl.NoiseSpec(snr_db=36.620350885311694, seed=471762342957385027)
     return res, rl.generate_linear_trace(res, env, grid, -140.0, noise)
+
+
+def gapped_trace():
+    """``(resonator, trace)`` on a 2001-point grid over 15 linewidths with no
+    points from 1.5 to 4 linewidths above resonance, about a sixth of the
+    span, so a run of the seed scan's equal-width bins is empty."""
+    res = resonator(phi0=0.2)
+    env = rl.EnvironmentParams(amplitude=0.87, alpha=0.4, tau=40e-9)
+    grid = grid_around(res, points=2001)
+    detuning = (grid - res.f_r) / linewidth_hz(res)
+    grid = grid[(detuning < 1.5) | (detuning > 4.0)]
+    noise = rl.NoiseSpec(snr_db=40, seed=5)
+    return res, rl.generate_linear_trace(res, env, grid, -140.0, noise)
+
+
+def log_spaced_trace():
+    """``(resonator, trace)`` with 801 points log-spaced in detuning from
+    0.001 to 10 linewidths on either side of a centre 0.3 linewidths above
+    resonance: dense at the dip, and sparser in the outer wings than the
+    seed scan's bins, so some of those bins are empty."""
+    res = resonator(q_c=4000.0, q_i=30000.0, phi0=-0.15)
+    env = rl.EnvironmentParams(amplitude=1.1, alpha=-2.0, tau=-25e-9)
+    side = np.geomspace(0.001, 10.0, 400) * linewidth_hz(res)
+    centre = res.f_r + 0.3 * linewidth_hz(res)
+    grid = np.concatenate([centre - side[::-1], [centre], centre + side])
+    noise = rl.NoiseSpec(snr_db=40, seed=6)
+    return res, rl.generate_linear_trace(res, env, grid, -140.0, noise)

@@ -7,7 +7,9 @@ every real root is inside the scanned interval by construction. The
 central-difference Jacobian is the reference for the closed-form Jacobians
 of the linear, Kerr and field models. :func:`reference_photon_cubic_roots`
 is the earlier photon-cubic kernel, kept verbatim as the bit-for-bit
-reference of the current one.
+reference of the current one. :func:`dense_seed_drops` is the dense
+per-level loop that the FFT correlation of the linear fit's seed scan
+replaced, kept as its reference on the same binned problem.
 """
 
 from __future__ import annotations
@@ -216,3 +218,28 @@ def _reference_polish(n, delta, xi):
         step[bad] = 0.0
         n = n - step
     return n
+
+
+def dense_seed_drops(counts, means, levels):
+    """The seed scan's cost drops, level by level, from the full matrix of
+    Lorentzians between every candidate centre bin ``c`` and every bin
+    ``c + m``, ``g(m) = 1/(1 - 2i s m/n)`` at ``s`` spans per linewidth, on
+    the bin means weighted by their point counts."""
+    n = counts.size
+    u = np.sqrt(counts)
+    t = (np.arange(n) + 0.5) / n - 0.5
+    basis, _ = np.linalg.qr(u[:, None] * np.column_stack([np.ones(n), t]))
+    zb = u * means
+    r = zb - basis @ (basis.T @ zb)
+    cols = u[:, None] * np.column_stack([r.real, r.imag, basis])
+    drops = np.zeros((levels.size, n))
+    x = t[None, :] - t[:, None]
+    for k, level in enumerate(levels):
+        y = 2.0 * level * x
+        d = 1.0 / (1.0 + y * y)
+        re_g = d @ cols  # <Re g, .> per candidate centre
+        im_g = (y * d) @ cols  # <Im g, .>
+        overlap = (re_g[:, 0] + im_g[:, 1]) ** 2 + (re_g[:, 1] - im_g[:, 0]) ** 2
+        norm = d @ counts - (re_g[:, 2:] ** 2 + im_g[:, 2:] ** 2).sum(axis=1)
+        np.divide(overlap, norm, out=drops[k], where=norm > 0.0)
+    return drops

@@ -7,12 +7,15 @@ import pytest
 import resonatorlab as rl
 import conftest
 from conftest import grid_around, linewidth_hz, resonator
-from oracles import central_jacobian
+from oracles import central_jacobian, dense_seed_drops
 from resonatorlab.linfit import (
     PARAM_NAMES,
     QR_BLOCK_ROWS,
+    _profiled_seed,
     _refinement_problem,
     _scaled_pinv,
+    _seed_bins,
+    _seed_drops,
     linear_payload,
     q_sigma,
 )
@@ -299,16 +302,24 @@ def test_refinement_residual_is_the_model_minus_the_data(sample_resonator, envir
 
 
 @pytest.mark.parametrize(
-    "seed, rejected_last", [(2, False), (4, True)], ids=["accepted-last-step", "rejected-last-step"]
+    "seeds, rejected_last",
+    [((2,), False), (range(32), True)],
+    ids=["accepted-last-step", "rejected-last-step"],
 )
 def test_one_forward_pass_per_parameter_vector(
-    sample_resonator, environment, monkeypatch, seed, rejected_last
+    sample_resonator, environment, monkeypatch, seeds, rejected_last
 ):
     # the forward step runs once for each point the solver evaluates; the
-    # Jacobians and the covariance at the solution reuse those terms
+    # Jacobians and the covariance at the solution reuse those terms. The
+    # trace is the first noise seed in ``seeds`` whose fit ends on the wanted
+    # kind of step, since which seeds do depends on the start values.
     grid = grid_around(sample_resonator, points=501)
-    noise = rl.NoiseSpec(snr_db=40, seed=seed)
-    trace = rl.generate_linear_trace(sample_resonator, environment, grid, -140.0, noise)
+    traces = [
+        rl.generate_linear_trace(
+            sample_resonator, environment, grid, -140.0, rl.NoiseSpec(snr_db=40, seed=seed)
+        )
+        for seed in seeds
+    ]
     forward, solver = rl.linfit._notch, rl.linfit.least_squares
     calls, runs = [], []
 
@@ -325,10 +336,15 @@ def test_one_forward_pass_per_parameter_vector(
 
     monkeypatch.setattr(rl.linfit, "_notch", lambda p, *a: calls.append(p.copy()) or forward(p, *a))
     monkeypatch.setattr(rl.linfit, "least_squares", counted_solver)
-    rl.fit_linear(trace)
-    [(sol, points)] = runs
+    for trace in traces:
+        calls.clear()
+        runs.clear()
+        rl.fit_linear(trace)
+        [(sol, points)] = runs
+        if (not np.array_equal(points[-1], sol.x)) == rejected_last:
+            break
     # the covariance Jacobian at sol.x follows an accepted or a rejected step
-    assert (not np.array_equal(points[-1], sol.x)) == rejected_last
+    assert (not np.array_equal(points[-1], sol.x)) == rejected_last, f"no such seed in {seeds}"
     assert sol.njev > 1
     assert len(calls) == len({p.tobytes() for p in calls}) == len(points) == sol.nfev
 
@@ -398,6 +414,66 @@ def test_buried_dips_recover_within_five_sigma(make_trace):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit = rl.fit_linear(trace)
+    for name, pull in _pulls(fit, res).items():
+        assert abs(pull) <= 5.0, name
+
+
+def _seed_input(trace):
+    """The delay-corrected trace that fit_linear hands to the seed scan."""
+    tau0 = rl.estimate_delay(trace)
+    return trace.frequencies, trace.values * np.exp(2j * np.pi * trace.frequencies * tau0)
+
+
+def _criterion_3_traces(count):
+    """``count`` traces drawn over the criterion-3 ranges, on 501, 2001 and
+    6001 points in turn."""
+    rng = np.random.default_rng(20261019)
+    for i in range(count):
+        f_r = rng.uniform(4e9, 8e9)
+        res = rl.LinearResonatorParams(
+            f_r=f_r,
+            kappa_c=TWO_PI * f_r / 10 ** rng.uniform(np.log10(500), np.log10(2e5)),
+            kappa_int=TWO_PI * f_r / 10 ** rng.uniform(3, 6),
+            phi0=rng.uniform(-0.4, 0.4),
+        )
+        env = rl.EnvironmentParams(
+            amplitude=rng.uniform(0.5, 1.5),
+            alpha=rng.uniform(-np.pi, np.pi),
+            tau=rng.uniform(-80e-9, 80e-9),
+        )
+        points = (501, 2001, 6001)[i % 3]
+        grid = grid_around(res, span_linewidths=rng.uniform(10, 25), points=points)
+        noise = rl.NoiseSpec(snr_db=rng.uniform(35, 50), seed=2000 + i)
+        yield rl.generate_linear_trace(res, env, grid, -140.0, noise)
+
+
+@pytest.mark.parametrize(
+    "traces",
+    [
+        lambda: _criterion_3_traces(9),
+        lambda: [conftest.gapped_trace()[1], conftest.log_spaced_trace()[1]],
+    ],
+    ids=["criterion-3", "empty-bins"],
+)
+def test_fft_seed_drops_match_dense_oracle(traces):
+    for trace in traces():
+        counts, means = _seed_bins(*_seed_input(trace))
+        levels, drops = _seed_drops(counts, means)
+        dense = dense_seed_drops(counts, means, levels)
+        assert np.abs(drops - dense).max() <= 1e-9 * dense.max()
+        assert np.argmax(drops) == np.argmax(dense)
+
+
+@pytest.mark.parametrize("make_trace", ["gapped_trace", "log_spaced_trace"])
+def test_non_uniform_grids_seed_and_fit(make_trace):
+    # both grids leave some of the seed scan's equal-width bins empty
+    res, trace = getattr(conftest, make_trace)()
+    freqs, z = _seed_input(trace)
+    counts, _ = _seed_bins(freqs, z)
+    assert np.any(counts == 0)
+    f_r0 = _profiled_seed(freqs, z)[0]
+    assert abs(f_r0 - res.f_r) <= trace.span / counts.size
+    fit = rl.fit_linear(trace)
     for name, pull in _pulls(fit, res).items():
         assert abs(pull) <= 5.0, name
 
