@@ -12,6 +12,10 @@ test, the radius update and the stopping rules are those of scipy's
 attributes of its result that the package reads. The normal matrix squares
 the conditioning of ``J_s``: callers parametrize their fits so that ``J_s``
 stays well conditioned.
+
+Each fitter calls :func:`least_squares` itself. :func:`settle` and
+:func:`fit_errors` do what follows every solve, and :func:`_centre_alpha`
+re-centres the background phase of the notch fits before theirs.
 """
 
 from __future__ import annotations
@@ -20,9 +24,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["LeastSquaresResult", "least_squares"]
+from .errors import ConvergenceError
+
+__all__ = ["LeastSquaresResult", "least_squares", "settle", "fit_errors"]
 
 EPS = np.finfo(float).eps
+
+#: Rows of the scaled Jacobian that :func:`_scaled_pinv` factors at a time.
+QR_BLOCK_ROWS = 1024
 
 
 class LeastSquaresResult(NamedTuple):
@@ -164,3 +173,80 @@ def least_squares(
                 njev += 1
                 g = jmat.T @ f
     return LeastSquaresResult(x, cost, f, nfev, njev, 0 if status is None else status)
+
+
+def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None = None) -> np.ndarray:
+    """``(J^T J)^{-1}`` computed via the scaled Jacobian ``J_s = J diag(x_scale)``.
+
+    Scaling first keeps the problem well conditioned when parameter
+    magnitudes span many decades. The directions come from the SVD of the
+    R factor of a QR of ``J_s``, which, unlike ``J_s^T J_s``, does not
+    square the condition number. R is the QR of the stacked R factors of
+    row blocks of at most :data:`QR_BLOCK_ROWS` rows, so a tall ``J_s`` is
+    never scaled and copied whole; the QR of a single block's R returns it
+    unchanged. ``back`` maps the fitted parameters onto the reported ones,
+    ``x = back @ x_fit``, and the result is their covariance. A direction
+    whose singular value is below ``eps max(J.shape)`` of the largest is one
+    the data do not constrain: a reported parameter that moves along it gets
+    infinite variance and NaN covariances.
+    """
+    rows = range(0, jac.shape[0], QR_BLOCK_ROWS)
+    r = np.vstack([np.linalg.qr(jac[i : i + QR_BLOCK_ROWS] * x_scale, mode="r") for i in rows])
+    _, s, vt = np.linalg.svd(np.linalg.qr(r, mode="r"))
+    w, v = s**2, vt.T
+    kept = w > (EPS * max(jac.shape)) ** 2 * w.max()
+    load = x_scale[:, None] * v  # parameter change per unit of each direction
+    if back is not None:
+        load = back @ load
+    cov = (load[:, kept] / w[kept]) @ load[:, kept].T
+    # loadings below sqrt(eps) of the parameter's scale are rounding noise
+    loose = np.any(np.abs(load[:, ~kept]) > np.sqrt(EPS) * x_scale[:, None], axis=1)
+    cov[loose, :] = np.nan
+    cov[:, loose] = np.nan
+    idx = np.flatnonzero(loose)
+    cov[idx, idx] = np.inf
+    return cov
+
+
+def _centre_alpha(residual, jacobian, x0: np.ndarray, turn: float, a: int = 5, t: int = 6):
+    """The fit with ``alpha_c = alpha - turn tau`` free in place of ``alpha``.
+
+    ``alpha`` (position ``a`` of the parameter vector) is the background
+    phase at 0 Hz, so at high Q its Jacobian column nearly parallels that of
+    ``tau`` (position ``t``). With ``turn = 2 pi f_mid``, ``alpha_c`` is the
+    phase at the trace centre, and the scaled Jacobian stays well
+    conditioned. Returns the centred residual, Jacobian and start, and
+    ``back``, the matrix with ``x = back @ x_c``.
+    """
+    back = np.eye(x0.size)
+    back[a, t] = turn
+
+    def residual_c(xc):
+        return residual(back @ xc)
+
+    def jacobian_c(xc):
+        jac = jacobian(back @ xc)
+        jac[:, t] += turn * jac[:, a]
+        return jac
+
+    x0_c = x0.copy()
+    x0_c[a] -= turn * x0[t]
+    return residual_c, jacobian_c, x0_c, back
+
+
+def settle(sol: LeastSquaresResult, names, message: str, back: np.ndarray) -> np.ndarray:
+    """The reported parameters ``back @ sol.x`` of a solve; raises
+    :class:`ConvergenceError` with them, keyed by ``names``, if the budget ran out."""
+    x = back @ sol.x
+    if sol.status == 0:
+        raise ConvergenceError(message, last_params=dict(zip(names, x)))
+    return x
+
+
+def fit_errors(sol: LeastSquaresResult, jac: np.ndarray, x_scale: np.ndarray, back=None):
+    """Covariance, 1-sigma and ``(J^T J)^{-1}`` of a solve from ``jac`` at
+    ``sol.x``: :func:`_scaled_pinv` times ``ssr/dof``, ``dof = max(m - n, 1)``."""
+    unscaled = _scaled_pinv(jac, x_scale, back)
+    dof = max(sol.fun.size - sol.x.size, 1)
+    covariance = (2.0 * sol.cost / dof) * unscaled
+    return covariance, np.sqrt(np.clip(np.diag(covariance), 0.0, None)), unscaled

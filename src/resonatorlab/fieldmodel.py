@@ -21,11 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._lsq import least_squares
+from ._lsq import fit_errors, least_squares
 from .constants import FLUX_QUANTUM
 from .core import FieldSweepPoint
 from .errors import ConvergenceError, DomainError, InsufficientDataError
-from .linfit import _scaled_pinv
 
 __all__ = [
     "FilmSpec",
@@ -206,14 +205,16 @@ def fit_field_sweep(
 ) -> FieldFitResult:
     """Fit (f0, b_crit, b_phi0) to fitted-resonance-vs-field data.
 
-    Residuals are weighted by the per-point resonance uncertainties. The
-    iterates are kept inside the model domain by fitting each field scale
-    as ``b = edge (1 + e^u)``, with ``edge`` just above the largest measured
-    field; an optimum at ``f0 <= 0`` raises :class:`ConvergenceError`. The
-    full correlation matrix is part of the result because b_crit and b_phi0
-    are strongly anti-correlated when the data stop well below both scales.
-    A scale the data leave unconstrained gets an infinite uncertainty and
-    NaN correlations.
+    Residuals are weighted by the per-point resonance uncertainties. A
+    sweep of fewer than :data:`MIN_FIELD_POINTS` points, or with no field
+    above 0 T, raises :class:`InsufficientDataError`. The iterates are kept
+    inside the model domain by fitting each field scale as ``b = edge (1 +
+    e^u)``, with ``edge`` just above the largest measured field; an optimum
+    at ``f0 <= 0`` raises :class:`ConvergenceError`. The full correlation
+    matrix is part of the result because b_crit and b_phi0 are strongly
+    anti-correlated when the data stop well below both scales. A scale the
+    data leave unconstrained gets an infinite uncertainty and NaN
+    correlations.
     """
     points = list(points)
     if len(points) < MIN_FIELD_POINTS:
@@ -224,10 +225,12 @@ def fit_field_sweep(
     freqs = np.array([p.resonance for p in points])
     sigmas = np.array([p.sigma for p in points])
     b_max = float(fields.max())
+    if not b_max > 0.0:
+        raise InsufficientDataError("no field above 0 T")
 
     # Both field scales are fitted as b = edge (1 + e^u), so every iterate
     # stays strictly inside the model domain.
-    edge = b_max * (1.0 + 1e-9) if b_max > 0.0 else 1e-12
+    edge = b_max * (1.0 + 1e-9)
     guess = initial or _default_initial(points)
     if guess.b_max <= edge:
         raise DomainError(
@@ -264,12 +267,10 @@ def fit_field_sweep(
             f"field-sweep fit {reason}", last_params=dict(zip(("f0", "b_crit", "b_phi0"), x))
         )
 
-    ssr = 2.0 * sol.cost
-    dof = max(len(points) - 3, 1)
-    x_scale_arr = np.array([guess.f0, guess.b_crit, guess.b_phi0])
-    unscaled = _scaled_pinv(_tuning(x, fields, jac=True)[1] / sigmas[:, None], x_scale_arr)
-    covariance = (ssr / dof) * unscaled
-    sigmas_fit = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    # the covariance in (f0, b_crit, b_phi0), not in the fitted log-lifts
+    jac = _tuning(x, fields, jac=True)[1] / sigmas[:, None]
+    x_scale = np.array([guess.f0, guess.b_crit, guess.b_phi0])
+    covariance, sigmas_fit, unscaled = fit_errors(sol, jac, x_scale)
     # The correlation structure comes from (J^T J)^-1 alone, so it stays
     # defined for noiseless data where the residual variance vanishes.
     denom = np.sqrt(np.outer(np.diag(unscaled), np.diag(unscaled)))
@@ -282,5 +283,5 @@ def fit_field_sweep(
         uncertainties=tuple(float(s) for s in sigmas_fit),
         correlation=correlation,
         covariance=covariance,
-        residual_rms=math.sqrt(ssr / len(points)),
+        residual_rms=math.sqrt(2.0 * sol.cost / len(points)),
     )

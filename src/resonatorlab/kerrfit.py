@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._lsq import least_squares
+from ._lsq import _centre_alpha, fit_errors, least_squares, settle
 from .constants import BRANCH_RULES, HBAR
 from .core import (
     EnvironmentParams,
@@ -44,14 +44,13 @@ from .core import (
     dbm_to_watts,
     dip_frequency,
 )
-from .errors import ConvergenceError, DataError
+from .errors import DataError
 from .linfit import (
     PARAM_NAMES,
     LinearFitResult,
-    _centre_alpha,
     _notch,
     _notch_rows,
-    _scaled_pinv,
+    _param_scale,
     _wrap_half_pi,
     photon_number,
 )
@@ -434,10 +433,7 @@ def fit_kerr(
     k0 = options.k_init if options.k_init is not None else _estimate_k_init(sweep, res0)
     k_scale = max(abs(k0), res0.linewidth_hz * 1e-3)
     p0 = _sweep_vector(res0, env0, k0, res0.phi0)
-    scale = np.array(
-        [res0.linewidth_hz, res0.kappa_l, res0.kappa_l, 0.3, env0.amplitude, 0.3]
-        + [1.0 / (2.0 * math.pi * span), k_scale, 0.3]
-    )
+    scale = np.append(_param_scale(res0.f_r, res0.kappa_l, env0.amplitude, span), [k_scale, 0.3])
     free = [7, 8, 0, 1, 2, 4, 5, 6]  # (K, phi), then the linear parameters but phi0
     x0 = p0[free]
     x_scale = scale[free]
@@ -505,18 +501,9 @@ def fit_kerr(
         gtol=1e-14,
         max_nfev=options.max_iterations * (len(x0) + 1),
     )
-    x = back @ sol.x
-    if sol.status == 0:
-        raise ConvergenceError(
-            f"no convergence within {options.max_iterations} iterations",
-            last_params={SWEEP_PARAM_NAMES[j]: v for j, v in zip(free, x)},
-        )
-
-    ssr = 2.0 * sol.cost
-    m = sol.fun.size
-    dof = max(m - len(sol.x), 1)
-    covariance = (ssr / dof) * _scaled_pinv(jacobian(sol.x), x_scale, back)
-    sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    names = [SWEEP_PARAM_NAMES[j] for j in free]
+    x = settle(sol, names, f"no convergence within {options.max_iterations} iterations", back)
+    _, sigmas, _ = fit_errors(sol, jacobian(sol.x), x_scale, back)
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau, kerr, phi = map(float, full(x))
     params = KerrParams(
         linear=LinearResonatorParams(f_r, kappa_c, max(kappa_int, 0.0), phi0),
@@ -530,7 +517,7 @@ def fit_kerr(
         params=params,
         k_uncertainty=float(sigmas[0]),
         phi_uncertainty=float(sigmas[1]),
-        residual_rms=math.sqrt(ssr / (m / 2)),
+        residual_rms=math.sqrt(2.0 * sol.cost / (sol.fun.size / 2)),
         model_s21=_sweep_model(p, freqs, watts, options.branch, solve=solves[1])[0],
     )
 

@@ -8,7 +8,9 @@ on count-weighted means over bins of equal width, where each dip is a
 kernel in the lag between bins, so one FFT correlation per linewidth
 level gives the cost at every candidate resonance. The refinement
 and the covariance use a closed-form Jacobian, so neither depends on a
-finite-difference step rule of the optimizer. The model is written once, in
+finite-difference step rule of the optimizer. The solver, its convergence
+check and the covariance come from ``_lsq``, and the parameter scales from
+``_param_scale``, which the Kerr fit shares. The model is written once, in
 a forward step, ``_notch``, and a derivative step, ``_notch_rows``, that
 builds the Jacobian from the forward terms; the Kerr model of ``kerrfit``
 evaluates both at a shifted detuning. The photon calibration of a linear fit,
@@ -26,7 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._lsq import EPS, least_squares
+from ._lsq import _centre_alpha, fit_errors, least_squares, settle
 from .constants import HBAR
 from .core import (
     EnvironmentParams,
@@ -56,9 +58,6 @@ PARAM_NAMES = ("f_r", "kappa_c", "kappa_int", "phi0", "amplitude", "alpha", "tau
 
 #: Fewest samples in each wing from which :func:`estimate_delay` takes a slope.
 MIN_WING_SAMPLES = 4
-
-#: Rows of the scaled Jacobian that :func:`_scaled_pinv` factors at a time.
-QR_BLOCK_ROWS = 1024
 
 
 class _Terms(NamedTuple):
@@ -281,7 +280,6 @@ class FitOptions:
 
     wing_fraction: float = 0.1
     max_iterations: int = 200
-    weights: np.ndarray | None = None  # optional per-point sigma weighting (1/sigma)
 
 
 #: Fewest samples :func:`fit_linear` takes: the shortest trace whose wings
@@ -317,70 +315,21 @@ class LinearFitResult:
         object.__setattr__(self, "uncertainties", MappingProxyType(dict(self.uncertainties)))
 
 
-def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None = None) -> np.ndarray:
-    """``(J^T J)^{-1}`` computed via the scaled Jacobian ``J_s = J diag(x_scale)``.
-
-    Scaling first keeps the problem well conditioned when parameter
-    magnitudes span many decades. The directions come from the SVD of the
-    R factor of a QR of ``J_s``, which, unlike ``J_s^T J_s``, does not
-    square the condition number. R is the QR of the stacked R factors of
-    row blocks of at most :data:`QR_BLOCK_ROWS` rows, so a tall ``J_s`` is
-    never scaled and copied whole; the QR of a single block's R returns it
-    unchanged. ``back`` maps the fitted parameters onto the reported ones,
-    ``x = back @ x_fit``, and the result is their covariance. A direction whose singular value is below ``eps max(J.shape)``
-    of the largest is one the data do not constrain: a reported parameter
-    that moves along it gets infinite variance and NaN covariances.
-    """
-    rows = range(0, jac.shape[0], QR_BLOCK_ROWS)
-    r = np.vstack([np.linalg.qr(jac[i : i + QR_BLOCK_ROWS] * x_scale, mode="r") for i in rows])
-    _, s, vt = np.linalg.svd(np.linalg.qr(r, mode="r"))
-    w, v = s**2, vt.T
-    kept = w > (EPS * max(jac.shape)) ** 2 * w.max()
-    load = x_scale[:, None] * v  # parameter change per unit of each direction
-    if back is not None:
-        load = back @ load
-    cov = (load[:, kept] / w[kept]) @ load[:, kept].T
-    # loadings below sqrt(eps) of the parameter's scale are rounding noise
-    loose = np.any(np.abs(load[:, ~kept]) > np.sqrt(EPS) * x_scale[:, None], axis=1)
-    cov[loose, :] = np.nan
-    cov[:, loose] = np.nan
-    idx = np.flatnonzero(loose)
-    cov[idx, idx] = np.inf
-    return cov
+def _param_scale(f_r: float, kappa_l: float, amplitude: float, span: float) -> np.ndarray:
+    """The solver's unit of each :data:`PARAM_NAMES` parameter: the
+    linewidth for ``f_r`` (at least ``1e-6 f_r``), ``kappa_l`` for both
+    rates, 0.3 rad for both phases, the amplitude, and the delay that turns
+    the phase by one radian across ``span``."""
+    f_scale = max(kappa_l / (2.0 * math.pi), 1e-6 * f_r)
+    return np.array([f_scale, kappa_l, kappa_l, 0.3, amplitude, 0.3, 1.0 / (2.0 * math.pi * span)])
 
 
-def _centre_alpha(residual, jacobian, x0: np.ndarray, turn: float, a: int = 5, t: int = 6):
-    """The fit with ``alpha_c = alpha - turn tau`` free in place of ``alpha``.
-
-    ``alpha`` (position ``a`` of the parameter vector) is the background
-    phase at 0 Hz, so at high Q its Jacobian column nearly parallels that of
-    ``tau`` (position ``t``). With ``turn = 2 pi f_mid``, ``alpha_c`` is the
-    phase at the trace centre, and the scaled Jacobian stays well
-    conditioned. Returns the centred residual, Jacobian and start, and
-    ``back``, the matrix with ``x = back @ x_c``.
-    """
-    back = np.eye(x0.size)
-    back[a, t] = turn
-
-    def residual_c(xc):
-        return residual(back @ xc)
-
-    def jacobian_c(xc):
-        jac = jacobian(back @ xc)
-        jac[:, t] += turn * jac[:, a]
-        return jac
-
-    x0_c = x0.copy()
-    x0_c[a] -= turn * x0[t]
-    return residual_c, jacobian_c, x0_c, back
-
-
-def _refinement_problem(freqs: np.ndarray, values: np.ndarray, w: np.ndarray | None):
+def _refinement_problem(freqs: np.ndarray, values: np.ndarray):
     """Residual and closed-form Jacobian of the 7-parameter refinement.
 
-    Both stack the real parts over the imaginary parts and carry the
-    optional per-point weights ``w``. The Jacobian is the transpose of a
-    C-ordered (7, 2F) array, one contiguous row per parameter. The forward
+    Both stack the real parts over the imaginary parts. The Jacobian is the
+    transpose of a C-ordered (7, 2F) array, one contiguous row per
+    parameter. The forward
     terms are computed once per parameter vector: the problem keeps those
     of the latest residual and those of the solver's current point, where
     it took its latest Jacobian, and a Jacobian at either point, bit for
@@ -395,8 +344,6 @@ def _refinement_problem(freqs: np.ndarray, values: np.ndarray, w: np.ndarray | N
         terms = _notch(p, freqs)
         kept[0] = (p.tobytes(), terms)
         r = terms.s - values
-        if w is not None:
-            r = r * w
         return np.concatenate([r.real, r.imag])
 
     def jacobian(p):
@@ -406,8 +353,6 @@ def _refinement_problem(freqs: np.ndarray, values: np.ndarray, w: np.ndarray | N
             terms = _notch(p, freqs)
         kept[:] = [(key, terms), (key, terms)]
         rows = _notch_rows(p, freqs, terms, buffer)
-        if w is not None:
-            rows *= w
         jac = np.empty((len(PARAM_NAMES), 2, freqs.size))
         jac[:, 0] = rows.real
         jac[:, 1] = rows.imag
@@ -441,31 +386,12 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     a0 = abs(a)
     p0 = np.array([f_r0, kappa_c0, kappa_l0 - kappa_c0, phi0, a0, float(np.angle(a)), tau0])
 
-    # Stage 3: full complex least-squares refinement of all 7 parameters.
-    if options.weights is not None:
-        w = np.asarray(options.weights, dtype=float)
-        if w.shape != freqs.shape:
-            raise ValueError("weights must match the trace length")
-    else:
-        w = None
-    # alpha is refined as the background phase at the trace centre.
+    # Stage 3: full complex least-squares refinement of all 7 parameters,
+    # with alpha refined as the background phase at the trace centre.
     turn = math.pi * (freqs[0] + freqs[-1])
-    residual, jacobian, x0, back = _centre_alpha(
-        *_refinement_problem(freqs, values, w), p0, turn
-    )
-
+    residual, jacobian, x0, back = _centre_alpha(*_refinement_problem(freqs, values), p0, turn)
     span = trace.span
-    x_scale = np.array(
-        [
-            max(kappa_l0 / (2.0 * math.pi), 1e-6 * f_r0),
-            kappa_l0,
-            kappa_l0,
-            0.3,
-            a0,
-            0.3,
-            1.0 / (2.0 * math.pi * span),
-        ]
-    )
+    x_scale = _param_scale(f_r0, kappa_l0, a0, span)
     sol = least_squares(
         residual,
         x0,
@@ -477,12 +403,7 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
         # Each iteration costs one Jacobian and at least one residual.
         max_nfev=options.max_iterations,
     )
-    p = back @ sol.x
-    if sol.status == 0:
-        raise ConvergenceError(
-            f"no convergence within {options.max_iterations} iterations",
-            last_params=dict(zip(PARAM_NAMES, p)),
-        )
+    p = settle(sol, PARAM_NAMES, f"no convergence within {options.max_iterations} iterations", back)
 
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
     if amplitude < 0.0:
@@ -500,14 +421,10 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
         kappa_int = 0.0
 
     # Stage 4: parameter covariance from the refinement's Jacobian at the
-    # optimum, scaled by the residual variance and mapped back to the 0 Hz
-    # phase alpha.
-    ssr = 2.0 * sol.cost
-    dof = max(2 * n - len(p0), 1)
-    covariance = (ssr / dof) * _scaled_pinv(jacobian(sol.x), x_scale, back)
-    sigmas = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    # optimum, mapped back to the 0 Hz phase alpha.
+    covariance, sigmas, _ = fit_errors(sol, jacobian(sol.x), x_scale, back)
     uncertainties = dict(zip(PARAM_NAMES, (float(s) for s in sigmas)))
-    residual_rms = math.sqrt(ssr / n)
+    residual_rms = math.sqrt(2.0 * sol.cost / n)
 
     resonator = LinearResonatorParams(
         f_r=float(f_r), kappa_c=float(kappa_c), kappa_int=float(kappa_int), phi0=float(phi0)

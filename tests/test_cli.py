@@ -330,6 +330,15 @@ class TestFieldPipeline:
         assert code == 2
 
 
+    def test_sweep_without_a_field_above_zero_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "field.csv"
+        argv = ["--b-min", "0", "--b-max", "0", "--b-points", str(MIN_FIELD_POINTS)]
+        assert run_cli(capsys, "synth", "field", "--out-csv", str(csv), *argv)[0] == 0
+        code, doc = run_cli(capsys, "fit-field", str(csv))
+        assert code == 2
+        assert doc["error"]["type"] == "InsufficientDataError"
+        assert "no field above 0 T" in doc["error"]["message"]
+
 class TestPowerSweepAndKerr:
     @pytest.fixture
     def sweep_csv(self, tmp_path, capsys):

@@ -220,6 +220,12 @@ class TestFitFieldSweep:
         with pytest.raises(rl.InsufficientDataError):
             rl.fit_field_sweep(points)
 
+    def test_sweep_without_a_field_above_zero(self):
+        # no guess can be made from fields that are all 0 T, and none is tried
+        points = rl.generate_field_sweep(self.truth, np.zeros(5), sigma_f=5e6, seed=1)
+        with pytest.raises(rl.InsufficientDataError, match="no field above 0 T"):
+            rl.fit_field_sweep(points)
+
     def test_initial_guess_domain_violation(self):
         fields = np.arange(0.0, 0.0601, 0.005)
         points = rl.generate_field_sweep(self.truth, fields, sigma_f=0.0)

@@ -80,15 +80,19 @@ def test_every_least_squares_call_passes_an_analytic_jacobian():
     assert offenders == []
 
 
-def test_kerrfit_takes_no_factorization_of_its_own():
-    # the Kerr covariance comes from linfit._scaled_pinv, the one
-    # factorization of the fit's Jacobian; a second one has no place there
-    tree = ast.parse((PACKAGE / "kerrfit.py").read_text())
+FACTORIZATIONS = {"qr", "svd", "eigh", "pinv", "lstsq"}
+
+
+def test_only_lsq_factorizes_a_jacobian():
+    # every covariance comes from _lsq._scaled_pinv, and every solver step
+    # from _lsq.least_squares; no other module takes a factorization of its own
     offenders = [
-        f"kerrfit.py:{node.lineno}"
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr == "linalg")
-        or any(name.startswith("numpy.linalg") for name in _imported_names(node))
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "_lsq"
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in ([node.attr] if isinstance(node, ast.Attribute) else _imported_names(node))
+        if name.rsplit(".", 1)[-1] in FACTORIZATIONS
     ]
     assert offenders == []
 
@@ -220,7 +224,9 @@ ABSENT = {
     "fit-power-sweep": (
         "resonatorlab.kerrfit", "resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth"
     ),
-    "fit-field": ("resonatorlab.kerrfit", "resonatorlab.designer", "resonatorlab.synth"),
+    "fit-field": (
+        "resonatorlab.linfit", "resonatorlab.kerrfit", "resonatorlab.designer", "resonatorlab.synth"
+    ),
     "fit-kerr": ("resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth"),
 }
 #: The synthetic CSV each fit subcommand reads.

@@ -8,12 +8,11 @@ import resonatorlab as rl
 import conftest
 from conftest import grid_around, linewidth_hz, resonator
 from oracles import central_jacobian, dense_seed_drops
+from resonatorlab._lsq import QR_BLOCK_ROWS, _scaled_pinv
 from resonatorlab.linfit import (
     PARAM_NAMES,
-    QR_BLOCK_ROWS,
     _profiled_seed,
     _refinement_problem,
-    _scaled_pinv,
     _seed_bins,
     _seed_drops,
     linear_payload,
@@ -240,35 +239,16 @@ class TestFitLinear:
         assert pinned >= 1
 
 
-def test_weighted_fit_can_ignore_corrupted_points(sample_resonator, environment):
-    res, env = sample_resonator, environment
-    grid = grid_around(res, points=2001)
-    trace = rl.generate_linear_trace(res, env, grid, -140.0, rl.NoiseSpec(snr_db=45, seed=2))
-    corrupted = trace.values.copy()
-    corrupted[900:940] += 0.5  # a spurious feature inside the span
-    bad = rl.FrequencyTrace(frequencies=grid, values=corrupted, drive_power=-140.0)
-    weights = np.ones(len(bad))
-    weights[900:940] = 0.0
-    fit = rl.fit_linear(bad, rl.FitOptions(weights=weights))
-    assert fit.resonator.q_i == pytest.approx(res.q_i, rel=0.05)
-    with pytest.raises(ValueError):
-        rl.fit_linear(bad, rl.FitOptions(weights=np.ones(3)))
-
-
-@pytest.mark.parametrize("weighted", [False, True])
-def test_refinement_jacobian_matches_central_differences(
-    sample_resonator, environment, weighted
-):
+def test_refinement_jacobian_matches_central_differences(sample_resonator, environment):
     res, env = sample_resonator, environment
     grid = grid_around(res, span_linewidths=15.0, points=2001)
     trace = rl.generate_linear_trace(res, env, grid, -140.0, rl.NoiseSpec(snr_db=40, seed=7))
-    weights = np.random.default_rng(5).uniform(0.2, 2.0, grid.size) if weighted else None
-    fit = rl.fit_linear(trace, rl.FitOptions(weights=weights))
+    fit = rl.fit_linear(trace)
     r, e = fit.resonator, fit.environment
     p = np.array([r.f_r, r.kappa_c, r.kappa_int, r.phi0, e.amplitude, e.alpha, e.tau])
     tau_scale = 1.0 / (TWO_PI * trace.span)
     x_scale = np.array([r.kappa_l / TWO_PI, r.kappa_l, r.kappa_l, 0.3, e.amplitude, 0.3, tau_scale])
-    residual, jacobian = _refinement_problem(grid, trace.values, weights)
+    residual, jacobian = _refinement_problem(grid, trace.values)
     analytic = jacobian(p)
     numeric = central_jacobian(residual, p, x_scale)
     assert analytic.shape == (2 * grid.size, 7)
@@ -283,12 +263,12 @@ def test_refinement_residual_is_the_model_minus_the_data(sample_resonator, envir
     grid = grid_around(res, points=501)
     trace = rl.generate_linear_trace(res, env, grid, -140.0, rl.NoiseSpec(snr_db=40, seed=1))
     p = np.array([res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau])
-    residual, jacobian = _refinement_problem(grid, trace.values, None)
+    residual, jacobian = _refinement_problem(grid, trace.values)
     r = rl.model_s21_linear(res, env, grid) - trace.values
     assert np.array_equal(residual(p), np.concatenate([r.real, r.imag]))
     # the Jacobian built from the residual's forward terms is the fresh one,
     # one contiguous row of 2F values per parameter
-    fresh = _refinement_problem(grid, trace.values, None)[1]
+    fresh = _refinement_problem(grid, trace.values)[1]
     jac = jacobian(p)
     assert jac.shape == (2 * grid.size, 7) and jac.T.flags.c_contiguous
     assert np.array_equal(jac, fresh(p))
@@ -364,7 +344,7 @@ def test_high_q_covariance_matches_svd_reference(environment):
     trace, fit0 = fit(0)
     r, e = fit0.resonator, fit0.environment
     p = np.array([r.f_r, r.kappa_c, r.kappa_int, r.phi0, e.amplitude, e.alpha, e.tau])
-    jac = _refinement_problem(grid, trace.values, None)[1](p)
+    jac = _refinement_problem(grid, trace.values)[1](p)
     # reference: SVD of the column-normalized Jacobian, never forming J^T J
     norms = np.linalg.norm(jac, axis=0)
     _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)

@@ -17,10 +17,11 @@ import pytest
 from scipy.optimize import least_squares as scipy_least_squares
 
 import resonatorlab as rl
-from conftest import kerr_recovery_draws
+from conftest import grid_around, kerr_recovery_draws, resonator
 from resonatorlab import _lsq, fieldmodel, kerrfit, linfit
 from resonatorlab._lsq import least_squares
-from resonatorlab.kerrfit import KerrFitOptions
+from resonatorlab.kerrfit import SWEEP_PARAM_NAMES, KerrFitOptions, _sweep_model, _sweep_vector
+from resonatorlab.linfit import _refinement_problem
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,6 +139,74 @@ def test_field_sweeps_match_scipy(captured):
         rl.fit_field_sweep(rl.generate_field_sweep(truth, fields, 5e6, int(rng.integers(2**31))))
     assert len(captured) == 30
     assert_matches_scipy(captured)
+
+
+def _linear_failure():
+    """A linear fit, its reported names, and its residual at reported values."""
+    res = resonator(phi0=0.2)
+    env = rl.EnvironmentParams(amplitude=0.87, alpha=0.4, tau=40e-9)
+    grid = grid_around(res, points=501)
+    trace = rl.generate_linear_trace(res, env, grid, -140.0, rl.NoiseSpec(snr_db=40, seed=1))
+    residual = _refinement_problem(grid, trace.values)[0]
+    names = linfit.PARAM_NAMES
+    return lambda: rl.fit_linear(trace), names, lambda p: residual(np.array([p[n] for n in names]))
+
+
+def _kerr_failure():
+    _, sweep = next(kerr_recovery_draws())
+    lin = rl.fit_linear(sweep.traces[0])
+    watts = [rl.dbm_to_watts(t.drive_power) for t in sweep.traces]
+    data = np.array([t.values for t in sweep.traces])
+
+    def residual(params):
+        p = _sweep_vector(lin.resonator, lin.environment, 0.0, 0.0)
+        for name, value in params.items():
+            p[SWEEP_PARAM_NAMES.index(name)] = value
+        dz = (_sweep_model(p, sweep.frequencies, watts, "lowest")[0] - data).ravel()
+        return np.concatenate([dz.real, dz.imag])
+
+    names = ("kerr", "phi", "f_r", "kappa_c", "kappa_int", "amplitude", "alpha", "tau")
+    return lambda: rl.fit_kerr(sweep, lin), names, residual
+
+
+def _field_failure():
+    truth = rl.FieldModelParams(7e9, 66e-3, 102e-3)
+    points = rl.generate_field_sweep(truth, np.linspace(0.0, 0.06, 13), 5e6, 4)
+    fields = np.array([p.field for p in points])
+    freqs = np.array([p.resonance for p in points])
+    sigmas = np.array([p.sigma for p in points])
+
+    def residual(params):
+        return (rl.fr_vs_field(rl.FieldModelParams(**params), fields) - freqs) / sigmas
+
+    return lambda: rl.fit_field_sweep(points), ("f0", "b_crit", "b_phi0"), residual
+
+
+@pytest.mark.parametrize(
+    "failure", [_linear_failure, _kerr_failure, _field_failure], ids=["linear", "kerr", "field"]
+)
+def test_a_failed_fit_carries_its_last_iterate_as_reported_parameters(monkeypatch, failure):
+    # with the solver cut to 3 evaluations, each fit raises with the solver's
+    # last point as reported parameters: alpha as the 0 Hz phase, not the
+    # fitted centre phase, and the field scales in tesla, not the fitted
+    # log-lifts, so the reported model there gives the solver's residual
+    fit, names, residual = failure()
+    runs = []
+
+    def cut_short(fun, x0, jac, **kwargs):
+        runs.append(_lsq.least_squares(fun, x0, jac=jac, **{**kwargs, "max_nfev": 3}))
+        return runs[-1]
+
+    for module in (linfit, kerrfit, fieldmodel):
+        monkeypatch.setattr(module, "least_squares", cut_short)
+    with pytest.raises(rl.ConvergenceError) as failed:
+        fit()
+    [sol] = runs
+    assert sol.status == 0
+    assert tuple(failed.value.last_params) == names
+    np.testing.assert_allclose(
+        residual(failed.value.last_params), sol.fun, rtol=0.0, atol=1e-9 * np.abs(sol.fun).max()
+    )
 
 
 def rosenbrock(x):
