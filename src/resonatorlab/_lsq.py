@@ -208,29 +208,29 @@ def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None =
     return cov
 
 
-def _centre_alpha(residual, jacobian, x0: np.ndarray, turn: float, a: int = 5, t: int = 6):
+def _centre_alpha(residual, jacobian, x0: np.ndarray, turn: float):
     """The fit with ``alpha_c = alpha - turn tau`` free in place of ``alpha``.
 
-    ``alpha`` (position ``a`` of the parameter vector) is the background
-    phase at 0 Hz, so at high Q its Jacobian column nearly parallels that of
-    ``tau`` (position ``t``). With ``turn = 2 pi f_mid``, ``alpha_c`` is the
+    ``alpha`` (position 5 of the parameter vector) is the background phase
+    at 0 Hz, so at high Q its Jacobian column nearly parallels that of
+    ``tau`` (position 6). With ``turn = 2 pi f_mid``, ``alpha_c`` is the
     phase at the trace centre, and the scaled Jacobian stays well
     conditioned. Returns the centred residual, Jacobian and start, and
     ``back``, the matrix with ``x = back @ x_c``.
     """
     back = np.eye(x0.size)
-    back[a, t] = turn
+    back[5, 6] = turn
 
     def residual_c(xc):
         return residual(back @ xc)
 
     def jacobian_c(xc):
         jac = jacobian(back @ xc)
-        jac[:, t] += turn * jac[:, a]
+        jac[:, 6] += turn * jac[:, 5]
         return jac
 
     x0_c = x0.copy()
-    x0_c[a] -= turn * x0[t]
+    x0_c[5] -= turn * x0[6]
     return residual_c, jacobian_c, x0_c, back
 
 

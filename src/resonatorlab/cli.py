@@ -22,6 +22,8 @@ from . import __version__
 from .constants import BRANCH_RULES
 from .errors import DataError, ResonatorLabError
 from .reports import (
+    EXIT_DATA,
+    EXIT_OK,
     dump_report,
     error_report,
     exit_code_for,
@@ -446,10 +448,14 @@ def _handle_synth(opts) -> tuple[dict, dict]:
 # choices, or str (a required flag). ``csv`` and ``kind`` are positional.
 POSITIONAL = ("csv", "kind")
 
+# the options that several subcommands share
 _FIT_OPTIONS = {
     "wing_fraction": (float, 0.1, "fraction of samples per wing for the delay estimate"),
     "max_iterations": (int, 200, None),
 }
+_BRANCH = (BRANCH_RULES, "lowest", None)
+_WIDTH = (float, 520e-9, "junction width [m]")
+_T_OX = (float, 1e-9, "barrier thickness [m]")
 
 COMMANDS: dict[str, tuple] = {
     "fit-linear": (_handle_fit_linear, "fit one trace to the linear notch model", {
@@ -470,7 +476,7 @@ COMMANDS: dict[str, tuple] = {
     }),
     "fit-kerr": (_handle_fit_kerr, "joint self-Kerr fit of a 2-D power sweep", {
         "csv": (str, None, "power-sweep CSV (power_dbm column required)"),
-        "branch": (BRANCH_RULES, "lowest", None),
+        "branch": _BRANCH,
         "k_init": (float, None, "initial Kerr coefficient [Hz]"),
         "mask_bistable": (bool, False, "drop the points with three roots at the starting K"),
         **_FIT_OPTIONS,
@@ -483,9 +489,9 @@ COMMANDS: dict[str, tuple] = {
     }),
     "design": (_handle_design, "JJ-array quarter-wave design report", {
         "r_normal": (float, 1250.0, "normal-state resistance per junction [Ohm]"),
-        "width": (float, 520e-9, "junction width [m]"),
+        "width": _WIDTH,
         "length": (float, 760e-9, "junction length [m]"),
-        "t_ox": (float, 1e-9, "barrier thickness [m]"),
+        "t_ox": _T_OX,
         "epsilon_r": (float, 9.0, "barrier relative permittivity"),
         "delta0_ev": (float, 180e-6, "superconducting gap [eV]"),
         "n_junctions": (int, 46, None),
@@ -511,8 +517,8 @@ COMMANDS: dict[str, tuple] = {
             9.192388155425117e-08,
             "top lead thickness [m] (nominal/sqrt(2) for 45-degree evaporation)",
         ),
-        "width": (float, 520e-9, "junction width [m]"),
-        "t_ox": (float, 1e-9, "barrier thickness [m]"),
+        "width": _WIDTH,
+        "t_ox": _T_OX,
         "f0": (float, None, "zero-field resonance [Hz]; adds a predicted tuning curve"),
     }),
     "synth": (_handle_synth, "generate synthetic data and write it as CSV", {
@@ -532,7 +538,7 @@ COMMANDS: dict[str, tuple] = {
         "power_dbm": (float, -140.0, "drive power for kind=linear"),
         "kerr_hz": (float, 0.0, "self-Kerr coefficient [Hz] for kind=kerr"),
         "phi": (float, None, "nonlinear mismatch phase [rad] (default: phi0)"),
-        "branch": (BRANCH_RULES, "lowest", None),
+        "branch": _BRANCH,
         "power_min": (float, -150.0, "sweep start power [dBm]"),
         "power_max": (float, -115.0, "sweep stop power [dBm]"),
         "power_step": (float, 2.5, "sweep power step [dB]"),
@@ -646,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.command is None:
             parser.print_help(sys.stderr)
-            return 2
+            return EXIT_DATA
         opts = _resolve_options(args)
         results, plots = COMMANDS[args.command][0](opts)
         timestamp = (
@@ -665,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

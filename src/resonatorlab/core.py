@@ -143,9 +143,7 @@ class PowerSweep:
 
     @property
     def powers(self) -> np.ndarray:
-        arr = np.array([t.drive_power for t in self.traces], dtype=float)
-        arr.setflags(write=False)
-        return arr
+        return _freeze_array([t.drive_power for t in self.traces], float)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._lsq import fit_errors, least_squares
 from .constants import FLUX_QUANTUM
-from .core import FieldSweepPoint
+from .core import FieldSweepPoint, _freeze_array
 from .errors import ConvergenceError, DomainError, InsufficientDataError
 
 __all__ = [
@@ -188,9 +188,7 @@ class FieldFitResult:
 
     def __post_init__(self):
         for name in ("correlation", "covariance"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze_array(getattr(self, name), float))
 
 
 def _default_initial(points: Sequence[FieldSweepPoint]) -> FieldModelParams:
@@ -206,8 +204,9 @@ def fit_field_sweep(
     """Fit (f0, b_crit, b_phi0) to fitted-resonance-vs-field data.
 
     Residuals are weighted by the per-point resonance uncertainties. A
-    sweep of fewer than :data:`MIN_FIELD_POINTS` points, or with no field
-    above 0 T, raises :class:`InsufficientDataError`. The iterates are kept
+    sweep of fewer than :data:`MIN_FIELD_POINTS` points, with no field
+    above 0 T or with fewer than 3 distinct fields raises
+    :class:`InsufficientDataError`. The iterates are kept
     inside the model domain by fitting each field scale as ``b = edge (1 +
     e^u)``, with ``edge`` just above the largest measured field; an optimum
     at ``f0 <= 0`` raises :class:`ConvergenceError`. The full correlation
@@ -227,6 +226,8 @@ def fit_field_sweep(
     b_max = float(fields.max())
     if not b_max > 0.0:
         raise InsufficientDataError("no field above 0 T")
+    if np.unique(fields).size < 3:
+        raise InsufficientDataError("need at least 3 distinct fields to fit 3 parameters")
 
     # Both field scales are fitted as b = edge (1 + e^u), so every iterate
     # stays strictly inside the model domain.

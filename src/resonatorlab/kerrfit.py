@@ -46,7 +46,6 @@ from .core import (
 )
 from .errors import DataError
 from .linfit import (
-    PARAM_NAMES,
     LinearFitResult,
     _notch,
     _notch_rows,
@@ -69,8 +68,9 @@ __all__ = [
 #: linear root instead of using the closed form.
 XI_NEWTON = 1e-8
 
-#: Parameter vector of :func:`_sweep_model`: the linear parameters, then (K, phi).
-SWEEP_PARAM_NAMES = PARAM_NAMES + ("kerr", "phi")
+#: Parameter vector of :func:`_sweep_model` and :func:`fit_kerr`: the linear
+#: parameters with ``phi`` in place of ``phi0``, then K.
+SWEEP_PARAM_NAMES = ("f_r", "kappa_c", "kappa_int", "phi", "amplitude", "alpha", "tau", "kerr")
 
 #: Highest-power slices on which :func:`fit_kerr` ranks its start candidates.
 RANK_ROWS = 3
@@ -240,8 +240,8 @@ def _select_branch(roots: np.ndarray, branch: str) -> np.ndarray:
 
 def _sweep_vector(res, env, kerr, phi) -> np.ndarray:
     """The :data:`SWEEP_PARAM_NAMES` vector of one model."""
-    linear = [res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau]
-    return np.array([*linear, kerr, phi])
+    linear = [res.f_r, res.kappa_c, res.kappa_int, phi, env.amplitude, env.alpha, env.tau]
+    return np.array([*linear, kerr])
 
 
 class _Solve(NamedTuple):
@@ -258,7 +258,7 @@ class _Solve(NamedTuple):
 
 def _cubic_key(p: np.ndarray) -> bytes:
     """The parameters the cubic depends on, bit for bit: f_r, kappa_c, the
-    clipped kappa_int and K. The other five do not enter it."""
+    clipped kappa_int and K. The other four do not enter it."""
     return np.array([p[0], p[1], max(p[2], 0.0), p[7]]).tobytes()
 
 
@@ -309,15 +309,15 @@ def _sweep_model(
     real parts of the raveled grid over the imaginary parts as in a stacked
     residual, the layout of :func:`linfit._refinement_problem`; and the
     ``(P, F)`` flags of the points where the cubic has three roots. Each power
-    row is one sweep for ``"sweep-continuation"``. ``phi0`` does not enter the
-    model (``phi`` takes its role), so its column is zero. ``solve`` is used
+    row is one sweep for ``"sweep-continuation"``. The first seven entries
+    enter as the linear model's, with ``phi`` as ``phi0``. ``solve`` is used
     when it was made at the same cubic inputs as ``p``, bit for bit, and the
     cubic is solved afresh otherwise.
     """
     if solve is None or solve.key != _cubic_key(p):
         solve = _solve_sweep(p, f, watts, branch)
-    f_r, kappa_c, kappa_int, _, amplitude, alpha, tau, kerr, phi = p
-    linear = (f_r, kappa_c, max(kappa_int, 0.0), phi, amplitude, alpha, tau)
+    kappa_c, kerr = p[1], p[7]
+    linear = (p[0], kappa_c, max(p[2], 0.0), *p[3:7])
     kappa_l, delta, rows = _drives(p, f, watts)
 
     s21 = np.empty(solve.n.shape, dtype=complex)
@@ -353,12 +353,10 @@ def _sweep_model(
                 v = c[1] + w * (drift - feed * kerr)
             elif j == 2:
                 v = c[2] + w * drift if p[2] >= 0.0 else 0.0  # zero when clipped
-            elif j == 3:
-                v = 0.0  # phi0 does not enter; phi takes its role
             elif j == 7:
                 v = -w * feed * kappa_c
-            else:  # amplitude, alpha and tau enter as in the linear model, phi as phi0
-                v = c[3 if j == 8 else j]
+            else:  # phi, amplitude, alpha and tau enter as in the linear model
+                v = c[j]
             jac[col, 0, i] = np.real(v)
             jac[col, 1, i] = np.imag(v)
     return s21, jac.reshape(len(columns), 2 * s21.size).T, solve.three
@@ -408,10 +406,10 @@ def fit_kerr(
     mismatch. The fit starts from the best of four K values by the unmasked
     sum of squares over the :data:`RANK_ROWS` highest-power slices, and
     ``mask_bistable`` drops the points with three roots at that start.
-    Every linear parameter but ``phi0`` (``phi`` takes its role) is fitted
-    with (K, phi) over every slice, with alpha refined at the sweep centre,
-    and ``k_uncertainty`` is marginal: it comes from the joint covariance of
-    all eight free parameters.
+    The fit solves for the :data:`SWEEP_PARAM_NAMES` vector over every
+    slice, with alpha refined at the sweep centre; ``params.linear.phi0``
+    stays the seed's, as ``phi`` takes its role. ``k_uncertainty`` is
+    marginal: it comes from the joint covariance of all eight parameters.
 
     The photon cubic is solved once per distinct (f_r, kappa_c, kappa_int,
     K): a Jacobian reuses the solve of the residual at its point, and
@@ -432,11 +430,8 @@ def fit_kerr(
 
     k0 = options.k_init if options.k_init is not None else _estimate_k_init(sweep, res0)
     k_scale = max(abs(k0), res0.linewidth_hz * 1e-3)
-    p0 = _sweep_vector(res0, env0, k0, res0.phi0)
-    scale = np.append(_param_scale(res0.f_r, res0.kappa_l, env0.amplitude, span), [k_scale, 0.3])
-    free = [7, 8, 0, 1, 2, 4, 5, 6]  # (K, phi), then the linear parameters but phi0
-    x0 = p0[free]
-    x_scale = scale[free]
+    x0 = _sweep_vector(res0, env0, k0, res0.phi0)
+    x_scale = np.append(_param_scale(res0.f_r, res0.kappa_l, env0.amplitude, span), k_scale)
     keep = None  # grid points the fit uses; all of them unless masked
     # The solves kept for reuse: the latest residual's, and the one at the
     # solver's current point, where it took its latest Jacobian. A Jacobian
@@ -445,20 +440,14 @@ def fit_kerr(
     # rejected last step.
     solves: list[_Solve | None] = [None, None]
 
-    def full(x):  # the SWEEP_PARAM_NAMES vector at free values x
-        p = p0.copy()
-        p[free] = x
-        return p
-
     def evaluate(x, columns=()):
-        p = full(x)
-        key = _cubic_key(p)
+        key = _cubic_key(x)
         solve = next((s for s in solves if s is not None and s.key == key), None)
         if solve is None:
-            solve = solves[0] = _solve_sweep(p, freqs, watts, options.branch)
+            solve = solves[0] = _solve_sweep(x, freqs, watts, options.branch)
         if columns:  # drop any other solve before the Jacobian is built
             solves[:] = [solve, solve]
-        return _sweep_model(p, freqs, watts, options.branch, columns, solve)
+        return _sweep_model(x, freqs, watts, options.branch, columns, solve)
 
     def residual(x):
         delta_z = evaluate(x)[0]
@@ -470,19 +459,19 @@ def fit_kerr(
         return np.concatenate([delta_z.real, delta_z.imag])
 
     def jacobian(x):
-        jac = evaluate(x, free)[1]
+        jac = evaluate(x, range(x.size))[1]
         return jac if keep is None else jac.T[:, np.concatenate([keep, keep])].T
 
     # Pick the best of a few starting K values before refining; the SSR
     # landscape is benign but the slope estimate can be off by a factor.
     # K shows most at the highest powers, so those rows alone rank them.
     def ssr_at(k):
-        p = full(np.array([k, *x0[1:]]))
+        p = np.array([*x0[:7], k])
         r = _sweep_model(p, freqs, watts[-RANK_ROWS:], options.branch)[0] - data[-RANK_ROWS:]
         return float(np.vdot(r, r).real)
 
     candidates = {float(k0), float(3.0 * k0), float(k0 / 3.0), float(-k0)}
-    x0[0] = min(candidates, key=ssr_at)
+    x0[7] = min(candidates, key=ssr_at)
     if options.mask_bistable:
         keep = ~evaluate(x0)[2].ravel()
         if not np.any(keep):
@@ -490,7 +479,7 @@ def fit_kerr(
 
     # alpha and tau are both free: refine alpha at the sweep centre
     turn = math.pi * (freqs[0] + freqs[-1])
-    residual, jacobian, x0, back = _centre_alpha(residual, jacobian, x0, turn, 6, 7)
+    residual, jacobian, x0, back = _centre_alpha(residual, jacobian, x0, turn)
     sol = least_squares(
         residual,
         x0,
@@ -501,12 +490,12 @@ def fit_kerr(
         gtol=1e-14,
         max_nfev=options.max_iterations * (len(x0) + 1),
     )
-    names = [SWEEP_PARAM_NAMES[j] for j in free]
-    x = settle(sol, names, f"no convergence within {options.max_iterations} iterations", back)
+    message = f"no convergence within {options.max_iterations} iterations"
+    x = settle(sol, SWEEP_PARAM_NAMES, message, back)
     _, sigmas, _ = fit_errors(sol, jacobian(sol.x), x_scale, back)
-    f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau, kerr, phi = map(float, full(x))
+    f_r, kappa_c, kappa_int, phi, amplitude, alpha, tau, kerr = map(float, x)
     params = KerrParams(
-        linear=LinearResonatorParams(f_r, kappa_c, max(kappa_int, 0.0), phi0),
+        linear=LinearResonatorParams(f_r, kappa_c, max(kappa_int, 0.0), res0.phi0),
         environment=EnvironmentParams(amplitude, alpha, tau),
         kerr=kerr,
         phi=_wrap_half_pi(phi),
@@ -515,8 +504,8 @@ def fit_kerr(
     p = _sweep_vector(params.linear, params.environment, kerr, params.phi)
     return KerrFitResult(
         params=params,
-        k_uncertainty=float(sigmas[0]),
-        phi_uncertainty=float(sigmas[1]),
+        k_uncertainty=float(sigmas[7]),
+        phi_uncertainty=float(sigmas[3]),
         residual_rms=math.sqrt(2.0 * sol.cost / (sol.fun.size / 2)),
         model_s21=_sweep_model(p, freqs, watts, options.branch, solve=solves[1])[0],
     )

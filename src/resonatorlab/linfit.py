@@ -34,6 +34,7 @@ from .core import (
     EnvironmentParams,
     FrequencyTrace,
     LinearResonatorParams,
+    _freeze_array,
     dbm_to_watts,
     watts_to_dbm,
 )
@@ -309,9 +310,7 @@ class LinearFitResult:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        cov = np.array(self.covariance, dtype=float)
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "covariance", _freeze_array(self.covariance, float))
         object.__setattr__(self, "uncertainties", MappingProxyType(dict(self.uncertainties)))
 
 

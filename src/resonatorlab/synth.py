@@ -6,7 +6,7 @@ standard deviation ``a 10^(-snr/20) / sqrt(2)``, i.e. ``snr_db`` is the
 power signal-to-noise of the off-resonant background. Identical seeds give
 bit-identical output. Multi-trace generators derive one child seed per
 trace from ``(seed, trace index)`` only, so per-trace generation is
-order-independent and may run concurrently.
+order-independent.
 """
 
 from __future__ import annotations

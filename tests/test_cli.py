@@ -10,7 +10,7 @@ import resonatorlab as rl
 from conftest import resonator
 from resonatorlab.cli import COMMANDS, main
 from resonatorlab.errors import ReportSchemaError
-from resonatorlab.io import write_trace_csv
+from resonatorlab.io import write_field_csv, write_trace_csv
 from resonatorlab.fieldmodel import MIN_FIELD_POINTS
 from resonatorlab.linfit import MIN_FIT_SAMPLES, segment_trace
 from resonatorlab.reports import validate_report
@@ -338,6 +338,15 @@ class TestFieldPipeline:
         assert code == 2
         assert doc["error"]["type"] == "InsufficientDataError"
         assert "no field above 0 T" in doc["error"]["message"]
+
+    def test_sweep_of_two_distinct_fields_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "field.csv"
+        truth = rl.FieldModelParams(7e9, 66e-3, 102e-3)
+        write_field_csv(csv, rl.generate_field_sweep(truth, [0.0, 0.0, 0.0, 0.01], 5e6, 1))
+        code, doc = run_cli(capsys, "fit-field", str(csv))
+        assert code == 2
+        assert doc["error"]["type"] == "InsufficientDataError"
+        assert "3 distinct fields" in doc["error"]["message"]
 
 class TestPowerSweepAndKerr:
     @pytest.fixture

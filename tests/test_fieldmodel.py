@@ -226,6 +226,12 @@ class TestFitFieldSweep:
         with pytest.raises(rl.InsufficientDataError, match="no field above 0 T"):
             rl.fit_field_sweep(points)
 
+    def test_sweep_of_two_distinct_fields(self):
+        # four points but two fields hold one curvature for two field scales
+        points = rl.generate_field_sweep(self.truth, [0.0, 0.0, 0.0, 0.01], sigma_f=5e6, seed=1)
+        with pytest.raises(rl.InsufficientDataError, match="3 distinct fields"):
+            rl.fit_field_sweep(points)
+
     def test_initial_guess_domain_violation(self):
         fields = np.arange(0.0, 0.0601, 0.005)
         points = rl.generate_field_sweep(self.truth, fields, sigma_f=0.0)

@@ -22,6 +22,7 @@ from resonatorlab.kerrfit import (
     _sweep_model,
     _sweep_vector,
 )
+from resonatorlab.linfit import _notch, _refinement_problem
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,7 +145,7 @@ class TestPhotonCubic:
         lin = rl.fit_linear(sweep.traces[0])
         p = _sweep_vector(lin.resonator, lin.environment, k_true, lin.resonator.phi0)
         watts = [rl.dbm_to_watts(t.drive_power) for t in sweep.traces]
-        args = (p, sweep.frequencies, watts, branch, range(9))
+        args = (p, sweep.frequencies, watts, branch, range(8))
         s21, jac, three = _sweep_model(*args)
         monkeypatch.setattr(rl.kerrfit, "photon_cubic_roots", reference_photon_cubic_roots)
         ref_s21, ref_jac, ref_three = _sweep_model(*args)
@@ -162,6 +163,22 @@ class TestKerrModel:
         kerr = rl.model_s21_kerr(params, f, -125.0)
         linear = rl.model_s21_linear(res, env, f)
         np.testing.assert_array_equal(kerr, linear)
+
+    @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
+    def test_zero_kerr_vector_is_the_linear_vector_and_k(
+        self, sample_resonator, environment, branch
+    ):
+        # the first seven entries are the linear model's, phi in phi0's slot:
+        # at K = 0 the model and their Jacobian columns are the linear ones
+        res, env = sample_resonator, environment
+        p = _sweep_vector(res, env, 0.0, -0.15)
+        f = grid_around(res, span_linewidths=12.0, points=801)
+        watts = [rl.dbm_to_watts(rl.single_photon_power(res) + 10.0)]
+        s21, jac, _ = _sweep_model(p, f, watts, branch, range(8))
+        linear_jac = _refinement_problem(f, np.zeros(f.size, dtype=complex))[1](p[:7])
+        assert np.array_equal(s21[0], _notch(p[:7], f).s)
+        assert np.array_equal(jac[:, :7], linear_jac)
+        assert np.any(jac[:, 7] != 0.0)
 
     def test_zero_kerr_reduction_many_draws(self):
         rng = np.random.default_rng(11)
@@ -427,14 +444,14 @@ class TestSolveReuse:
         p = _sweep_vector(lin.resonator, lin.environment, k_true, lin.resonator.phi0)
         f = sweep.frequencies
         solve = _solve_sweep(p, f, watts, branch)
-        # phi0, amplitude, alpha, tau and phi do not enter the cubic
+        # phi, amplitude, alpha and tau do not enter the cubic
         moved = p.copy()
-        moved[[3, 4, 5, 6, 8]] += [0.1, 0.05, 0.2, 1e-9, -0.1]
+        moved[[3, 4, 5, 6]] += [-0.1, 0.05, 0.2, 1e-9]
         other_k, other_f_r = p.copy(), p.copy()
         other_k[7] *= 1.5
         other_f_r[0] += 0.1 * linewidth_hz(lin.resonator)
         cases = (p, moved, other_k, other_f_r)
-        fresh = [_sweep_model(q, f, watts, branch, range(9)) for q in cases]
+        fresh = [_sweep_model(q, f, watts, branch, range(8)) for q in cases]
         assert fresh[0][2].any()  # the draw is bistable at its true K
 
         kernel = rl.kerrfit.photon_cubic_roots
@@ -443,7 +460,7 @@ class TestSolveReuse:
             rl.kerrfit, "photon_cubic_roots", lambda *a: calls.append(1) or kernel(*a)
         )
         for q, (s21, jac, three) in zip(cases, fresh):
-            stored = _sweep_model(q, f, watts, branch, range(9), solve=solve)
+            stored = _sweep_model(q, f, watts, branch, range(8), solve=solve)
             assert np.array_equal(stored[0], s21)
             assert np.array_equal(stored[1], jac, equal_nan=True)
             assert np.array_equal(stored[2], three)
@@ -512,16 +529,16 @@ def test_kerr_jacobian_matches_central_differences(sample_resonator, environment
     tau_scale = 1.0 / (TWO_PI * (grid[-1] - grid[0]))
     k_scale = max(abs(kerr), 1e-3 * lw)
     x_scale = np.array(
-        [lw, res.kappa_l, res.kappa_l, 0.3, env.amplitude, 0.3, tau_scale, k_scale, 0.3]
+        [lw, res.kappa_l, res.kappa_l, 0.3, env.amplitude, 0.3, tau_scale, k_scale]
     )
-    _, analytic, three = _sweep_model(p, grid, watts, branch, range(9))
+    _, analytic, three = _sweep_model(p, grid, watts, branch, range(8))
 
     def residual(q):
         s21 = _sweep_model(q, grid, watts, branch)[0].ravel()
         return np.concatenate([s21.real, s21.imag])
 
     numeric = central_jacobian(residual, p, x_scale)
-    assert analytic.shape == (2 * three.size, 9)
+    assert analytic.shape == (2 * three.size, 8)
     assert np.any(three) == (kerr != 0.0)
     # points with three roots can switch branch under a finite step
     single = np.tile(~three.ravel(), 2)

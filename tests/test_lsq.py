@@ -165,7 +165,7 @@ def _kerr_failure():
         dz = (_sweep_model(p, sweep.frequencies, watts, "lowest")[0] - data).ravel()
         return np.concatenate([dz.real, dz.imag])
 
-    names = ("kerr", "phi", "f_r", "kappa_c", "kappa_int", "amplitude", "alpha", "tau")
+    names = ("f_r", "kappa_c", "kappa_int", "phi", "amplitude", "alpha", "tau", "kerr")
     return lambda: rl.fit_kerr(sweep, lin), names, residual
 
 
