@@ -9,9 +9,9 @@ Delta``. ``H = J_s^T J_s`` is the small scaled normal matrix, so one
 eigendecomposition of it per Jacobian serves every ``lam``. The ratio
 test, the radius update and the stopping rules are those of scipy's
 ``least_squares(method="trf")`` without bounds, and the result carries the
-attributes of its result that the package reads. The normal matrix squares
-the conditioning of ``J_s``: callers parametrize their fits so that ``J_s``
-stays well conditioned.
+attributes of its result that the package reads, the Jacobian at the
+solution among them. The normal matrix squares the conditioning of ``J_s``:
+callers parametrize their fits so that ``J_s`` stays well conditioned.
 
 Each fitter calls :func:`least_squares` itself. :func:`settle` and
 :func:`fit_errors` do what follows every solve, and :func:`_centre_alpha`
@@ -47,6 +47,7 @@ class LeastSquaresResult(NamedTuple):
     nfev: int
     njev: int
     status: int
+    jac: np.ndarray  # Jacobian at x, built after every accepted step, the last one included
 
 
 def _trust_step(w, v, gv, radius, lam, full_rank, rtol=0.01, max_iter=10):
@@ -167,12 +168,11 @@ def least_squares(
 
         if reduction > 0.0:
             x, f, cost = x_new, f_new, cost_new
-            if status is None:  # no Jacobian is needed after the last step
-                jmat = None  # free the old Jacobian before the next one is built
-                jmat = jac(x)
-                njev += 1
-                g = jmat.T @ f
-    return LeastSquaresResult(x, cost, f, nfev, njev, 0 if status is None else status)
+            jmat = None  # free the old Jacobian before the next one is built
+            jmat = jac(x)
+            njev += 1
+            g = jmat.T @ f
+    return LeastSquaresResult(x, cost, f, nfev, njev, 0 if status is None else status, jmat)
 
 
 def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None = None) -> np.ndarray:

@@ -106,6 +106,12 @@ class KerrFitOptions:
     mask_bistable: bool = False  # drop the points with three roots at the start K
     max_iterations: int = 200
 
+    def __post_init__(self):
+        if self.k_init is not None and not math.isfinite(self.k_init):
+            raise ValueError(f"k_init must be finite, got {self.k_init}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+
 
 @dataclass(frozen=True)
 class KerrFitResult:
@@ -413,7 +419,7 @@ def fit_kerr(
 
     The photon cubic is solved once per distinct (f_r, kappa_c, kappa_int,
     K): a Jacobian reuses the solve of the residual at its point, and
-    ``model_s21`` that of the covariance's Jacobian.
+    ``model_s21`` that of the solver's last Jacobian, at its solution.
     """
     options = options or KerrFitOptions()
     res0 = linear.resonator
@@ -433,24 +439,13 @@ def fit_kerr(
     x0 = _sweep_vector(res0, env0, k0, res0.phi0)
     x_scale = np.append(_param_scale(res0.f_r, res0.kappa_l, env0.amplitude, span), k_scale)
     keep = None  # grid points the fit uses; all of them unless masked
-    # The solves kept for reuse: the latest residual's, and the one at the
-    # solver's current point, where it took its latest Jacobian. A Jacobian
-    # comes at the point of the residual just before it, and the covariance's
-    # at sol.x: the latest residual's point, or the current one after a
-    # rejected last step.
-    solves: list[_Solve | None] = [None, None]
-
-    def evaluate(x, columns=()):
-        key = _cubic_key(x)
-        solve = next((s for s in solves if s is not None and s.key == key), None)
-        if solve is None:
-            solve = solves[0] = _solve_sweep(x, freqs, watts, options.branch)
-        if columns:  # drop any other solve before the Jacobian is built
-            solves[:] = [solve, solve]
-        return _sweep_model(x, freqs, watts, options.branch, columns, solve)
+    solve = at_x = None  # the latest residual's solve, and the latest Jacobian's
 
     def residual(x):
-        delta_z = evaluate(x)[0]
+        nonlocal solve
+        if solve is None or solve.key != _cubic_key(x):
+            solve = _solve_sweep(x, freqs, watts, options.branch)
+        delta_z = _sweep_model(x, freqs, watts, options.branch, solve=solve)[0]
         for row, measured in zip(delta_z, data):
             row -= measured
         delta_z = delta_z.ravel()
@@ -459,7 +454,9 @@ def fit_kerr(
         return np.concatenate([delta_z.real, delta_z.imag])
 
     def jacobian(x):
-        jac = evaluate(x, range(x.size))[1]
+        nonlocal at_x
+        at_x = solve  # drop the previous point's solve before the Jacobian is built
+        jac = _sweep_model(x, freqs, watts, options.branch, range(x.size), solve)[1]
         return jac if keep is None else jac.T[:, np.concatenate([keep, keep])].T
 
     # Pick the best of a few starting K values before refining; the SSR
@@ -473,7 +470,8 @@ def fit_kerr(
     candidates = {float(k0), float(3.0 * k0), float(k0 / 3.0), float(-k0)}
     x0[7] = min(candidates, key=ssr_at)
     if options.mask_bistable:
-        keep = ~evaluate(x0)[2].ravel()
+        solve = _solve_sweep(x0, freqs, watts, options.branch)  # the first residual's
+        keep = ~solve.three.ravel()
         if not np.any(keep):
             raise DataError("masking bistable points left no data to fit")
 
@@ -492,7 +490,7 @@ def fit_kerr(
     )
     message = f"no convergence within {options.max_iterations} iterations"
     x = settle(sol, SWEEP_PARAM_NAMES, message, back)
-    _, sigmas, _ = fit_errors(sol, jacobian(sol.x), x_scale, back)
+    _, sigmas, _ = fit_errors(sol, sol.jac, x_scale, back)
     f_r, kappa_c, kappa_int, phi, amplitude, alpha, tau, kerr = map(float, x)
     params = KerrParams(
         linear=LinearResonatorParams(f_r, kappa_c, max(kappa_int, 0.0), res0.phi0),
@@ -500,13 +498,13 @@ def fit_kerr(
         kerr=kerr,
         phi=_wrap_half_pi(phi),
     )
-    # phi does not enter the cubic: the covariance's solve holds at the reported values
+    # phi does not enter the cubic: the solve at sol.x holds at the reported values
     p = _sweep_vector(params.linear, params.environment, kerr, params.phi)
     return KerrFitResult(
         params=params,
         k_uncertainty=float(sigmas[7]),
         phi_uncertainty=float(sigmas[3]),
         residual_rms=math.sqrt(2.0 * sol.cost / (sol.fun.size / 2)),
-        model_s21=_sweep_model(p, freqs, watts, options.branch, solve=solves[1])[0],
+        model_s21=_sweep_model(p, freqs, watts, options.branch, solve=at_x)[0],
     )
 

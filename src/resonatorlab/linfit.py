@@ -282,6 +282,10 @@ class FitOptions:
     wing_fraction: float = 0.1
     max_iterations: int = 200
 
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+
 
 #: Fewest samples :func:`fit_linear` takes: the shortest trace whose wings
 #: hold :data:`MIN_WING_SAMPLES` each at the default ``wing_fraction``.
@@ -328,29 +332,24 @@ def _refinement_problem(freqs: np.ndarray, values: np.ndarray):
 
     Both stack the real parts over the imaginary parts. The Jacobian is the
     transpose of a C-ordered (7, 2F) array, one contiguous row per
-    parameter. The forward
-    terms are computed once per parameter vector: the problem keeps those
-    of the latest residual and those of the solver's current point, where
-    it took its latest Jacobian, and a Jacobian at either point, bit for
-    bit, reuses them. The solver asks for a Jacobian at the point of the
-    residual just before it, and for the covariance at its solution: the
-    latest residual's point, or the current one after a rejected last step.
+    parameter. The solver asks for each Jacobian at the point of the
+    residual just before it, so the problem keeps the forward terms of the
+    latest residual, and a Jacobian at that point, bit for bit, reuses them.
     """
-    kept: list[tuple[bytes, _Terms] | None] = [None, None]
+    kept: tuple[bytes, _Terms | None] = (b"", None)  # the latest residual's key and terms
     buffer = np.empty((len(PARAM_NAMES), freqs.size), dtype=complex)  # every Jacobian's rows
 
     def residual(p):
+        nonlocal kept
         terms = _notch(p, freqs)
-        kept[0] = (p.tobytes(), terms)
+        kept = (p.tobytes(), terms)
         r = terms.s - values
         return np.concatenate([r.real, r.imag])
 
     def jacobian(p):
-        key = p.tobytes()
-        terms = next((t for k, t in filter(None, kept) if k == key), None)
-        if terms is None:
+        key, terms = kept
+        if key != p.tobytes():
             terms = _notch(p, freqs)
-        kept[:] = [(key, terms), (key, terms)]
         rows = _notch_rows(p, freqs, terms, buffer)
         jac = np.empty((len(PARAM_NAMES), 2, freqs.size))
         jac[:, 0] = rows.real
@@ -419,9 +418,9 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
         flags.append("kappa_int pinned to 0 (optimum was negative)")
         kappa_int = 0.0
 
-    # Stage 4: parameter covariance from the refinement's Jacobian at the
+    # Stage 4: parameter covariance from the solver's Jacobian at the
     # optimum, mapped back to the 0 Hz phase alpha.
-    covariance, sigmas, _ = fit_errors(sol, jacobian(sol.x), x_scale, back)
+    covariance, sigmas, _ = fit_errors(sol, sol.jac, x_scale, back)
     uncertainties = dict(zip(PARAM_NAMES, (float(s) for s in sigmas)))
     residual_rms = math.sqrt(2.0 * sol.cost / n)
 

@@ -198,6 +198,26 @@ class TestErrors:
         assert code == 3
         assert doc["error"]["type"] == "ConvergenceError"
 
+    @pytest.mark.parametrize("command", ["fit-linear", "fit-power-sweep", "fit-kerr"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_iteration_budget_below_1_is_data_error(self, tmp_path, capsys, command, value):
+        # refused before any fit runs, not reported as a failed fit
+        kind = "linear" if command == "fit-linear" else "kerr"
+        path = tmp_path / f"{kind}.csv"
+        assert run_cli(capsys, "synth", kind, "--out-csv", str(path), "--points", "201")[0] == 0
+        code, doc = run_cli(capsys, command, str(path), "--max-iterations", value)
+        assert code == 2
+        assert doc["error"]["type"] == "ValueError"
+        assert "max_iterations" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_k_init_is_data_error(self, tmp_path, capsys, value):
+        path = tmp_path / "sweep.csv"
+        assert run_cli(capsys, "synth", "kerr", "--out-csv", str(path), "--points", "201")[0] == 0
+        code, doc = run_cli(capsys, "fit-kerr", str(path), "--k-init", value)
+        assert code == 2
+        assert "k_init must be finite" in doc["error"]["message"]
+
     def test_report_breaking_its_schema_is_not_an_input_error(self, monkeypatch):
         # the package builds its reports, so a mismatch is a bug: it gets no
         # exit code of the input-error contract and ends in a traceback

@@ -208,7 +208,7 @@ class TestFitFieldSweep:
         # the solver is unbounded: f0 <= 0 is refused after it returns
         def solver(fun, x0, jac, **kwargs):
             x = np.array([-1.0, *x0[1:]])
-            return LeastSquaresResult(x, 0.0, fun(x), 2, 1, 2)
+            return LeastSquaresResult(x, 0.0, fun(x), 2, 1, 2, jac(x))
 
         monkeypatch.setattr(fieldmodel, "least_squares", solver)
         points = rl.generate_field_sweep(self.truth, np.arange(0.0, 0.0601, 0.005), 0.0)

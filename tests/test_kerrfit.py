@@ -481,7 +481,13 @@ class TestSolveReuse:
         _, sweep, _ = self._draw(index)
         lin = rl.fit_linear(sweep.traces[0])
         kernel, solver = rl.kerrfit.photon_cubic_roots, rl.kerrfit.least_squares
-        calls, runs = [], []
+        model = rl.kerrfit._sweep_model
+        calls, runs, jacobians = [], [], []
+
+        def counted_model(p, f, watts, branch, columns=(), solve=None):
+            if len(columns):
+                jacobians.append(1)
+            return model(p, f, watts, branch, columns, solve)
 
         def counted_solver(fun, x0, jac, **kwargs):
             points = []
@@ -498,11 +504,14 @@ class TestSolveReuse:
             rl.kerrfit, "photon_cubic_roots", lambda *a: calls.append(1) or kernel(*a)
         )
         monkeypatch.setattr(rl.kerrfit, "least_squares", counted_solver)
+        monkeypatch.setattr(rl.kerrfit, "_sweep_model", counted_model)
         rl.fit_kerr(sweep, lin, rl.KerrFitOptions(mask_bistable=mask))
         [(sol, last_point)] = runs
         # the covariance Jacobian at sol.x follows an accepted or a rejected step
         assert (not np.array_equal(last_point, sol.x)) == rejected_last
         assert len(calls) == len(sweep) * sol.nfev + 4 * RANK_ROWS
+        # the covariance takes the solver's Jacobian at sol.x: none is built after it returns
+        assert len(jacobians) == sol.njev
 
     @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
     def test_model_s21_is_the_model_at_the_reported_values(self, branch):

@@ -301,7 +301,8 @@ def test_one_forward_pass_per_parameter_vector(
         for seed in seeds
     ]
     forward, solver = rl.linfit._notch, rl.linfit.least_squares
-    calls, runs = [], []
+    rows = rl.linfit._notch_rows
+    calls, runs, jacobians = [], [], []
 
     def counted_solver(fun, x0, jac, **kwargs):
         points = []
@@ -316,9 +317,11 @@ def test_one_forward_pass_per_parameter_vector(
 
     monkeypatch.setattr(rl.linfit, "_notch", lambda p, *a: calls.append(p.copy()) or forward(p, *a))
     monkeypatch.setattr(rl.linfit, "least_squares", counted_solver)
+    monkeypatch.setattr(rl.linfit, "_notch_rows", lambda *a: jacobians.append(1) or rows(*a))
     for trace in traces:
         calls.clear()
         runs.clear()
+        jacobians.clear()
         rl.fit_linear(trace)
         [(sol, points)] = runs
         if (not np.array_equal(points[-1], sol.x)) == rejected_last:
@@ -327,6 +330,8 @@ def test_one_forward_pass_per_parameter_vector(
     assert (not np.array_equal(points[-1], sol.x)) == rejected_last, f"no such seed in {seeds}"
     assert sol.njev > 1
     assert len(calls) == len({p.tobytes() for p in calls}) == len(points) == sol.nfev
+    # the covariance takes the solver's Jacobian at sol.x: none is built after it returns
+    assert len(jacobians) == sol.njev
 
 
 def test_high_q_covariance_matches_svd_reference(environment):

@@ -141,6 +141,26 @@ def test_field_sweeps_match_scipy(captured):
     assert_matches_scipy(captured)
 
 
+def test_every_solution_carries_the_jacobian_at_its_x(captured):
+    # the fits take their covariance from sol.jac, so it must be the
+    # problem's own Jacobian at sol.x, bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trace in linear_pool(6):
+            rl.fit_linear(trace)
+        _, sweep = next(kerr_recovery_draws())
+        lin = rl.fit_linear(sweep.traces[0])
+        for options in (KerrFitOptions(), KerrFitOptions(mask_bistable=True)):
+            rl.fit_kerr(sweep, lin, options)
+        truth = rl.FieldModelParams(7e9, 66e-3, 102e-3)
+        for seed, top in enumerate((0.2, 0.5, 0.8)):
+            fields = np.linspace(0.0, top * truth.b_max, 13)
+            rl.fit_field_sweep(rl.generate_field_sweep(truth, fields, 5e6, seed))
+    assert len(captured) == 6 + 1 + 2 + 3
+    for _, _, jac, _, sol in captured:
+        assert np.array_equal(sol.jac, jac(sol.x))
+
+
 def _linear_failure():
     """A linear fit, its reported names, and its residual at reported values."""
     res = resonator(phi0=0.2)
@@ -223,6 +243,29 @@ def test_converges_on_rosenbrock():
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
     assert sol.cost == pytest.approx(0.5 * float(sol.fun @ sol.fun))
     assert sol.njev <= sol.nfev
+
+
+@pytest.mark.parametrize(
+    "kwargs, status, rejected_last",
+    [
+        ({}, 1, False),
+        ({"xtol": 1.0}, 3, True),
+        ({"max_nfev": 3}, 0, False),
+        ({"max_nfev": 2}, 0, True),
+    ],
+    ids=["converged-accepted", "converged-rejected", "budget-accepted", "budget-rejected"],
+)
+def test_result_carries_the_jacobian_at_x(kwargs, status, rejected_last):
+    points = []
+
+    def fun(x):
+        points.append(x.copy())
+        return rosenbrock(x)
+
+    sol = least_squares(fun, [-1.2, 1.0], jac=rosenbrock_jac, **kwargs)
+    assert sol.status == status
+    assert (not np.array_equal(points[-1], sol.x)) == rejected_last
+    assert np.array_equal(sol.jac, rosenbrock_jac(sol.x))
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5])
