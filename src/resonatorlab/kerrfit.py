@@ -94,12 +94,7 @@ class KerrParams:
 
 @dataclass(frozen=True)
 class KerrFitOptions:
-    """Options of :func:`fit_kerr`.
-
-    ``branch`` is one of :data:`BRANCH_RULES`. The solver may take
-    ``max_iterations * 9`` residual evaluations: the eight free parameters
-    plus one.
-    """
+    """Options of :func:`fit_kerr`; ``branch`` is one of :data:`BRANCH_RULES`."""
 
     branch: str = "lowest"
     k_init: float | None = None  # Hz; default: dip-trajectory slope estimate
@@ -304,21 +299,19 @@ def _sweep_model(
     f: np.ndarray,
     watts: Sequence[float],
     branch: str,
-    columns: Sequence[int] = (),
+    jac: bool = False,
     solve: _Solve | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S21 over the (power x frequency) grid, with Jacobian columns on request.
+) -> tuple[np.ndarray, np.ndarray | None, _Solve]:
+    """S21 over the (power x frequency) grid, with its Jacobian on request.
 
     ``p`` holds :data:`SWEEP_PARAM_NAMES`, ``watts`` the feedline power [W] of
-    each row. Returns the complex S21 ``(P, F)``; ``dS21/dp[j]`` for each ``j``
-    in ``columns`` as the transpose of one C-ordered ``(k, 2 P F)`` array, the
-    real parts of the raveled grid over the imaginary parts as in a stacked
-    residual, the layout of :func:`linfit._refinement_problem`; and the
-    ``(P, F)`` flags of the points where the cubic has three roots. Each power
-    row is one sweep for ``"sweep-continuation"``. The first seven entries
-    enter as the linear model's, with ``phi`` as ``phi0``. ``solve`` is used
-    when it was made at the same cubic inputs as ``p``, bit for bit, and the
-    cubic is solved afresh otherwise.
+    each row. Returns the complex S21 ``(P, F)``; the complex ``dS21/dp``
+    ``(8, P, F)`` if ``jac`` is set and ``None`` otherwise; and the solve the
+    model used, whose ``three`` flags the points where the cubic has three
+    roots. Each power row is one sweep for ``"sweep-continuation"``. The
+    first seven entries enter as the linear model's, with ``phi`` as
+    ``phi0``. ``solve`` is used when it was made at the same cubic inputs as
+    ``p``, bit for bit, and the cubic is solved afresh otherwise.
     """
     if solve is None or solve.key != _cubic_key(p):
         solve = _solve_sweep(p, f, watts, branch)
@@ -327,23 +320,25 @@ def _sweep_model(
     kappa_l, delta, rows = _drives(p, f, watts)
 
     s21 = np.empty(solve.n.shape, dtype=complex)
-    jac = np.empty((len(columns), 2) + s21.shape)  # one contiguous row per column
-    if columns:
+    d = None
+    if jac:
+        d = np.empty((p.size,) + s21.shape, dtype=complex)
         delta_sq, delta_4 = delta * delta, 4.0 * delta  # the same on every row
-        c = np.empty((len(linear), f.size), dtype=complex)  # each row's linear derivatives
     for i, (alpha_in_sq, xi) in enumerate(rows):
         n = solve.n[i]
         # the linear model at the detuning shifted by kappa_L xi n, which is
         # exactly 0 at K = 0
         terms = _notch(linear, f, kappa_l * xi * n)
         s21[i] = terms.s
-        if not columns:
+        if not jac:
             continue
 
-        # c holds the shift kappa_L (delta - u), u = delta - xi n, fixed, and
-        # dS/d(shift) = -w with w = c_0/(2 pi). Implicit differentiation of
-        # the cubic gives du = g (d delta - n d xi) with g = (u^2 + 1/4)/F_n.
-        _notch_rows(linear, f, terms, c)
+        # c holds the derivatives at the shift kappa_L (delta - u), u = delta
+        # - xi n, fixed, and dS/d(shift) = -w with w = c_0/(2 pi). Implicit
+        # differentiation of the cubic gives du = g (d delta - n d xi) with
+        # g = (u^2 + 1/4)/F_n. phi, amplitude, alpha and tau enter as in the
+        # linear model.
+        c = _notch_rows(linear, f, terms, d[:7, i])
         u = delta - xi * n
         xn_3 = 3.0 * xi * n
         f_n = (xn_3 - delta_4) * xi * n + delta_sq + 0.25
@@ -352,20 +347,14 @@ def _sweep_model(
             w = c[0] / (2.0 * math.pi)
             drift = u - g * (delta - xn_3)  # -d(shift)/d(kappa_int)
             feed = kappa_l * g * n * (alpha_in_sq * 2.0 * math.pi / kappa_l**3)  # per d(kappa_c K)
-        for col, j in enumerate(columns):
-            if j == 0:
-                v = c[0] * g
-            elif j == 1:
-                v = c[1] + w * (drift - feed * kerr)
-            elif j == 2:
-                v = c[2] + w * drift if p[2] >= 0.0 else 0.0  # zero when clipped
-            elif j == 7:
-                v = -w * feed * kappa_c
-            else:  # phi, amplitude, alpha and tau enter as in the linear model
-                v = c[j]
-            jac[col, 0, i] = np.real(v)
-            jac[col, 1, i] = np.imag(v)
-    return s21, jac.reshape(len(columns), 2 * s21.size).T, solve.three
+        d[7, i] = -w * feed * kappa_c
+        c[0] *= g
+        c[1] += w * (drift - feed * kerr)
+        if p[2] >= 0.0:
+            c[2] += w * drift
+        else:  # zero when clipped
+            c[2] = 0.0
+    return s21, d, solve
 
 
 def model_s21_kerr(
@@ -417,9 +406,13 @@ def fit_kerr(
     stays the seed's, as ``phi`` takes its role. ``k_uncertainty`` is
     marginal: it comes from the joint covariance of all eight parameters.
 
-    The photon cubic is solved once per distinct (f_r, kappa_c, kappa_int,
-    K): a Jacobian reuses the solve of the residual at its point, and
-    ``model_s21`` that of the solver's last Jacobian, at its solution.
+    The solver gets the complex residual and ``dS21/dp`` of the kept points
+    as float views, the real and imaginary part of each point side by side.
+    A trial point with ``kappa_c <= 0`` gets a NaN residual, on which the
+    solver shrinks its step. The photon cubic is solved once per distinct
+    (f_r, kappa_c, kappa_int, K): a Jacobian reuses the solve of the
+    residual at its point, and ``model_s21`` that of the solver's last
+    Jacobian, at its solution.
     """
     options = options or KerrFitOptions()
     res0 = linear.resonator
@@ -441,23 +434,23 @@ def fit_kerr(
     keep = None  # grid points the fit uses; all of them unless masked
     solve = at_x = None  # the latest residual's solve, and the latest Jacobian's
 
+    def fitted(z):  # the kept points of each (P, F) grid in z, re and im side by side
+        z = z.reshape(-1, freqs.size * len(watts))
+        return (z if keep is None else np.compress(keep, z, axis=1)).view(float)
+
     def residual(x):
         nonlocal solve
-        if solve is None or solve.key != _cubic_key(x):
-            solve = _solve_sweep(x, freqs, watts, options.branch)
-        delta_z = _sweep_model(x, freqs, watts, options.branch, solve=solve)[0]
+        if not x[1] > 0.0:  # xi would be negative: neither cubic nor model
+            return fitted(np.full((len(watts), freqs.size), complex(np.nan, np.nan)))[0]
+        delta_z, _, solve = _sweep_model(x, freqs, watts, options.branch, solve=solve)
         for row, measured in zip(delta_z, data):
             row -= measured
-        delta_z = delta_z.ravel()
-        if keep is not None:
-            delta_z = delta_z[keep]
-        return np.concatenate([delta_z.real, delta_z.imag])
+        return fitted(delta_z)[0]
 
     def jacobian(x):
         nonlocal at_x
         at_x = solve  # drop the previous point's solve before the Jacobian is built
-        jac = _sweep_model(x, freqs, watts, options.branch, range(x.size), solve)[1]
-        return jac if keep is None else jac.T[:, np.concatenate([keep, keep])].T
+        return fitted(_sweep_model(x, freqs, watts, options.branch, True, solve)[1]).T
 
     # Pick the best of a few starting K values before refining; the SSR
     # landscape is benign but the slope estimate can be off by a factor.
@@ -486,7 +479,8 @@ def fit_kerr(
         ftol=1e-12,
         xtol=1e-12,
         gtol=1e-14,
-        max_nfev=options.max_iterations * (len(x0) + 1),
+        # Each iteration costs one Jacobian and at least one residual.
+        max_nfev=options.max_iterations,
     )
     message = f"no convergence within {options.max_iterations} iterations"
     x = settle(sol, SWEEP_PARAM_NAMES, message, back)

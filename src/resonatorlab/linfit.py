@@ -99,7 +99,8 @@ def _notch(p, f: np.ndarray, shift: float | np.ndarray = 0.0) -> _Terms:
 def _notch_rows(p, f: np.ndarray, t: _Terms, rows: np.ndarray) -> np.ndarray:
     """The complex derivatives of S21 in :data:`PARAM_NAMES` order at fixed
     shift, from the forward terms ``t`` of :func:`_notch` at ``p``, written
-    into the ``(7, F)`` array ``rows`` and returned."""
+    into the complex ``(7, F)`` array ``rows`` and returned. ``rows`` may be
+    a slice of a larger array, as the Kerr model's ``(8, P, F)`` Jacobian."""
     kappa_c, phi0 = p[1], p[3]
     q = np.divide(t.background, t.d, out=rows[3])  # B/d
     b_m_d2 = np.divide(q, t.d, out=rows[2])
@@ -330,31 +331,27 @@ def _param_scale(f_r: float, kappa_l: float, amplitude: float, span: float) -> n
 def _refinement_problem(freqs: np.ndarray, values: np.ndarray):
     """Residual and closed-form Jacobian of the 7-parameter refinement.
 
-    Both stack the real parts over the imaginary parts. The Jacobian is the
-    transpose of a C-ordered (7, 2F) array, one contiguous row per
-    parameter. The solver asks for each Jacobian at the point of the
-    residual just before it, so the problem keeps the forward terms of the
-    latest residual, and a Jacobian at that point, bit for bit, reuses them.
+    Both are float views of the complex arrays, the real and imaginary part
+    of each point side by side. The Jacobian is the transpose of the
+    C-ordered (7, 2F) view, one contiguous row per parameter. The solver
+    asks for each Jacobian at the point of the residual just before it, so
+    the problem keeps the forward terms of the latest residual, and a
+    Jacobian at that point, bit for bit, reuses them.
     """
     kept: tuple[bytes, _Terms | None] = (b"", None)  # the latest residual's key and terms
-    buffer = np.empty((len(PARAM_NAMES), freqs.size), dtype=complex)  # every Jacobian's rows
 
     def residual(p):
         nonlocal kept
         terms = _notch(p, freqs)
         kept = (p.tobytes(), terms)
-        r = terms.s - values
-        return np.concatenate([r.real, r.imag])
+        return (terms.s - values).view(float)
 
     def jacobian(p):
         key, terms = kept
         if key != p.tobytes():
             terms = _notch(p, freqs)
-        rows = _notch_rows(p, freqs, terms, buffer)
-        jac = np.empty((len(PARAM_NAMES), 2, freqs.size))
-        jac[:, 0] = rows.real
-        jac[:, 1] = rows.imag
-        return jac.reshape(len(PARAM_NAMES), -1).T
+        rows = np.empty((len(PARAM_NAMES), freqs.size), dtype=complex)
+        return _notch_rows(p, freqs, terms, rows).view(float).T
 
     return residual, jacobian
 

@@ -145,12 +145,12 @@ class TestPhotonCubic:
         lin = rl.fit_linear(sweep.traces[0])
         p = _sweep_vector(lin.resonator, lin.environment, k_true, lin.resonator.phi0)
         watts = [rl.dbm_to_watts(t.drive_power) for t in sweep.traces]
-        args = (p, sweep.frequencies, watts, branch, range(8))
-        s21, jac, three = _sweep_model(*args)
+        args = (p, sweep.frequencies, watts, branch, True)
+        s21, jac, solve = _sweep_model(*args)
         monkeypatch.setattr(rl.kerrfit, "photon_cubic_roots", reference_photon_cubic_roots)
-        ref_s21, ref_jac, ref_three = _sweep_model(*args)
-        assert three.any()  # the draw is bistable at its true K
-        assert np.array_equal(three, ref_three)
+        ref_s21, ref_jac, ref_solve = _sweep_model(*args)
+        assert solve.three.any()  # the draw is bistable at its true K
+        assert np.array_equal(solve.three, ref_solve.three)
         assert np.array_equal(s21, ref_s21, equal_nan=True)
         assert np.array_equal(jac, ref_jac, equal_nan=True)
 
@@ -174,11 +174,11 @@ class TestKerrModel:
         p = _sweep_vector(res, env, 0.0, -0.15)
         f = grid_around(res, span_linewidths=12.0, points=801)
         watts = [rl.dbm_to_watts(rl.single_photon_power(res) + 10.0)]
-        s21, jac, _ = _sweep_model(p, f, watts, branch, range(8))
+        s21, jac, _ = _sweep_model(p, f, watts, branch, True)
         linear_jac = _refinement_problem(f, np.zeros(f.size, dtype=complex))[1](p[:7])
         assert np.array_equal(s21[0], _notch(p[:7], f).s)
-        assert np.array_equal(jac[:, :7], linear_jac)
-        assert np.any(jac[:, 7] != 0.0)
+        assert np.array_equal(jac[:7, 0].view(float).T, linear_jac)
+        assert np.any(jac[7] != 0.0)
 
     def test_zero_kerr_reduction_many_draws(self):
         rng = np.random.default_rng(11)
@@ -451,43 +451,44 @@ class TestSolveReuse:
         other_k[7] *= 1.5
         other_f_r[0] += 0.1 * linewidth_hz(lin.resonator)
         cases = (p, moved, other_k, other_f_r)
-        fresh = [_sweep_model(q, f, watts, branch, range(8)) for q in cases]
-        assert fresh[0][2].any()  # the draw is bistable at its true K
+        fresh = [_sweep_model(q, f, watts, branch, True) for q in cases]
+        assert fresh[0][2].three.any()  # the draw is bistable at its true K
 
         kernel = rl.kerrfit.photon_cubic_roots
         calls = []
         monkeypatch.setattr(
             rl.kerrfit, "photon_cubic_roots", lambda *a: calls.append(1) or kernel(*a)
         )
-        for q, (s21, jac, three) in zip(cases, fresh):
-            stored = _sweep_model(q, f, watts, branch, range(8), solve=solve)
+        for q, (s21, jac, fresh_solve) in zip(cases, fresh):
+            stored = _sweep_model(q, f, watts, branch, True, solve=solve)
             assert np.array_equal(stored[0], s21)
             assert np.array_equal(stored[1], jac, equal_nan=True)
-            assert np.array_equal(stored[2], three)
+            assert np.array_equal(stored[2].three, fresh_solve.three)
         # the solve served p and moved; other_k and other_f_r were solved afresh
         assert len(calls) == 2 * len(sweep)
         assert not np.array_equal(fresh[2][0], fresh[0][0])
         assert not np.array_equal(fresh[3][0], fresh[0][0])
 
     @pytest.mark.parametrize(
-        "index, mask, rejected_last",
-        [(1, False, False), (7, False, True), (1, True, False)],
+        "mask, rejected_last",
+        [(False, False), (False, True), (True, False)],
         ids=["accepted-last-step", "rejected-last-step", "mask-bistable"],
     )
-    def test_jacobians_add_no_kernel_calls(self, monkeypatch, index, mask, rejected_last):
+    def test_jacobians_add_no_kernel_calls(self, monkeypatch, mask, rejected_last):
         # one kernel call per row for each residual of the solver, and one per
         # ranked row for each start candidate; no more for the Jacobians, the
-        # covariance at the solution, the mask or model_s21
-        _, sweep, _ = self._draw(index)
-        lin = rl.fit_linear(sweep.traces[0])
+        # covariance at the solution, the mask or model_s21. The counts hold
+        # on every draw tried; the draws are tried in order up to the first
+        # whose fit ends on the wanted kind of step, since which draws do
+        # depends on the last bits of the solve.
         kernel, solver = rl.kerrfit.photon_cubic_roots, rl.kerrfit.least_squares
         model = rl.kerrfit._sweep_model
         calls, runs, jacobians = [], [], []
 
-        def counted_model(p, f, watts, branch, columns=(), solve=None):
-            if len(columns):
+        def counted_model(p, f, watts, branch, jac=False, solve=None):
+            if jac:
                 jacobians.append(1)
-            return model(p, f, watts, branch, columns, solve)
+            return model(p, f, watts, branch, jac, solve)
 
         def counted_solver(fun, x0, jac, **kwargs):
             points = []
@@ -505,13 +506,20 @@ class TestSolveReuse:
         )
         monkeypatch.setattr(rl.kerrfit, "least_squares", counted_solver)
         monkeypatch.setattr(rl.kerrfit, "_sweep_model", counted_model)
-        rl.fit_kerr(sweep, lin, rl.KerrFitOptions(mask_bistable=mask))
-        [(sol, last_point)] = runs
-        # the covariance Jacobian at sol.x follows an accepted or a rejected step
-        assert (not np.array_equal(last_point, sol.x)) == rejected_last
-        assert len(calls) == len(sweep) * sol.nfev + 4 * RANK_ROWS
-        # the covariance takes the solver's Jacobian at sol.x: none is built after it returns
-        assert len(jacobians) == sol.njev
+        for _, sweep in itertools.islice(kerr_recovery_draws(), 12):
+            lin = rl.fit_linear(sweep.traces[0])
+            for counts in (calls, runs, jacobians):
+                counts.clear()
+            rl.fit_kerr(sweep, lin, rl.KerrFitOptions(mask_bistable=mask))
+            [(sol, last_point)] = runs
+            assert len(calls) == len(sweep) * sol.nfev + 4 * RANK_ROWS
+            # the covariance takes the solver's Jacobian at sol.x: none is built after it returns
+            assert len(jacobians) == sol.njev
+            # the covariance Jacobian at sol.x follows an accepted or a rejected step
+            if (not np.array_equal(last_point, sol.x)) == rejected_last:
+                break
+        else:
+            pytest.fail("no draw ends on the wanted kind of step")
 
     @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
     def test_model_s21_is_the_model_at_the_reported_values(self, branch):
@@ -521,6 +529,57 @@ class TestSolveReuse:
         for row, trace in zip(fit.model_s21, sweep.traces):
             expected = rl.model_s21_kerr(fit.params, sweep.frequencies, trace.drive_power, branch)
             assert np.array_equal(row, expected)
+
+
+class TestSolverProblem:
+    """The residual and Jacobian that fit_kerr hands to the solver."""
+
+    @staticmethod
+    def _problem(monkeypatch, options):
+        """A bistable draw, and the residual, start, Jacobian and scales of its fit."""
+        _, sweep = next(itertools.islice(kerr_recovery_draws(), 4, None))
+        lin = rl.fit_linear(sweep.traces[0])
+        solver, problems = rl.kerrfit.least_squares, []
+
+        def spy(fun, x0, jac, **kwargs):
+            problems.append((fun, x0.copy(), jac, kwargs["x_scale"]))
+            return solver(fun, x0, jac=jac, **kwargs)
+
+        monkeypatch.setattr(rl.kerrfit, "least_squares", spy)
+        rl.fit_kerr(sweep, lin, options)
+        [problem] = problems
+        return sweep, problem
+
+    @pytest.mark.parametrize("mask", [False, True], ids=["all-points", "mask-bistable"])
+    def test_non_positive_kappa_c_gets_a_nan_residual(self, monkeypatch, mask):
+        # xi would be negative there: the residual is NaN, on which the solver
+        # shrinks its step, and neither the cubic nor the model runs
+        _, (residual, x0, _, _) = self._problem(monkeypatch, rl.KerrFitOptions(mask_bistable=mask))
+        size = residual(x0).size
+        calls = []
+        for name in ("photon_cubic_roots", "_notch"):
+            monkeypatch.setattr(rl.kerrfit, name, lambda *a, name=name: calls.append(name))
+        for factor in (-1.0, -0.1, 0.0):
+            x = x0.copy()
+            x[1] *= factor
+            r = residual(x)
+            assert r.shape == (size,) and np.all(np.isnan(r))
+        assert not calls
+
+    def test_masked_residual_and_jacobian_pair_row_for_row(self, monkeypatch):
+        # the mask drops the same points from both; every kept point has one
+        # root at x0, so no branch switches under a central-difference step
+        sweep, (residual, x0, jacobian, x_scale) = self._problem(
+            monkeypatch, rl.KerrFitOptions(mask_bistable=True)
+        )
+        analytic = jacobian(x0)
+        assert 0 < analytic.shape[0] < 2 * len(sweep) * sweep.frequencies.size  # points dropped
+        assert analytic.shape == (residual(x0).size, x0.size)
+        numeric = central_jacobian(residual, x0, x_scale)
+        error = np.linalg.norm(analytic - numeric, axis=0)
+        scale = np.linalg.norm(numeric, axis=0)
+        for name, err, ref in zip(rl.kerrfit.SWEEP_PARAM_NAMES, error, scale):
+            assert err <= 1e-6 * ref, name
 
 
 @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
@@ -540,17 +599,19 @@ def test_kerr_jacobian_matches_central_differences(sample_resonator, environment
     x_scale = np.array(
         [lw, res.kappa_l, res.kappa_l, 0.3, env.amplitude, 0.3, tau_scale, k_scale]
     )
-    _, analytic, three = _sweep_model(p, grid, watts, branch, range(8))
+    _, analytic, solve = _sweep_model(p, grid, watts, branch, True)
+    analytic = analytic.reshape(8, -1).view(float).T
+    three = solve.three
 
     def residual(q):
-        s21 = _sweep_model(q, grid, watts, branch)[0].ravel()
-        return np.concatenate([s21.real, s21.imag])
+        return _sweep_model(q, grid, watts, branch)[0].view(float).ravel()
 
     numeric = central_jacobian(residual, p, x_scale)
     assert analytic.shape == (2 * three.size, 8)
     assert np.any(three) == (kerr != 0.0)
-    # points with three roots can switch branch under a finite step
-    single = np.tile(~three.ravel(), 2)
+    # points with three roots can switch branch under a finite step; each
+    # point's real and imaginary part sit side by side
+    single = np.repeat(~three.ravel(), 2)
     error = np.linalg.norm(analytic[single] - numeric[single], axis=0)
     scale = np.linalg.norm(numeric[single], axis=0)
     for name, err, ref in zip(rl.kerrfit.SWEEP_PARAM_NAMES, error, scale):

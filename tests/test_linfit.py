@@ -265,9 +265,10 @@ def test_refinement_residual_is_the_model_minus_the_data(sample_resonator, envir
     p = np.array([res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau])
     residual, jacobian = _refinement_problem(grid, trace.values)
     r = rl.model_s21_linear(res, env, grid) - trace.values
-    assert np.array_equal(residual(p), np.concatenate([r.real, r.imag]))
+    assert np.array_equal(residual(p), r.view(float))
     # the Jacobian built from the residual's forward terms is the fresh one,
-    # one contiguous row of 2F values per parameter
+    # one contiguous row of 2F values per parameter, each point's real and
+    # imaginary part side by side as in the residual
     fresh = _refinement_problem(grid, trace.values)[1]
     jac = jacobian(p)
     assert jac.shape == (2 * grid.size, 7) and jac.T.flags.c_contiguous

@@ -182,8 +182,7 @@ def _kerr_failure():
         p = _sweep_vector(lin.resonator, lin.environment, 0.0, 0.0)
         for name, value in params.items():
             p[SWEEP_PARAM_NAMES.index(name)] = value
-        dz = (_sweep_model(p, sweep.frequencies, watts, "lowest")[0] - data).ravel()
-        return np.concatenate([dz.real, dz.imag])
+        return (_sweep_model(p, sweep.frequencies, watts, "lowest")[0] - data).view(float).ravel()
 
     names = ("f_r", "kappa_c", "kappa_int", "phi", "amplitude", "alpha", "tau", "kerr")
     return lambda: rl.fit_kerr(sweep, lin), names, residual
