@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
@@ -558,6 +559,11 @@ COMMANDS: dict[str, tuple] = {
 class _Parser(argparse.ArgumentParser):
     """Usage errors (unknown flags, bad values) raise :class:`DataError`, so
     they exit 2 with a JSON error report like every other input error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-4e-8" as a flag: take scientific notation as a number too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

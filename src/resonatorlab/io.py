@@ -1,6 +1,7 @@
 """CSV ingestion and writing for traces, power sweeps and field sweeps.
 
-Trace files are UTF-8 CSV with a header row and '.' decimal points.
+Trace files are UTF-8 CSV (a leading UTF-8 BOM is accepted) with a header
+row and '.' decimal points.
 Accepted column sets (order free, extra columns rejected as ambiguity only
 when they clash):
 
@@ -45,7 +46,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], np.ndarray | list[list[str]
     report row by row: the reader knows neither quoting, blank cells nor
     whitespace-only lines, and it names no column in its errors.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
         lines = fh.readlines()
     reader = csv.reader(lines)
     try:

@@ -1,6 +1,8 @@
 """Kerr-nonlinear notch model: photon cubic, branch selection, one forward
 model of a whole power sweep with its Jacobian, and the joint power-sweep
-fit for the self-Kerr coefficient.
+fit for the self-Kerr coefficient. The forward model makes one pass over
+the power rows; each row's cubic is solved in that pass, just before the
+row's S21, unless a stored solve at the same cubic inputs is passed in.
 
 Conventions. ``K`` is the self-Kerr coefficient in Hz; positive ``K``
 softens the resonator, so the dip moves to lower frequency as the drive
@@ -252,46 +254,9 @@ class _Solve(NamedTuple):
     ``key`` is checked when it is offered again.
     """
 
-    key: bytes  # _cubic_key of the vector solved at
+    key: bytes  # f_r, kappa_c, the clipped kappa_int and K solved at, bit for bit
     n: np.ndarray  # (P, F) photon numbers on the branch
     three: np.ndarray  # (P, F) flags of the points where the cubic has three roots
-
-
-def _cubic_key(p: np.ndarray) -> bytes:
-    """The parameters the cubic depends on, bit for bit: f_r, kappa_c, the
-    clipped kappa_int and K. The other four do not enter it."""
-    return np.array([p[0], p[1], max(p[2], 0.0), p[7]]).tobytes()
-
-
-def _drives(p: np.ndarray, f: np.ndarray, watts: Sequence[float]):
-    """``kappa_L``, the reduced detuning, and an iterator of ``(|alpha_in|^2, xi)``
-    over the power rows."""
-    f_r, kappa_c, kappa_int, kerr = p[0], p[1], max(p[2], 0.0), p[7]
-    kappa_l = kappa_c + kappa_int
-    hbar_omega = HBAR * (2.0 * math.pi * f)
-    # subtract frequencies before scaling: forming omega_0 - omega_d from
-    # two large rounded products would cost ~4 digits of detuning accuracy
-    delta = 2.0 * math.pi * (f_r - f) / kappa_l
-
-    def rows():  # one row at a time, so no sweep-sized array is held
-        for power in watts:
-            alpha_in_sq = power / hbar_omega
-            yield alpha_in_sq, alpha_in_sq * kappa_c * (2.0 * math.pi * kerr) / kappa_l**3
-
-    return kappa_l, delta, rows()
-
-
-def _solve_sweep(p: np.ndarray, f: np.ndarray, watts: Sequence[float], branch: str) -> _Solve:
-    """Solve the photon cubic on every power row at ``p``: one kernel call per row."""
-    _, delta, rows = _drives(p, f, watts)
-    sign = -1.0 if p[7] < 0.0 else 1.0
-    n = np.empty((len(watts), f.size))
-    three = np.empty(n.shape, dtype=bool)
-    for i, (_, xi) in enumerate(rows):
-        roots = photon_cubic_roots(sign * delta, sign * xi)
-        three[i] = np.isfinite(roots[:, 2])
-        n[i] = _select_branch(roots, branch)
-    return _Solve(_cubic_key(p), n, three)
 
 
 def _sweep_model(
@@ -311,20 +276,35 @@ def _sweep_model(
     roots. Each power row is one sweep for ``"sweep-continuation"``. The
     first seven entries enter as the linear model's, with ``phi`` as
     ``phi0``. ``solve`` is used when it was made at the same cubic inputs as
-    ``p``, bit for bit, and the cubic is solved afresh otherwise.
+    ``p``, bit for bit; otherwise each row's cubic is solved in the same pass
+    over the rows as its model, one kernel call per row.
     """
-    if solve is None or solve.key != _cubic_key(p):
-        solve = _solve_sweep(p, f, watts, branch)
-    kappa_c, kerr = p[1], p[7]
-    linear = (p[0], kappa_c, max(p[2], 0.0), *p[3:7])
-    kappa_l, delta, rows = _drives(p, f, watts)
+    f_r, kappa_c, kappa_int, kerr = p[0], p[1], max(p[2], 0.0), p[7]
+    # the cubic depends on these four only, not on phi, amplitude, alpha or tau
+    key = np.array([f_r, kappa_c, kappa_int, kerr]).tobytes()
+    s21 = np.empty((len(watts), f.size), dtype=complex)
+    fresh = solve is None or solve.key != key
+    if fresh:
+        solve = _Solve(key, np.empty(s21.shape), np.empty(s21.shape, dtype=bool))
+    linear = (f_r, kappa_c, kappa_int, *p[3:7])
+    kappa_l = kappa_c + kappa_int
+    hbar_omega = HBAR * (2.0 * math.pi * f)
+    # subtract frequencies before scaling: forming omega_0 - omega_d from
+    # two large rounded products would cost ~4 digits of detuning accuracy
+    delta = 2.0 * math.pi * (f_r - f) / kappa_l
+    sign = -1.0 if kerr < 0.0 else 1.0
 
-    s21 = np.empty(solve.n.shape, dtype=complex)
     d = None
     if jac:
         d = np.empty((p.size,) + s21.shape, dtype=complex)
         delta_sq, delta_4 = delta * delta, 4.0 * delta  # the same on every row
-    for i, (alpha_in_sq, xi) in enumerate(rows):
+    for i, power in enumerate(watts):  # one row at a time: no sweep-sized temporaries
+        alpha_in_sq = power / hbar_omega
+        xi = alpha_in_sq * kappa_c * (2.0 * math.pi * kerr) / kappa_l**3
+        if fresh:
+            roots = photon_cubic_roots(sign * delta, sign * xi)
+            solve.three[i] = np.isfinite(roots[:, 2])
+            solve.n[i] = _select_branch(roots, branch)
         n = solve.n[i]
         # the linear model at the detuning shifted by kappa_L xi n, which is
         # exactly 0 at K = 0
@@ -412,7 +392,9 @@ def fit_kerr(
     solver shrinks its step. The photon cubic is solved once per distinct
     (f_r, kappa_c, kappa_int, K): a Jacobian reuses the solve of the
     residual at its point, and ``model_s21`` that of the solver's last
-    Jacobian, at its solution.
+    Jacobian, at its solution. ``mask_bistable`` takes its flags from one
+    model evaluation at the start, whose S21 is discarded and whose solve
+    serves the first residual.
     """
     options = options or KerrFitOptions()
     res0 = linear.resonator
@@ -463,7 +445,7 @@ def fit_kerr(
     candidates = {float(k0), float(3.0 * k0), float(k0 / 3.0), float(-k0)}
     x0[7] = min(candidates, key=ssr_at)
     if options.mask_bistable:
-        solve = _solve_sweep(x0, freqs, watts, options.branch)  # the first residual's
+        solve = _sweep_model(x0, freqs, watts, options.branch)[2]  # the first residual's
         keep = ~solve.three.ravel()
         if not np.any(keep):
             raise DataError("masking bistable points left no data to fit")

@@ -8,7 +8,7 @@ import pytest
 
 import resonatorlab as rl
 from conftest import resonator
-from resonatorlab.cli import COMMANDS, main
+from resonatorlab.cli import COMMANDS, POSITIONAL, build_parser, main
 from resonatorlab.errors import ReportSchemaError
 from resonatorlab.io import write_field_csv, write_trace_csv
 from resonatorlab.fieldmodel import MIN_FIELD_POINTS
@@ -575,6 +575,37 @@ class TestSegmentation:
         write_trace_csv(csv, trace)
         code, doc = run_cli(capsys, "fit-linear", str(csv), "--segment")
         assert code == 2
+
+
+#: Every float option of every subcommand, as (command, option key).
+FLOAT_OPTIONS = [
+    (command, key)
+    for command, (_, _, options) in COMMANDS.items()
+    for key, (kind, _, _) in options.items()
+    if kind is float
+]
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize(
+        "command, key", FLOAT_OPTIONS, ids=[f"{c}-{k}" for c, k in FLOAT_OPTIONS]
+    )
+    def test_scientific_notation_parses_as_a_value(self, command, key):
+        argv = [command]
+        for name, (kind, _, _) in COMMANDS[command][2].items():
+            if name in POSITIONAL:
+                argv.append(kind[0] if isinstance(kind, tuple) else "x.csv")
+            elif kind is str:  # a required flag
+                argv += ["--" + name.replace("_", "-"), "x.csv"]
+        args = build_parser().parse_args([*argv, "--" + key.replace("_", "-"), "-1.5e-3"])
+        assert getattr(args, key) == -1.5e-3
+
+    def test_separate_value_writes_what_the_attached_value_does(self, tmp_path):
+        separate, attached = tmp_path / "separate.csv", tmp_path / "attached.csv"
+        base = ["synth", "linear", "--seed", "3", "--snr-db", "40"]
+        assert main([*base, "--out-csv", str(separate), "--tau", "-4e-8"]) == 0
+        assert main([*base, "--out-csv", str(attached), "--tau=-4e-8"]) == 0
+        assert separate.read_bytes() == attached.read_bytes()
 
 
 def test_help_without_command(capsys):

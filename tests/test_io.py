@@ -1,3 +1,4 @@
+import codecs
 import csv
 import math
 import warnings
@@ -323,6 +324,25 @@ class TestParseSyntax:
         sweep = parse_trace_csv(path)
         assert [t.drive_power for t in sweep.traces] == [-140.0, -130.0]
         assert sweep.traces[1].values.tolist() == [0.9 + 0.0j, 0.4 + 0.1j]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as some Windows export tools write it, before the header
+        trace, field = tmp_path / "trace.csv", tmp_path / "field.csv"
+        write_trace_csv(trace, make_trace())
+        truth = rl.FieldModelParams(f0=7e9, b_crit=66e-3, b_phi0=102e-3)
+        write_field_csv(field, rl.generate_field_sweep(truth, np.linspace(0, 0.06, 13), 5e6, seed=2))
+        for path in (trace, field):
+            bom = tmp_path / f"bom-{path.name}"
+            bom.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        plain, marked = parse_trace_csv(trace), parse_trace_csv(tmp_path / "bom-trace.csv")
+        assert np.array_equal(marked.frequencies, plain.frequencies)
+        assert np.array_equal(marked.values, plain.values)
+        assert marked.drive_power == plain.drive_power
+        rows = [
+            [(p.field, p.resonance, p.sigma) for p in parse_field_csv(path)]
+            for path in (field, tmp_path / "bom-field.csv")
+        ]
+        assert rows[1] == rows[0]
 
     def test_field_file_uses_the_same_reader(self, tmp_path):
         path = tmp_path / "f.csv"

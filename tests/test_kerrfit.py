@@ -18,7 +18,6 @@ from resonatorlab.kerrfit import (
     RANK_ROWS,
     XI_NEWTON,
     _select_branch,
-    _solve_sweep,
     _sweep_model,
     _sweep_vector,
 )
@@ -443,7 +442,7 @@ class TestSolveReuse:
         lin = rl.fit_linear(sweep.traces[0])
         p = _sweep_vector(lin.resonator, lin.environment, k_true, lin.resonator.phi0)
         f = sweep.frequencies
-        solve = _solve_sweep(p, f, watts, branch)
+        solve = _sweep_model(p, f, watts, branch)[2]
         # phi, amplitude, alpha and tau do not enter the cubic
         moved = p.copy()
         moved[[3, 4, 5, 6]] += [-0.1, 0.05, 0.2, 1e-9]
@@ -468,6 +467,33 @@ class TestSolveReuse:
         assert len(calls) == 2 * len(sweep)
         assert not np.array_equal(fresh[2][0], fresh[0][0])
         assert not np.array_equal(fresh[3][0], fresh[0][0])
+
+    @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
+    def test_key_clips_kappa_int(self, branch, monkeypatch):
+        # a negative kappa_int enters the cubic clipped to 0, so a solve made
+        # at kappa_int = 0 serves it; its Jacobian column is zero there
+        k_true, sweep, watts = self._draw(4)
+        lin = rl.fit_linear(sweep.traces[0])
+        at_zero = _sweep_vector(lin.resonator, lin.environment, k_true, lin.resonator.phi0)
+        at_zero[2] = 0.0
+        below = at_zero.copy()
+        below[2] = -0.5 * lin.resonator.kappa_int
+        f = sweep.frequencies
+        solve = _sweep_model(at_zero, f, watts, branch)[2]
+        s21, jac, fresh = _sweep_model(below, f, watts, branch, True)
+
+        kernel = rl.kerrfit.photon_cubic_roots
+        calls = []
+        monkeypatch.setattr(
+            rl.kerrfit, "photon_cubic_roots", lambda *a: calls.append(1) or kernel(*a)
+        )
+        stored = _sweep_model(below, f, watts, branch, True, solve=solve)
+        assert not calls
+        assert stored[2] is solve
+        assert np.array_equal(stored[0], s21)
+        assert np.array_equal(stored[1], jac, equal_nan=True)
+        assert np.array_equal(solve.three, fresh.three)
+        assert not np.any(jac[2])
 
     @pytest.mark.parametrize(
         "mask, rejected_last",
