@@ -13,6 +13,14 @@ attributes of its result that the package reads, the Jacobian at the
 solution among them. The normal matrix squares the conditioning of ``J_s``:
 callers parametrize their fits so that ``J_s`` stays well conditioned.
 
+``J^T J`` is summed over row blocks of :data:`QR_BLOCK_ROWS` rows, each
+multiplied by BLAS ``gemm`` against a small copy of itself: numpy sends the
+product of an array with its own transpose to ``syrk``, which is about
+twice as slow as ``gemm`` on so few columns, and the blocks keep the copy
+small next to a tall Jacobian. The cost is a pairwise sum of the squared
+residuals, not a BLAS dot product, so it does not depend on the BLAS
+thread count.
+
 Each fitter calls :func:`least_squares` itself. :func:`settle` and
 :func:`fit_errors` do what follows every solve, and :func:`_centre_alpha`
 re-centres the background phase of the notch fits before theirs.
@@ -20,6 +28,7 @@ re-centres the background phase of the notch fits before theirs.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +39,8 @@ __all__ = ["LeastSquaresResult", "least_squares", "settle", "fit_errors"]
 
 EPS = np.finfo(float).eps
 
-#: Rows of the scaled Jacobian that :func:`_scaled_pinv` factors at a time.
+#: Rows of the Jacobian that :func:`_scaled_pinv` factors, and
+#: :func:`_normal_matrix` multiplies, at a time.
 QR_BLOCK_ROWS = 1024
 
 
@@ -50,6 +60,30 @@ class LeastSquaresResult(NamedTuple):
     jac: np.ndarray  # Jacobian at x, built after every accepted step, the last one included
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a short vector; ``np.linalg.norm`` computes it the same way."""
+    return math.sqrt(v @ v)
+
+
+def _normal_matrix(jmat: np.ndarray) -> np.ndarray:
+    """``J^T J``, summed over row blocks of at most :data:`QR_BLOCK_ROWS` rows.
+
+    Each block of ``J`` is copied into a small Fortran-ordered buffer, and
+    the transposed block times the copy is a product of two buffers, for
+    which numpy calls ``gemm`` rather than ``syrk``. The result is made
+    exactly symmetric.
+    """
+    m, n = jmat.shape
+    block = np.empty((min(m, QR_BLOCK_ROWS), n), order="F")
+    hess = np.zeros((n, n))
+    for i in range(0, m, QR_BLOCK_ROWS):
+        rows = jmat[i : i + QR_BLOCK_ROWS]
+        copy = block[: rows.shape[0]]
+        copy[...] = rows
+        hess += rows.T @ copy
+    return 0.5 * (hess + hess.T)
+
+
 def _trust_step(w, v, gv, radius, lam, full_rank, rtol=0.01, max_iter=10):
     """Scaled step ``p`` and damping ``lam`` with ``||p|| <= radius``.
 
@@ -60,15 +94,15 @@ def _trust_step(w, v, gv, radius, lam, full_rank, rtol=0.01, max_iter=10):
     """
     if full_rank:
         p = -v @ (gv / w)
-        if np.linalg.norm(p) <= radius:
+        if _norm(p) <= radius:
             return p, 0.0
 
     def phi(lam):  # ||p(lam)|| - radius and its derivative in lam
         denom = w + lam
-        p_norm = np.linalg.norm(gv / denom)
+        p_norm = _norm(gv / denom)
         return p_norm - radius, -np.sum(gv**2 / denom**3) / p_norm
 
-    upper = np.linalg.norm(gv) / radius
+    upper = _norm(gv) / radius
     if full_rank:
         value, slope = phi(0.0)
         lower = -value / slope
@@ -86,7 +120,7 @@ def _trust_step(w, v, gv, radius, lam, full_rank, rtol=0.01, max_iter=10):
         if abs(value) < rtol * radius:
             break
     p = -v @ (gv / (w + lam))
-    return p * (radius / np.linalg.norm(p)), lam
+    return p * (radius / _norm(p)), lam
 
 
 def least_squares(
@@ -113,17 +147,18 @@ def least_squares(
     jmat = jac(x)
     njev = 1
     m = f.size
-    cost = 0.5 * float(f @ f)
+    cost = 0.5 * float(np.add.reduce(f * f))
     g = jmat.T @ f
-    radius = float(np.linalg.norm(x / scale)) or 1.0
+    scale2 = np.outer(scale, scale)
+    radius = _norm(x / scale) or 1.0
     lam = 0.0
     status = None
     while True:
-        if np.linalg.norm(g, ord=np.inf) < gtol:
+        if np.abs(g).max() < gtol:
             status = 1
         if status is not None or nfev >= max_nfev:
             break
-        hess = (jmat.T @ jmat) * np.outer(scale, scale)
+        hess = _normal_matrix(jmat) * scale2
         g_s = g * scale
         w, v = np.linalg.eigh(hess)  # ascending
         np.maximum(w, 0.0, out=w)
@@ -139,12 +174,12 @@ def least_squares(
             x_new = x + step
             f_new = np.asarray(fun(x_new), dtype=float)
             nfev += 1
-            step_s_norm = float(np.linalg.norm(step_s))
+            step_s_norm = _norm(step_s)
             if not np.all(np.isfinite(f_new)):
                 radius = 0.25 * step_s_norm
                 continue
 
-            cost_new = 0.5 * float(f_new @ f_new)
+            cost_new = 0.5 * float(np.add.reduce(f_new * f_new))
             reduction = cost - cost_new
             if predicted > 0.0:
                 ratio = reduction / predicted
@@ -159,7 +194,7 @@ def least_squares(
                 new_radius = 2.0 * radius
 
             ftol_met = reduction < ftol * cost and ratio > 0.25
-            xtol_met = np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x))
+            xtol_met = _norm(step) < xtol * (xtol + _norm(x))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
                 break

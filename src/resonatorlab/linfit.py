@@ -20,6 +20,7 @@ here too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -186,6 +187,26 @@ def _seed_bins(freqs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return counts, np.divide(sums, counts, out=np.zeros(n, dtype=complex), where=counts > 0)
 
 
+@functools.lru_cache(maxsize=None)  # one entry per bin count, at most SEED_BLOCKS
+def _seed_kernel(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The linewidth levels of the seed scan on ``n`` bins, and the spectra
+    over ``2n`` points of their dips, one row per level; both read-only.
+
+    Each inner product of :func:`_seed_drops` is a correlation sum_m g(m)
+    x[c + m] of a column x over the bins, taken as a product of spectra over
+    2n points so that no lag wraps around. g(-m) = conj g(m), so the
+    kernel's spectrum is real and comes from the lags 0 .. n alone; irfft's
+    1/(2n) stands in for ifft's. The kernel depends on ``n`` alone, so it is
+    built once per bin count: every trace of ``SEED_BLOCKS`` points or more
+    shares one.
+    """
+    levels = (0.5 * n) ** (np.arange(SEED_Q_LEVELS) / (SEED_Q_LEVELS - 1))
+    y = (2.0 / n) * levels[:, None] * np.arange(n + 1)
+    kernel = np.fft.irfft(1.0 / (1.0 - 1j * y), 2 * n)
+    levels.flags.writeable = kernel.flags.writeable = False
+    return levels, kernel
+
+
 def _seed_drops(counts: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cost drops of the seed scan on ``n`` bins, and its linewidth levels.
 
@@ -194,7 +215,9 @@ def _seed_drops(counts: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.n
     the count-weighted cost of the bin means falls when the dip centred on
     bin ``c`` at level ``s_k``, ``g(m) = 1/(1 - 2i s_k m/n)`` in bin
     ``c + m``, joins the background ``b``, orthonormal under the weights
-    ``w``; ``r`` is the residual after the background.
+    ``w``; ``r`` is the residual after the background. The four correlation
+    columns share the cached kernel of :func:`_seed_kernel` and one batched
+    inverse FFT.
     """
     n = counts.size
     u = np.sqrt(counts)
@@ -205,18 +228,11 @@ def _seed_drops(counts: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.n
     b1 /= math.sqrt(b1 @ b1)
     r = u * means
     r -= (b0 @ r) * b0 + (b1 @ r) * b1
-    levels = (0.5 * n) ** (np.arange(SEED_Q_LEVELS) / (SEED_Q_LEVELS - 1))
-    # Each inner product is a correlation sum_m g(m) x[c + m] of a column x
-    # over the bins, taken as a product of spectra over 2n points so that no
-    # lag wraps around. g(-m) = conj g(m), so the kernel's spectrum is real
-    # and comes from the lags 0 .. n alone; irfft's 1/(2n) stands in for
-    # ifft's.
-    y = (2.0 / n) * levels[:, None] * np.arange(n + 1)
-    kernel = np.fft.irfft(1.0 / (1.0 - 1j * y), 2 * n)
+    levels, kernel = _seed_kernel(n)
     columns = np.fft.fft([np.conj(u * r), u * b0, u * b1, counts], 2 * n)
-    overlap, along_b0, along_b1, weight = (
-        np.fft.ifft(kernel * col, norm="forward")[:, :n] for col in columns
-    )
+    overlap, along_b0, along_b1, weight = np.fft.ifft(
+        kernel * columns[:, None, :], norm="forward"
+    )[..., :n]
     norm = weight.real - np.abs(along_b0) ** 2 - np.abs(along_b1) ** 2
     drops = np.zeros((SEED_Q_LEVELS, n))
     np.divide(np.abs(overlap) ** 2, norm, out=drops, where=norm > 0.0)
@@ -254,16 +270,17 @@ def _profiled_seed(freqs: np.ndarray, z: np.ndarray):
     # the 3 x 3 normal equations of the background {1, t} and the dip g
     g = 1.0 / (1.0 - 2j * q_l * (freqs / f_r - 1.0))
     t = (freqs - f_mid) / span
-    sum_t, sum_g, t_g = t.sum(), g.sum(), t @ g
+    # pairwise sums, not BLAS dot products, whose rounding depends on the thread count
+    sum_t, sum_g, t_g = t.sum(), g.sum(), (t * g).sum()
     gram = np.array(
         [
             [freqs.size, sum_t, sum_g],
-            [sum_t, t @ t, t_g],
+            [sum_t, (t * t).sum(), t_g],
             [sum_g.conjugate(), t_g.conjugate(), g.real.sum()],  # |g|^2 = Re g
         ]
     )
     try:
-        a0, a1, b = np.linalg.solve(gram, np.array([z.sum(), t @ z, np.vdot(g, z)]))
+        a0, a1, b = np.linalg.solve(gram, np.array([z.sum(), (t * z).sum(), (g.conj() * z).sum()]))
     except np.linalg.LinAlgError:
         raise DegenerateGeometryError("the trace's background and dip are degenerate") from None
     a = a0 + a1 * (f_r - f_mid) / span

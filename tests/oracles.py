@@ -9,7 +9,9 @@ of the linear, Kerr and field models. :func:`reference_photon_cubic_roots`
 is the earlier photon-cubic kernel, kept verbatim as the bit-for-bit
 reference of the current one. :func:`dense_seed_drops` is the dense
 per-level loop that the FFT correlation of the linear fit's seed scan
-replaced, kept as its reference on the same binned problem.
+replaced, kept as its reference on the same binned problem, and
+:func:`reference_seed_drops` is the FFT scan as it was before its kernel
+was cached, kept verbatim as the bit-for-bit reference of the current one.
 """
 
 from __future__ import annotations
@@ -243,3 +245,28 @@ def dense_seed_drops(counts, means, levels):
         norm = d @ counts - (re_g[:, 2:] ** 2 + im_g[:, 2:] ** 2).sum(axis=1)
         np.divide(overlap, norm, out=drops[k], where=norm > 0.0)
     return drops
+
+
+def reference_seed_drops(counts, means, q_levels=12):
+    """The seed scan's levels and cost drops with the kernel built on every
+    call and one inverse FFT per column."""
+    n = counts.size
+    u = np.sqrt(counts)
+    t = (np.arange(n) + 0.5) / n - 0.5
+    b0 = u / math.sqrt(counts.sum())
+    b1 = u * t
+    b1 -= (b0 @ b1) * b0
+    b1 /= math.sqrt(b1 @ b1)
+    r = u * means
+    r -= (b0 @ r) * b0 + (b1 @ r) * b1
+    levels = (0.5 * n) ** (np.arange(q_levels) / (q_levels - 1))
+    y = (2.0 / n) * levels[:, None] * np.arange(n + 1)
+    kernel = np.fft.irfft(1.0 / (1.0 - 1j * y), 2 * n)
+    columns = np.fft.fft([np.conj(u * r), u * b0, u * b1, counts], 2 * n)
+    overlap, along_b0, along_b1, weight = (
+        np.fft.ifft(kernel * col, norm="forward")[:, :n] for col in columns
+    )
+    norm = weight.real - np.abs(along_b0) ** 2 - np.abs(along_b1) ** 2
+    drops = np.zeros((q_levels, n))
+    np.divide(np.abs(overlap) ** 2, norm, out=drops, where=norm > 0.0)
+    return levels, drops

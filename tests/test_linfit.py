@@ -7,14 +7,17 @@ import pytest
 import resonatorlab as rl
 import conftest
 from conftest import grid_around, linewidth_hz, resonator
-from oracles import central_jacobian, dense_seed_drops
+from oracles import central_jacobian, dense_seed_drops, reference_seed_drops
 from resonatorlab._lsq import QR_BLOCK_ROWS, _scaled_pinv
 from resonatorlab.linfit import (
     PARAM_NAMES,
+    SEED_BLOCKS,
+    SEED_Q_LEVELS,
     _profiled_seed,
     _refinement_problem,
     _seed_bins,
     _seed_drops,
+    _seed_kernel,
     linear_payload,
     q_sigma,
 )
@@ -448,6 +451,35 @@ def test_fft_seed_drops_match_dense_oracle(traces):
         dense = dense_seed_drops(counts, means, levels)
         assert np.abs(drops - dense).max() <= 1e-9 * dense.max()
         assert np.argmax(drops) == np.argmax(dense)
+
+
+def test_seed_drops_match_the_per_call_kernel_bit_for_bit(sample_resonator, environment):
+    # the cached kernel and the batched inverse FFT change no bit; the last
+    # trace is short enough to bin into fewer than SEED_BLOCKS bins
+    short = grid_around(sample_resonator, points=60)
+    traces = [
+        *_criterion_3_traces(6),
+        rl.generate_linear_trace(sample_resonator, environment, short, -140.0),
+    ]
+    assert [len(t) for t in traces] == [501, 2001, 6001] * 2 + [60]
+    for trace in traces:
+        counts, means = _seed_bins(*_seed_input(trace))
+        levels, drops = _seed_drops(counts, means)
+        ref_levels, ref_drops = reference_seed_drops(counts, means, SEED_Q_LEVELS)
+        assert np.array_equal(levels, ref_levels)
+        assert np.array_equal(drops, ref_drops)
+
+
+def test_a_second_fit_at_the_same_bin_count_builds_no_kernel(sample_resonator, environment):
+    _seed_kernel.cache_clear()
+    for points in (501, 2001):  # both bin into SEED_BLOCKS bins
+        grid = grid_around(sample_resonator, points=points)
+        rl.fit_linear(rl.generate_linear_trace(sample_resonator, environment, grid, -140.0))
+    info = _seed_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    levels, kernel = _seed_kernel(SEED_BLOCKS)
+    assert kernel.shape == (SEED_Q_LEVELS, 2 * SEED_BLOCKS)
+    assert not levels.flags.writeable and not kernel.flags.writeable
 
 
 @pytest.mark.parametrize("make_trace", ["gapped_trace", "log_spaced_trace"])

@@ -19,7 +19,7 @@ from scipy.optimize import least_squares as scipy_least_squares
 import resonatorlab as rl
 from conftest import grid_around, kerr_recovery_draws, resonator
 from resonatorlab import _lsq, fieldmodel, kerrfit, linfit
-from resonatorlab._lsq import least_squares
+from resonatorlab._lsq import QR_BLOCK_ROWS, _normal_matrix, least_squares
 from resonatorlab.kerrfit import SWEEP_PARAM_NAMES, KerrFitOptions, _sweep_model, _sweep_vector
 from resonatorlab.linfit import _refinement_problem
 
@@ -292,3 +292,18 @@ def test_non_finite_trial_shrinks_the_step():
 def test_non_finite_start_is_rejected():
     with pytest.raises(ValueError):
         least_squares(lambda x: np.array([np.nan]), [1.0], jac=lambda x: np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize(
+    "rows", [1, QR_BLOCK_ROWS - 1, QR_BLOCK_ROWS, QR_BLOCK_ROWS + 1, 3 * QR_BLOCK_ROWS + 5]
+)
+def test_normal_matrix_over_row_blocks_is_the_symmetric_gram_matrix(rows, order):
+    # the fits hand over the transpose of a C-ordered (n, m) array, which is
+    # Fortran-ordered; columns of very different size, as unscaled Jacobians have
+    rng = np.random.default_rng(rows)
+    jac = np.asarray(rng.standard_normal((rows, 7)) * 10.0 ** rng.uniform(-6, 6, 7), order=order)
+    hess = _normal_matrix(jac)
+    reference = jac.T @ jac
+    assert np.abs(hess - reference).max() <= 1e-13 * np.abs(reference).max()
+    assert np.array_equal(hess, hess.T)
