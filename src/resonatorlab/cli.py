@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import re
 import sys
-from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 # Every run is its own process, so each handler imports the modules it runs:
@@ -39,7 +37,36 @@ if TYPE_CHECKING:
     from .core import FrequencyTrace, PowerSweep
     from .linfit import FitOptions
 
-logger = logging.getLogger("resonatorlab")
+
+class _Logger:
+    """The ``resonatorlab`` logger, with :mod:`logging` imported and the root
+    logger configured on the first record: a run logs only on a warning or an
+    error, so most runs never load :mod:`logging`."""
+
+    def __init__(self):
+        # the root level that main sets once the options parse; a record
+        # before that goes to logging's last-resort handler
+        self.root_level: str | None = None
+
+    def warning(self, msg: str, *args) -> None:
+        self._logger().warning(msg, *args)
+
+    def error(self, msg: str, *args) -> None:
+        self._logger().error(msg, *args)
+
+    def _logger(self):
+        import logging
+
+        if self.root_level is not None:
+            logging.basicConfig(
+                stream=sys.stderr,
+                level=self.root_level,
+                format="%(levelname)s %(name)s: %(message)s",
+            )
+        return logging.getLogger("resonatorlab")
+
+
+logger = _Logger()
 
 
 def _flag_warnings(results: dict) -> list[str]:
@@ -570,35 +597,50 @@ class _Parser(argparse.ArgumentParser):
         raise DataError(message)
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Adds a subcommand's options to its parser when argparse selects it, so
+    a run builds one subcommand's options, not all seven's: argparse makes a
+    help formatter for every option it adds."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sub = self._name_parser_map[values[0]]
+        if "--out" not in sub._option_string_actions:  # not yet filled
+            _add_options(sub, COMMANDS[values[0]][2])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _add_options(p: argparse.ArgumentParser, options: dict) -> None:
+    for key, (kind, _, help_text) in options.items():
+        kw = {"help": help_text}
+        if isinstance(kind, tuple):
+            kw["choices"] = kind
+        elif kind is bool:
+            kw["action"] = argparse.BooleanOptionalAction
+        elif kind is not str:
+            kw["type"] = kind
+        if key in POSITIONAL:
+            p.add_argument(key, **kw)
+        else:
+            p.add_argument("--" + key.replace("_", "-"), required=kind is str, **kw)
+    p.add_argument("--out", help="write the report here instead of stdout")
+    p.add_argument("--config", help="JSON config file; explicit flags win")
+    p.add_argument(
+        "--timestamp",
+        action="store_true",
+        help="include a generated_at field (breaks byte-level report reproducibility)",
+    )
+    p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="resonatorlab",
         description="Notch-resonator spectroscopy fits and JJ-array design calculations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command")
-    for command, (_, help_line, options) in COMMANDS.items():
-        p = subs.add_parser(command, help=help_line)
-        for key, (kind, _, help_text) in options.items():
-            kw = {"help": help_text}
-            if isinstance(kind, tuple):
-                kw["choices"] = kind
-            elif kind is bool:
-                kw["action"] = argparse.BooleanOptionalAction
-            elif kind is not str:
-                kw["type"] = kind
-            if key in POSITIONAL:
-                p.add_argument(key, **kw)
-            else:
-                p.add_argument("--" + key.replace("_", "-"), required=kind is str, **kw)
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument(
-            "--timestamp",
-            action="store_true",
-            help="include a generated_at field (breaks byte-level report reproducibility)",
-        )
-        p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
+    subs = parser.add_subparsers(dest="command", action=_Subcommands)
+    for command, (_, help_line, _) in COMMANDS.items():
+        subs.add_parser(command, help=help_line)
     return parser
 
 
@@ -651,19 +693,17 @@ def main(argv: list[str] | None = None) -> int:
     args = argparse.Namespace(command=None)
     try:
         args = parser.parse_args(argv)
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+        logger.root_level = "INFO" if getattr(args, "verbose", False) else "WARNING"
         if args.command is None:
             parser.print_help(sys.stderr)
             return EXIT_DATA
         opts = _resolve_options(args)
         results, plots = COMMANDS[args.command][0](opts)
-        timestamp = (
-            datetime.now(timezone.utc).isoformat() if getattr(args, "timestamp", False) else None
-        )
+        timestamp = None
+        if getattr(args, "timestamp", False):
+            from datetime import datetime, timezone
+
+            timestamp = datetime.now(timezone.utc).isoformat()
         doc = make_report(args.command, opts, results, plots, _flag_warnings(results), timestamp)
         payload = dump_report(doc)
     except (ResonatorLabError, ValueError, OSError) as exc:

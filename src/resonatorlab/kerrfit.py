@@ -294,7 +294,7 @@ def _sweep_model(
     delta = 2.0 * math.pi * (f_r - f) / kappa_l
     sign = -1.0 if kerr < 0.0 else 1.0
 
-    d = None
+    d = delay = None
     if jac:
         d = np.empty((p.size,) + s21.shape, dtype=complex)
         delta_sq, delta_4 = delta * delta, 4.0 * delta  # the same on every row
@@ -308,7 +308,8 @@ def _sweep_model(
         n = solve.n[i]
         # the linear model at the detuning shifted by kappa_L xi n, which is
         # exactly 0 at K = 0
-        terms = _notch(linear, f, kappa_l * xi * n)
+        terms = _notch(linear, f, kappa_l * xi * n, delay)
+        delay = terms.delay  # the same on every row
         s21[i] = terms.s
         if not jac:
             continue

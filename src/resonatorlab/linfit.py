@@ -79,11 +79,15 @@ class _Terms(NamedTuple):
     s: np.ndarray  # S
 
 
-def _notch(p, f: np.ndarray, shift: float | np.ndarray = 0.0) -> _Terms:
+def _notch(
+    p, f: np.ndarray, shift: float | np.ndarray = 0.0, delay: np.ndarray | None = None
+) -> _Terms:
     """Forward terms of the notch S21 at the :data:`PARAM_NAMES` vector ``p``.
 
     ``shift`` [rad/s] is subtracted from the detuning ``delta_r = omega_0 -
     omega_d``; the Kerr model is this model at ``shift = kappa_L xi n``.
+    ``delay``, if given, is the ``delay`` term of an earlier call at the same
+    ``f`` and tau, taken as it is instead of computed again.
     """
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
     delta_r = 2.0 * math.pi * (f_r - f) - shift
@@ -91,7 +95,8 @@ def _notch(p, f: np.ndarray, shift: float | np.ndarray = 0.0) -> _Terms:
     tilt = np.exp(1j * phi0)
     mismatch = kappa_c * tilt / math.cos(phi0)
     resonant = (d - mismatch) / d
-    delay = np.exp(-2j * math.pi * f * tau)
+    if delay is None:
+        delay = np.exp(-2j * math.pi * f * tau)
     rotation = np.exp(1j * alpha)
     background = amplitude * rotation * delay
     return _Terms(d, tilt, mismatch, resonant, delay, rotation, background, background * resonant)

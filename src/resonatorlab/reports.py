@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import __version__
@@ -32,13 +33,17 @@ __all__ = [
 
 SCHEMA_VERSION = "1.0.0"
 
+#: The schema of a plot value, which :func:`_validate` checks a whole array
+#: against at once.
+_NUMBER_OR_NULL = {"type": ["number", "null"]}
+
 _AXIS_SCHEMA = {
     "type": "object",
     "required": ["label", "values"],
     "additionalProperties": False,
     "properties": {
         "label": {"type": "string"},
-        "values": {"type": "array", "items": {"type": ["number", "null"]}},
+        "values": {"type": "array", "items": _NUMBER_OR_NULL},
     },
 }
 
@@ -233,8 +238,12 @@ def _validate(doc: Any, schema: Mapping[str, Any], path: str, index: int | None 
             elif extra is not True:
                 _validate(value, extra, f"{path}.{key}")
     elif isinstance(doc, list) and "items" in schema:
-        path = _at(path, index)
         items = schema["items"]
+        # a plot array passes in one C-level pass when every value is exactly
+        # a float or None; any other array is checked value by value
+        if items == _NUMBER_OR_NULL and set(map(type, doc)) <= {float, type(None)}:
+            return
+        path = _at(path, index)
         for i, value in enumerate(doc):
             _validate(value, items, path, i)
 
@@ -247,7 +256,9 @@ def series(label: str, values) -> dict:
     """One labelled value array for a plot-data group, converted to JSON types
     once: an array through ``.tolist()``, and non-finite numbers to ``null``."""
     if hasattr(values, "tolist"):
-        values = [v if math.isfinite(v) else None for v in values.tolist()]
+        values = values.tolist()
+        if not all(map(math.isfinite, values)):
+            values = [v if math.isfinite(v) else None for v in values]
     else:
         values = [jsonify(v) for v in values]
     return {"label": label, "values": values}
@@ -258,4 +269,39 @@ def plot_group(x_label: str, x_values, *series_items: dict) -> dict:
 
 
 def dump_report(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+    byte for byte. With ``indent`` json runs its pure-Python encoder, one call
+    per value; here each array of finite floats is written in one join."""
+    out: list[str] = []
+    _dump(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _dump(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as json writes it at the indent that
+    ``newline`` ("\\n" and the indent) starts. Non-empty arrays and objects
+    with str keys are written here; the rest goes to json, which raises its own
+    errors, re-indented: json escapes newlines inside strings, so each one it
+    writes starts a line."""
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            out.append(f"[{inner}{(',' + inner).join(map(float.__repr__, value))}{newline}]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _dump(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(f"{separator}{encode_basestring_ascii(key)}: ")
+            _dump(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+        out.append(text.replace("\n", newline))

@@ -1,7 +1,12 @@
 import json
 import logging
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,3 +621,85 @@ def test_predict_field_lead_defaults_are_nominal_over_sqrt2():
     options = COMMANDS["predict-field"][2]
     assert options["d1"][1] == 35e-9 / math.sqrt(2.0)
     assert options["d2"][1] == 130e-9 / math.sqrt(2.0)
+
+
+def _child_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m resonatorlab.cli ARGV`` in a fresh interpreter."""
+    src = str(Path(rl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "resonatorlab.cli", *argv], env=env, capture_output=True, text=True
+    )
+
+
+class TestLogging:
+    def test_stage1_warning_reaches_stderr_in_a_fresh_process(self, tmp_path, capsys):
+        path = tmp_path / "high.csv"
+        code, _ = run_cli(
+            capsys, "synth", "kerr", "--out-csv", str(path), "--snr-db", "40",
+            "--points", "301", "--power-min", "-128", "--power-max", "-123",
+        )
+        assert code == 0
+        proc = _child_cli("fit-kerr", str(path), "--out", str(tmp_path / "kerr.json"))
+        assert proc.returncode == 0
+        assert re.fullmatch(
+            r"WARNING resonatorlab: lowest sweep power already drives \d+\.\d\d photons; "
+            r"the stage-1 linear fit may be biased by the nonlinearity\n",
+            proc.stderr,
+        )
+
+    def test_errors_reach_stderr_in_a_fresh_process(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        proc = _child_cli("fit-linear", str(missing))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"ERROR resonatorlab: FileNotFoundError: [Errno 2] No such file or directory: "
+            f"'{missing}'\n"
+        )
+        # a usage error comes before the options that set the log level, so
+        # logging's last-resort handler writes the bare message after the usage
+        proc = _child_cli("fit-linear")
+        assert proc.returncode == 2
+        assert proc.stderr.endswith("\nDataError: the following arguments are required: csv\n")
+
+
+def _help(capsys, monkeypatch, *argv) -> str:
+    monkeypatch.setenv("COLUMNS", "200")  # no line wraps inside a help text
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_subcommand(capsys, monkeypatch):
+    text = _help(capsys, monkeypatch, "--help")
+    assert "{" + ",".join(COMMANDS) + "}" in text
+    for command, (_, help_line, _) in COMMANDS.items():
+        assert re.search(rf"^ +{command} +{re.escape(help_line)}$", text, re.M)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_help_lists_every_option(command, capsys, monkeypatch):
+    text = _help(capsys, monkeypatch, command, "--help")
+    for key, (kind, _, help_text) in COMMANDS[command][2].items():
+        if key in POSITIONAL:
+            name = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else key
+            assert re.search(rf"^ +{re.escape(name)}( |$)", text, re.M)
+        else:
+            flag = "--" + key.replace("_", "-")
+            assert re.search(rf"^ +{flag}( |,|$)", text, re.M)
+            if kind is bool:
+                assert f"--no-{flag[2:]}" in text
+        if help_text is not None:
+            assert help_text in text
+    for flag in ("--out OUT", "--config CONFIG", "--timestamp", "-v, --verbose"):
+        assert re.search(rf"^ +{flag}", text, re.M)
+
+
+def test_one_parser_parses_a_subcommand_twice():
+    # a subcommand's options are added when it is first selected, and once
+    parser = build_parser()
+    assert parser.parse_args(["design"]).n_junctions is None
+    assert parser.parse_args(["design", "--n-junctions", "3"]).n_junctions == 3
+    assert parser.parse_args(["fit-linear", "x.csv", "--segment"]).segment is True

@@ -312,3 +312,17 @@ def test_constants_equal_scipy_codata_values():
     assert constants.HBAR == sc.hbar
     assert constants.FLUX_QUANTUM == sc.physical_constants["mag. flux quantum"][0]
     assert constants.VACUUM_PERMITTIVITY == sc.epsilon_0
+
+
+@pytest.mark.parametrize("command", ["--version", "design", "fit-linear"])
+def test_runs_that_log_nothing_load_no_logging(command, cli_inputs):
+    # logging is imported with the first record; a run without a warning or
+    # an error makes none
+    argv = [command]
+    if command == "fit-linear":
+        argv += [str(cli_inputs / "linear.csv")]
+    if command != "--version":
+        argv += ["--out", str(cli_inputs / f"{command}-logging.json")]
+    code, *modules = _python(RUN_CLI, *argv).splitlines()[-1].split()
+    assert code in ("0", "None")
+    assert "logging" not in modules

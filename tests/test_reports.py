@@ -215,3 +215,69 @@ def test_rejection_names_the_json_path(cli_documents):
     doc = _broken(report, ["plot_data", group, "series", 0, "values", 1], "1.0")
     with pytest.raises(ReportSchemaError, match=rf"\$\.plot_data\.{group}\.series\[0\]\.values\[1\]"):
         reports.validate_report(doc)
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+#: A document with json's corner cases, and values a report need not hold.
+HAND_MADE = {
+    "empty_list": [],
+    "empty_dict": {},
+    "nested": [[1.5, 2.5], [[-0.0, 1e16], []], [{"b": 1, "a": [0.1]}, {}]],
+    "floats_with_others": [1.0, 2, True, False, None, np.float64(0.1), 3.5],
+    "ints": [1, -2, 10**20],
+    "strings": ["Ω ünïcode 😀", 'quote " back \\ slash', "tab\tline\nbreak", "\x00\x1f"],
+    "extremes": [-0.0, 1e16, 5e-324, 1.7976931348623157e308, -1e-7],
+    "scalars": {"z": 5e-324, "y": -0.0, "x": 1e16, "w": None, "v": True, "u": "Ω", "t": 7},
+    "Ω\n key": {"b": [1.0], "a": (2.0, 3.0)},
+    "int_keys": {2: [1.0, 2.0], 1: "one"},
+}
+
+
+def test_dump_report_writes_what_json_writes(cli_documents):
+    for doc in [*cli_documents, HAND_MADE]:
+        assert reports.dump_report(doc) == _json_dumps(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dump_report_refuses_non_finite_numbers_at_any_depth(bad):
+    docs = [
+        {"a": bad},
+        {"a": [1.0, bad]},
+        {"a": [1, bad]},
+        {"a": [[1.0], [2.0, bad]]},
+        {"a": {"b": {"c": bad}}},
+        {"a": [{"b": [3.0, bad]}]},
+        {1: [bad]},
+    ]
+    for doc in docs:
+        with pytest.raises(ValueError) as ours:
+            reports.dump_report(doc)
+        with pytest.raises(ValueError) as theirs:
+            _json_dumps(doc)
+        assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize(
+    "intruder, accepted",
+    [(3, True), (True, False), (np.float64(0.5), True), ("1.0", False), (None, True)],
+    ids=["int", "bool", "float64", "str", "None"],
+)
+@pytest.mark.parametrize("where", [0, 7, -1])
+def test_mixed_plot_arrays_get_the_same_verdicts(cli_documents, intruder, accepted, where):
+    report = next(d for d in cli_documents if d.get("subcommand") == "fit-linear")
+    group = report["plot_data"]["magnitude"]
+    axes = [(["x"], "x", group["x"]), (["series", 1], "series[1]", group["series"][1])]
+    for axis, at, values in axes:
+        index = where % len(values["values"])
+        doc = _broken(report, ["plot_data", "magnitude", *axis, "values", index], intruder)
+        assert _verdicts(doc, reports.REPORT_SCHEMA) == (accepted, accepted)
+        if not accepted:
+            with pytest.raises(ReportSchemaError) as exc:
+                reports.validate_report(doc)
+            assert str(exc.value) == (
+                f"$.plot_data.magnitude.{at}.values[{index}]: "
+                f"expected number or null, got {type(intruder).__name__}"
+            )
