@@ -141,7 +141,7 @@ def least_squares(
     if max_nfev is None:
         max_nfev = 100 * n
     f = np.asarray(fun(x), dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("residuals are not finite at the initial point")
     nfev = 1
     jmat = jac(x)
@@ -175,7 +175,7 @@ def least_squares(
             f_new = np.asarray(fun(x_new), dtype=float)
             nfev += 1
             step_s_norm = _norm(step_s)
-            if not np.all(np.isfinite(f_new)):
+            if not np.isfinite(f_new).all():
                 radius = 0.25 * step_s_norm
                 continue
 
@@ -218,16 +218,19 @@ def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None =
     R factor of a QR of ``J_s``, which, unlike ``J_s^T J_s``, does not
     square the condition number. R is the QR of the stacked R factors of
     row blocks of at most :data:`QR_BLOCK_ROWS` rows, so a tall ``J_s`` is
-    never scaled and copied whole; the QR of a single block's R returns it
-    unchanged. ``back`` maps the fitted parameters onto the reported ones,
-    ``x = back @ x_fit``, and the result is their covariance. A direction
+    never scaled and copied whole. A ``J_s`` of one block is not factored
+    twice: the QR of its triangular R would return R unchanged. ``back``
+    maps the fitted parameters onto the reported ones, ``x = back @
+    x_fit``, and the result is their covariance. A direction
     whose singular value is below ``eps max(J.shape)`` of the largest is one
     the data do not constrain: a reported parameter that moves along it gets
     infinite variance and NaN covariances.
     """
     rows = range(0, jac.shape[0], QR_BLOCK_ROWS)
     r = np.vstack([np.linalg.qr(jac[i : i + QR_BLOCK_ROWS] * x_scale, mode="r") for i in rows])
-    _, s, vt = np.linalg.svd(np.linalg.qr(r, mode="r"))
+    if len(rows) > 1:
+        r = np.linalg.qr(r, mode="r")
+    _, s, vt = np.linalg.svd(r)
     w, v = s**2, vt.T
     kept = w > (EPS * max(jac.shape)) ** 2 * w.max()
     load = x_scale[:, None] * v  # parameter change per unit of each direction

@@ -226,7 +226,8 @@ def fit_field_sweep(
     b_max = float(fields.max())
     if not b_max > 0.0:
         raise InsufficientDataError("no field above 0 T")
-    if np.unique(fields).size < 3:
+    # a set of floats, not np.unique, which imports numpy.ma; -0.0 == 0.0 is one field
+    if len(set(fields.tolist())) < 3:
         raise InsufficientDataError("need at least 3 distinct fields to fit 3 parameters")
 
     # Both field scales are fitted as b = edge (1 + e^u), so every iterate

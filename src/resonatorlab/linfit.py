@@ -80,17 +80,20 @@ class _Terms(NamedTuple):
 
 
 def _notch(
-    p, f: np.ndarray, shift: float | np.ndarray = 0.0, delay: np.ndarray | None = None
+    p, f: np.ndarray, shift: float | np.ndarray | None = None, delay: np.ndarray | None = None
 ) -> _Terms:
     """Forward terms of the notch S21 at the :data:`PARAM_NAMES` vector ``p``.
 
-    ``shift`` [rad/s] is subtracted from the detuning ``delta_r = omega_0 -
-    omega_d``; the Kerr model is this model at ``shift = kappa_L xi n``.
-    ``delay``, if given, is the ``delay`` term of an earlier call at the same
-    ``f`` and tau, taken as it is instead of computed again.
+    ``shift`` [rad/s], if given, is subtracted from the detuning ``delta_r =
+    omega_0 - omega_d``; the Kerr model is this model at ``shift = kappa_L xi
+    n``, and the linear model has none, which gives the bits of a zero shift.
+    ``delay``, if given, is the ``delay`` term ``e^{-2 pi i f tau}`` at the
+    same ``f`` and tau, taken as it is instead of computed again.
     """
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
-    delta_r = 2.0 * math.pi * (f_r - f) - shift
+    delta_r = 2.0 * math.pi * (f_r - f)
+    if shift is not None:
+        delta_r = delta_r - shift
     d = 2j * delta_r + (kappa_c + kappa_int)
     tilt = np.exp(1j * phi0)
     mismatch = kappa_c * tilt / math.cos(phi0)
@@ -146,7 +149,9 @@ def estimate_delay(trace: FrequencyTrace, wing_fraction: float = 0.1) -> float:
     """Cable delay from the phase slope of the off-resonant trace wings.
 
     Returns ``-(1/2pi) d(phase)/df`` averaged over the two outer wings, each
-    containing ``wing_fraction`` of the samples.
+    containing ``wing_fraction`` of the samples. The wings are stacked as the
+    two rows of one array, so the phase, its unwrapping and the centring run
+    once over both; each slope is a least-squares slope from centred sums.
     """
     if not 0.0 < wing_fraction <= 0.25:
         raise ValueError(f"wing_fraction must be in (0, 0.25], got {wing_fraction}")
@@ -157,12 +162,12 @@ def estimate_delay(trace: FrequencyTrace, wing_fraction: float = 0.1) -> float:
             f"need at least {MIN_WING_SAMPLES} samples per wing, got {n_wing} "
             f"({n} samples at wing_fraction={wing_fraction})"
         )
-    slopes = []
-    for sl in (slice(0, n_wing), slice(n - n_wing, n)):
-        # the least-squares slope of the unwrapped phase, from centred sums
-        df = trace.frequencies[sl] - trace.frequencies[sl].mean()
-        phase = np.unwrap(np.angle(trace.values[sl]))
-        slopes.append(df @ (phase - phase.mean()) / (df @ df))
+    f, v = trace.frequencies, trace.values
+    df = np.stack((f[:n_wing], f[n - n_wing :]))
+    df -= df.mean(axis=1, keepdims=True)
+    phase = np.unwrap(np.angle(np.stack((v[:n_wing], v[n - n_wing :]))))
+    phase -= phase.mean(axis=1, keepdims=True)
+    slopes = [d @ ph / (d @ d) for d, ph in zip(df, phase)]
     return -float(np.mean(slopes)) / (2.0 * math.pi)
 
 
@@ -350,7 +355,9 @@ def _param_scale(f_r: float, kappa_l: float, amplitude: float, span: float) -> n
     return np.array([f_scale, kappa_l, kappa_l, 0.3, amplitude, 0.3, 1.0 / (2.0 * math.pi * span)])
 
 
-def _refinement_problem(freqs: np.ndarray, values: np.ndarray):
+def _refinement_problem(
+    freqs: np.ndarray, values: np.ndarray, seed_delay: tuple[float, np.ndarray] | None = None
+):
     """Residual and closed-form Jacobian of the 7-parameter refinement.
 
     Both are float views of the complex arrays, the real and imaginary part
@@ -358,13 +365,19 @@ def _refinement_problem(freqs: np.ndarray, values: np.ndarray):
     C-ordered (7, 2F) view, one contiguous row per parameter. The solver
     asks for each Jacobian at the point of the residual just before it, so
     the problem keeps the forward terms of the latest residual, and a
-    Jacobian at that point, bit for bit, reuses them.
+    Jacobian at that point, bit for bit, reuses them. ``seed_delay``, if
+    given, is a delay ``tau0`` and its phasor ``e^{-2 pi i f tau0}``: a
+    residual at ``tau == tau0``, as the solver's first one at the seed,
+    takes that phasor instead of computing it again. A zero ``tau0`` is
+    never reused: there the imaginary zeros of the conjugated
+    ``e^{2 pi i f tau0}`` and of the notch's own phasor differ in sign.
     """
     kept: tuple[bytes, _Terms | None] = (b"", None)  # the latest residual's key and terms
+    tau0, phasor = seed_delay or (math.nan, None)
 
     def residual(p):
         nonlocal kept
-        terms = _notch(p, freqs)
+        terms = _notch(p, freqs, None, phasor if p[6] == tau0 != 0.0 else None)
         kept = (p.tobytes(), terms)
         return (terms.s - values).view(float)
 
@@ -396,17 +409,20 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
 
     # Stage 1: delay estimate from the wings, then removed.
     tau0 = estimate_delay(trace, options.wing_fraction)
-    z1 = values * np.exp(2j * math.pi * freqs * tau0)
+    rotate = np.exp(2j * math.pi * freqs * tau0)
 
     # Stage 2: start values from the global scan of the profiled cost.
-    f_r0, kappa_c0, kappa_l0, phi0, a = _profiled_seed(freqs, z1)
+    f_r0, kappa_c0, kappa_l0, phi0, a = _profiled_seed(freqs, values * rotate)
     a0 = abs(a)
     p0 = np.array([f_r0, kappa_c0, kappa_l0 - kappa_c0, phi0, a0, float(np.angle(a)), tau0])
 
     # Stage 3: full complex least-squares refinement of all 7 parameters,
     # with alpha refined as the background phase at the trace centre.
     turn = math.pi * (freqs[0] + freqs[-1])
-    residual, jacobian, x0, back = _centre_alpha(*_refinement_problem(freqs, values), p0, turn)
+    # the conjugate of the de-rotation is the phasor e^{-2 pi i f tau0} of the
+    # solver's first residual, which is at tau0
+    problem = _refinement_problem(freqs, values, (tau0, np.conjugate(rotate, out=rotate)))
+    residual, jacobian, x0, back = _centre_alpha(*problem, p0, turn)
     span = trace.span
     x_scale = _param_scale(f_r0, kappa_l0, a0, span)
     sol = least_squares(

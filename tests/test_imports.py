@@ -219,15 +219,18 @@ ABSENT = {
     "--version": ("numpy",),
     "design": ("numpy", "resonatorlab.core", "resonatorlab.linfit", "resonatorlab.kerrfit"),
     "fit-linear": (
-        "resonatorlab.kerrfit", "resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth"
+        "resonatorlab.kerrfit", "resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth",
+        "numpy.ma",
     ),
     "fit-power-sweep": (
-        "resonatorlab.kerrfit", "resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth"
+        "resonatorlab.kerrfit", "resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth",
+        "numpy.ma",
     ),
     "fit-field": (
-        "resonatorlab.linfit", "resonatorlab.kerrfit", "resonatorlab.designer", "resonatorlab.synth"
+        "resonatorlab.linfit", "resonatorlab.kerrfit", "resonatorlab.designer", "resonatorlab.synth",
+        "numpy.ma",
     ),
-    "fit-kerr": ("resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth"),
+    "fit-kerr": ("resonatorlab.fieldmodel", "resonatorlab.designer", "resonatorlab.synth", "numpy.ma"),
 }
 #: The synthetic CSV each fit subcommand reads.
 INPUT = {"fit-linear": "linear", "fit-power-sweep": "kerr", "fit-field": "field", "fit-kerr": "kerr"}

@@ -13,6 +13,7 @@ from resonatorlab.linfit import (
     PARAM_NAMES,
     SEED_BLOCKS,
     SEED_Q_LEVELS,
+    _notch,
     _profiled_seed,
     _refinement_problem,
     _seed_bins,
@@ -283,6 +284,79 @@ def test_refinement_residual_is_the_model_minus_the_data(sample_resonator, envir
     residual(q)
     assert np.array_equal(jacobian(p), fresh(p))
     assert np.array_equal(jacobian(q), fresh(q))
+
+
+def _bits(a):
+    """The bits of a float or complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_conjugate_seed_phasor_is_the_notch_delay(monkeypatch):
+    # fit_linear de-rotates the trace by e^{2 pi i f tau0} and hands the
+    # conjugate to the refinement, whose residual at tau0 takes it as the
+    # delay term of the notch model; the terms must keep their bits. At
+    # tau0 = +-0 the imaginary zeros of the two phasors differ in sign, so
+    # there the refinement computes its own.
+    f = np.concatenate([np.linspace(1e9, 12e9, 20001), [4.2e9, 6.117e9, 7.9999e9]])
+    values = np.full(f.size, 0.5 + 0.25j)
+    forward = rl.linfit._notch
+    terms = []
+    monkeypatch.setattr(rl.linfit, "_notch", lambda *a: terms.append(forward(*a)) or terms[-1])
+    taus = (-1e-7, -80e-9, -3.3e-9, -1e-15, -5e-324, -0.0, 0.0, 5e-324, 2.7e-12, 41.3e-9, 1e-7)
+    for tau in taus:
+        p = np.array([6e9, 1e6, 1e5, 0.2, 0.9, 0.3, tau])
+        seed = np.conjugate(np.exp(2j * math.pi * f * tau))
+        _refinement_problem(f, values, (tau, seed))[0](p)
+        assert (terms[-1].delay is seed) == (tau != 0.0), tau
+        assert np.array_equal(_bits(terms[-1].delay), _bits(forward(p, f).delay)), tau
+
+
+def test_notch_without_a_shift_is_the_notch_at_zero_shift(sample_resonator, environment):
+    res, env = sample_resonator, environment
+    f = grid_around(res, points=2001)
+    p = np.array([res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau])
+    bare, zero = _notch(p, f), _notch(p, f, np.zeros_like(f))
+    for name, a, b in zip(bare._fields, bare, zero):
+        assert np.array_equal(_bits(np.asarray(a)), _bits(np.asarray(b))), name
+
+
+def test_first_residual_takes_the_seed_phasor(sample_resonator, environment, monkeypatch):
+    # the solver's first residual is at tau0, where the de-rotation of the
+    # seed already holds the phasor; later ones compute their own
+    grid = grid_around(sample_resonator, points=501)
+    noise = rl.NoiseSpec(snr_db=40, seed=3)
+    trace = rl.generate_linear_trace(sample_resonator, environment, grid, -140.0, noise)
+    forward = rl.linfit._notch
+    delays = []
+
+    def spy(p, f, shift=None, delay=None):
+        delays.append(delay)
+        return forward(p, f, shift, delay)
+
+    monkeypatch.setattr(rl.linfit, "_notch", spy)
+    rl.fit_linear(trace)
+    tau0 = rl.estimate_delay(trace)
+    seed = np.conjugate(np.exp(2j * math.pi * grid * tau0))
+    assert delays[0] is not None and np.array_equal(_bits(delays[0]), _bits(seed))
+    assert len(delays) > 1 and all(d is None for d in delays[1:])
+
+
+@pytest.mark.parametrize("rows", [7, 8, 501, QR_BLOCK_ROWS])
+@pytest.mark.parametrize("centred", [False, True])
+def test_scaled_pinv_of_one_block_skips_the_second_qr(rows, centred, monkeypatch):
+    # the QR of a single block's triangular R returns R unchanged, so
+    # _scaled_pinv leaves it out; the result is that of the two-QR form
+    rng = np.random.default_rng(rows)
+    x_scale = 10.0 ** rng.uniform(-8, 8, 7)
+    jac = rng.standard_normal((rows, 7)) @ rng.standard_normal((7, 7)) / x_scale
+    back = None
+    if centred:
+        back = np.eye(7)
+        back[5, 6] = 2.0 * math.pi * 6e9
+    one_qr = _scaled_pinv(jac, x_scale, back)
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda r: svd(np.linalg.qr(r, mode="r")))
+    assert np.array_equal(_bits(one_qr), _bits(_scaled_pinv(jac, x_scale, back)))
 
 
 @pytest.mark.parametrize(
