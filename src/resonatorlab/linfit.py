@@ -151,7 +151,9 @@ def estimate_delay(trace: FrequencyTrace, wing_fraction: float = 0.1) -> float:
     Returns ``-(1/2pi) d(phase)/df`` averaged over the two outer wings, each
     containing ``wing_fraction`` of the samples. The wings are stacked as the
     two rows of one array, so the phase, its unwrapping and the centring run
-    once over both; each slope is a least-squares slope from centred sums.
+    once over both; each slope is a least-squares slope from centred sums,
+    which are pairwise sums along the rows, not BLAS dot products, whose
+    rounding depends on the thread count.
     """
     if not 0.0 < wing_fraction <= 0.25:
         raise ValueError(f"wing_fraction must be in (0, 0.25], got {wing_fraction}")
@@ -167,7 +169,7 @@ def estimate_delay(trace: FrequencyTrace, wing_fraction: float = 0.1) -> float:
     df -= df.mean(axis=1, keepdims=True)
     phase = np.unwrap(np.angle(np.stack((v[:n_wing], v[n - n_wing :]))))
     phase -= phase.mean(axis=1, keepdims=True)
-    slopes = [d @ ph / (d @ d) for d, ph in zip(df, phase)]
+    slopes = (df * phase).sum(axis=1) / (df * df).sum(axis=1)
     return -float(np.mean(slopes)) / (2.0 * math.pi)
 
 

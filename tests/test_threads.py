@@ -46,17 +46,29 @@ def _kerr_sweep(path: Path):
     write_trace_csv(path, rl.generate_kerr_sweep(params, grid, powers, "lowest", noise))
 
 
-def _long_trace(path: Path):
-    """One trace of 20001 points over 20 linewidths."""
+def _trace(path: Path, points: int):
+    """One trace of ``points`` points over 20 linewidths."""
     res = resonator(phi0=0.2)
     env = rl.EnvironmentParams(0.9, 0.3, 40e-9)
-    grid = grid_around(res, span_linewidths=20.0, points=20001)
+    grid = grid_around(res, span_linewidths=20.0, points=points)
     noise = rl.NoiseSpec(snr_db=40.0, seed=0)
     write_trace_csv(path, rl.generate_linear_trace(res, env, grid, -140.0, noise))
 
 
+def _long_trace(path: Path):
+    """One trace of 20001 points."""
+    _trace(path, 20001)
+
+
+def _trace_with_long_wings(path: Path):
+    """One trace of 200001 points: the delay estimate's wings hold 20,000
+    points each, where OpenBLAS splits a dot product between threads."""
+    _trace(path, 200001)
+
+
 @pytest.mark.parametrize(
-    "command, make_input", [("fit-kerr", _kerr_sweep), ("fit-linear", _long_trace)]
+    "command, make_input",
+    [("fit-kerr", _kerr_sweep), ("fit-linear", _long_trace), ("fit-linear", _trace_with_long_wings)],
 )
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path, command, make_input):
     data = tmp_path / "data.csv"
