@@ -21,9 +21,8 @@ small next to a tall Jacobian. The cost is a pairwise sum of the squared
 residuals, not a BLAS dot product, so it does not depend on the BLAS
 thread count.
 
-Each fitter calls :func:`least_squares` itself. :func:`settle` and
-:func:`fit_errors` do what follows every solve, and :func:`_centre_alpha`
-re-centres the background phase of the notch fits before theirs.
+Each fitter calls :func:`least_squares` itself, the two notch fits through
+``linfit._fit_notch``, and takes its covariance from :func:`fit_errors`.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError
-
-__all__ = ["LeastSquaresResult", "least_squares", "settle", "fit_errors"]
+__all__ = ["LeastSquaresResult", "least_squares", "fit_errors"]
 
 EPS = np.finfo(float).eps
 
@@ -244,41 +241,6 @@ def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None =
     idx = np.flatnonzero(loose)
     cov[idx, idx] = np.inf
     return cov
-
-
-def _centre_alpha(residual, jacobian, x0: np.ndarray, turn: float):
-    """The fit with ``alpha_c = alpha - turn tau`` free in place of ``alpha``.
-
-    ``alpha`` (position 5 of the parameter vector) is the background phase
-    at 0 Hz, so at high Q its Jacobian column nearly parallels that of
-    ``tau`` (position 6). With ``turn = 2 pi f_mid``, ``alpha_c`` is the
-    phase at the trace centre, and the scaled Jacobian stays well
-    conditioned. Returns the centred residual, Jacobian and start, and
-    ``back``, the matrix with ``x = back @ x_c``.
-    """
-    back = np.eye(x0.size)
-    back[5, 6] = turn
-
-    def residual_c(xc):
-        return residual(back @ xc)
-
-    def jacobian_c(xc):
-        jac = jacobian(back @ xc)
-        jac[:, 6] += turn * jac[:, 5]
-        return jac
-
-    x0_c = x0.copy()
-    x0_c[5] -= turn * x0[6]
-    return residual_c, jacobian_c, x0_c, back
-
-
-def settle(sol: LeastSquaresResult, names, message: str, back: np.ndarray) -> np.ndarray:
-    """The reported parameters ``back @ sol.x`` of a solve; raises
-    :class:`ConvergenceError` with them, keyed by ``names``, if the budget ran out."""
-    x = back @ sol.x
-    if sol.status == 0:
-        raise ConvergenceError(message, last_params=dict(zip(names, x)))
-    return x
 
 
 def fit_errors(sol: LeastSquaresResult, jac: np.ndarray, x_scale: np.ndarray, back=None):

@@ -37,7 +37,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._lsq import _centre_alpha, fit_errors, least_squares, settle
 from .constants import BRANCH_RULES, HBAR
 from .core import (
     EnvironmentParams,
@@ -49,6 +48,7 @@ from .core import (
 from .errors import DataError
 from .linfit import (
     LinearFitResult,
+    _fit_notch,
     _notch,
     _notch_rows,
     _param_scale,
@@ -224,20 +224,22 @@ def _polish(n: np.ndarray, delta: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return n
 
 
-def _select_branch(roots: np.ndarray, branch: str) -> np.ndarray:
-    """Pick one root per point from ascending NaN-padded ``roots`` (m, 3)."""
+def _select_branch(roots: np.ndarray, branch: str, sign: float) -> np.ndarray:
+    """Pick one root per point from ascending NaN-padded ``roots`` (m, 3);
+    ``sign`` is that of K, -1 or 1.
+
+    ``"sweep-continuation"`` is an up-sweep, as every frequency grid is
+    increasing: a softening resonator (K >= 0) stays on the lowest root until
+    that root ends, and a hardening one (K < 0) on the highest (Swenson et
+    al., J. Appl. Phys. 113, 104501 (2013)). No rule selects the unstable
+    middle root.
+    """
+    if branch == "sweep-continuation":
+        branch = "highest" if sign < 0.0 else "lowest"
     if branch == "lowest":
         return roots[:, 0]
     if branch == "highest":
         return np.nanmax(roots, axis=1)
-    if branch == "sweep-continuation":
-        # Follow the root nearest the previous point's. Only points with
-        # several roots offer a choice, and the first point takes its lowest.
-        n = roots[:, 0].copy()
-        for i in np.flatnonzero(np.isfinite(roots[1:, 1])) + 1:
-            finite = roots[i][np.isfinite(roots[i])]
-            n[i] = finite[np.argmin(np.abs(finite - n[i - 1]))]
-        return n
     raise ValueError(f"unknown branch rule {branch!r}; expected one of {BRANCH_RULES}")
 
 
@@ -273,11 +275,10 @@ def _sweep_model(
     each row. Returns the complex S21 ``(P, F)``; the complex ``dS21/dp``
     ``(8, P, F)`` if ``jac`` is set and ``None`` otherwise; and the solve the
     model used, whose ``three`` flags the points where the cubic has three
-    roots. Each power row is one sweep for ``"sweep-continuation"``. The
-    first seven entries enter as the linear model's, with ``phi`` as
-    ``phi0``. ``solve`` is used when it was made at the same cubic inputs as
-    ``p``, bit for bit; otherwise each row's cubic is solved in the same pass
-    over the rows as its model, one kernel call per row.
+    roots. The first seven entries enter as the linear model's, with ``phi``
+    as ``phi0``. ``solve`` is used when it was made at the same cubic inputs
+    as ``p``, bit for bit; otherwise each row's cubic is solved in the same
+    pass over the rows as its model, one kernel call per row.
     """
     f_r, kappa_c, kappa_int, kerr = p[0], p[1], max(p[2], 0.0), p[7]
     # the cubic depends on these four only, not on phi, amplitude, alpha or tau
@@ -304,7 +305,7 @@ def _sweep_model(
         if fresh:
             roots = photon_cubic_roots(sign * delta, sign * xi)
             solve.three[i] = np.isfinite(roots[:, 2])
-            solve.n[i] = _select_branch(roots, branch)
+            solve.n[i] = _select_branch(roots, branch, sign)
         n = solve.n[i]
         # the linear model at the detuning shifted by kappa_L xi n, which is
         # exactly 0 at K = 0
@@ -348,9 +349,9 @@ def model_s21_kerr(
     feedline power ``p_feedline`` [dBm].
 
     ``branch`` resolves the bistable regime: ``"lowest"``/``"highest"`` pick
-    the corresponding real root pointwise, ``"sweep-continuation"`` follows
-    the root continuously along the array order of ``f`` (for a scalar ``f``
-    it reduces to ``"lowest"``).
+    the corresponding real root pointwise, and ``"sweep-continuation"`` the
+    root an increasing frequency sweep stays on, which is the lowest for
+    ``K >= 0`` and the highest for ``K < 0``, at every ``f``.
     """
     f_arr = np.atleast_1d(np.asarray(f, dtype=float))
     p = _sweep_vector(params.linear, params.environment, params.kerr, params.phi)
@@ -451,23 +452,9 @@ def fit_kerr(
         if not np.any(keep):
             raise DataError("masking bistable points left no data to fit")
 
-    # alpha and tau are both free: refine alpha at the sweep centre
-    turn = math.pi * (freqs[0] + freqs[-1])
-    residual, jacobian, x0, back = _centre_alpha(residual, jacobian, x0, turn)
-    sol = least_squares(
-        residual,
-        x0,
-        jac=jacobian,
-        x_scale=x_scale,
-        ftol=1e-12,
-        xtol=1e-12,
-        gtol=1e-14,
-        # Each iteration costs one Jacobian and at least one residual.
-        max_nfev=options.max_iterations,
+    x, _, sigmas, rms = _fit_notch(
+        residual, jacobian, x0, x_scale, freqs, SWEEP_PARAM_NAMES, options.max_iterations
     )
-    message = f"no convergence within {options.max_iterations} iterations"
-    x = settle(sol, SWEEP_PARAM_NAMES, message, back)
-    _, sigmas, _ = fit_errors(sol, sol.jac, x_scale, back)
     f_r, kappa_c, kappa_int, phi, amplitude, alpha, tau, kerr = map(float, x)
     params = KerrParams(
         linear=LinearResonatorParams(f_r, kappa_c, max(kappa_int, 0.0), res0.phi0),
@@ -475,13 +462,13 @@ def fit_kerr(
         kerr=kerr,
         phi=_wrap_half_pi(phi),
     )
-    # phi does not enter the cubic: the solve at sol.x holds at the reported values
+    # phi does not enter the cubic: the solve at the solution holds at the reported values
     p = _sweep_vector(params.linear, params.environment, kerr, params.phi)
     return KerrFitResult(
         params=params,
         k_uncertainty=float(sigmas[7]),
         phi_uncertainty=float(sigmas[3]),
-        residual_rms=math.sqrt(2.0 * sol.cost / (sol.fun.size / 2)),
+        residual_rms=rms,
         model_s21=_sweep_model(p, freqs, watts, options.branch, solve=at_x)[0],
     )
 

@@ -8,14 +8,15 @@ on count-weighted means over bins of equal width, where each dip is a
 kernel in the lag between bins, so one FFT correlation per linewidth
 level gives the cost at every candidate resonance. The refinement
 and the covariance use a closed-form Jacobian, so neither depends on a
-finite-difference step rule of the optimizer. The solver, its convergence
-check and the covariance come from ``_lsq``, and the parameter scales from
-``_param_scale``, which the Kerr fit shares. The model is written once, in
-a forward step, ``_notch``, and a derivative step, ``_notch_rows``, that
-builds the Jacobian from the forward terms; the Kerr model of ``kerrfit``
-evaluates both at a shifted detuning. The photon calibration of a linear fit,
-:func:`photon_number` and its inverse :func:`single_photon_power`, lives
-here too.
+finite-difference step rule of the optimizer. The Kerr fit shares the
+parameter scales, ``_param_scale``, and the whole solve, ``_fit_notch``: it
+refines alpha at the trace centre, runs the solver of ``_lsq`` with the
+notch tolerances, checks the budget and takes the covariance from ``_lsq``.
+The model is written once, in a forward step, ``_notch``, and a derivative
+step, ``_notch_rows``, that builds the Jacobian from the forward terms; the
+Kerr model of ``kerrfit`` evaluates both at a shifted detuning. The photon
+calibration of a linear fit, :func:`photon_number` and its inverse
+:func:`single_photon_power`, lives here too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._lsq import _centre_alpha, fit_errors, least_squares, settle
+from ._lsq import fit_errors, least_squares
 from .constants import HBAR
 from .core import (
     EnvironmentParams,
@@ -393,6 +394,53 @@ def _refinement_problem(
     return residual, jacobian
 
 
+def _fit_notch(residual, jacobian, x0, x_scale, freqs, names, max_iterations):
+    """Solve a notch fit over ``freqs`` from ``x0``; returns the reported
+    parameters ``names``, their covariance and 1-sigma, and the rms per point.
+
+    The first seven entries of ``x0`` are :data:`PARAM_NAMES`. ``alpha``
+    (position 5) is the background phase at 0 Hz, so at high Q its Jacobian
+    column nearly parallels that of ``tau`` (position 6). The solver refines
+    ``alpha_c = alpha - turn tau`` in its place, with ``turn = 2 pi f_mid``:
+    the phase at the trace centre, which keeps the scaled Jacobian well
+    conditioned; ``x = back @ x_c`` maps it back. Raises
+    :class:`ConvergenceError` with the last iterate when ``max_iterations``
+    residual evaluations run out.
+    """
+    turn = math.pi * (freqs[0] + freqs[-1])
+    back = np.eye(x0.size)
+    back[5, 6] = turn
+
+    def residual_c(xc):
+        return residual(back @ xc)
+
+    def jacobian_c(xc):
+        jac = jacobian(back @ xc)
+        jac[:, 6] += turn * jac[:, 5]
+        return jac
+
+    x0_c = x0.copy()
+    x0_c[5] -= turn * x0[6]
+    sol = least_squares(
+        residual_c,
+        x0_c,
+        jac=jacobian_c,
+        x_scale=x_scale,
+        ftol=1e-12,
+        xtol=1e-12,
+        gtol=1e-14,
+        # Each iteration costs one Jacobian and at least one residual.
+        max_nfev=max_iterations,
+    )
+    x = back @ sol.x
+    if sol.status == 0:
+        message = f"no convergence within {max_iterations} iterations"
+        raise ConvergenceError(message, last_params=dict(zip(names, x)))
+    covariance, sigmas, _ = fit_errors(sol, sol.jac, x_scale, back)
+    # two residuals, re and im, per point
+    return x, covariance, sigmas, math.sqrt(2.0 * sol.cost / (sol.fun.size / 2))
+
+
 def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> LinearFitResult:
     """Fit one trace to the linear notch model.
 
@@ -418,27 +466,15 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     a0 = abs(a)
     p0 = np.array([f_r0, kappa_c0, kappa_l0 - kappa_c0, phi0, a0, float(np.angle(a)), tau0])
 
-    # Stage 3: full complex least-squares refinement of all 7 parameters,
-    # with alpha refined as the background phase at the trace centre.
-    turn = math.pi * (freqs[0] + freqs[-1])
-    # the conjugate of the de-rotation is the phasor e^{-2 pi i f tau0} of the
-    # solver's first residual, which is at tau0
+    # Stage 3: full complex least-squares refinement of all 7 parameters and
+    # their covariance. The conjugate of the de-rotation is the phasor
+    # e^{-2 pi i f tau0} of the solver's first residual, which is at tau0.
     problem = _refinement_problem(freqs, values, (tau0, np.conjugate(rotate, out=rotate)))
-    residual, jacobian, x0, back = _centre_alpha(*problem, p0, turn)
     span = trace.span
     x_scale = _param_scale(f_r0, kappa_l0, a0, span)
-    sol = least_squares(
-        residual,
-        x0,
-        jac=jacobian,
-        x_scale=x_scale,
-        ftol=1e-12,
-        xtol=1e-12,
-        gtol=1e-14,
-        # Each iteration costs one Jacobian and at least one residual.
-        max_nfev=options.max_iterations,
+    p, covariance, sigmas, residual_rms = _fit_notch(
+        *problem, p0, x_scale, freqs, PARAM_NAMES, options.max_iterations
     )
-    p = settle(sol, PARAM_NAMES, f"no convergence within {options.max_iterations} iterations", back)
 
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
     if amplitude < 0.0:
@@ -455,11 +491,7 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
         flags.append("kappa_int pinned to 0 (optimum was negative)")
         kappa_int = 0.0
 
-    # Stage 4: parameter covariance from the solver's Jacobian at the
-    # optimum, mapped back to the 0 Hz phase alpha.
-    covariance, sigmas, _ = fit_errors(sol, sol.jac, x_scale, back)
     uncertainties = dict(zip(PARAM_NAMES, (float(s) for s in sigmas)))
-    residual_rms = math.sqrt(2.0 * sol.cost / n)
 
     resonator = LinearResonatorParams(
         f_r=float(f_r), kappa_c=float(kappa_c), kappa_int=float(kappa_int), phi0=float(phi0)

@@ -123,19 +123,6 @@ def _bisect(lo, hi, flo, delta, xi, iterations):
     return 0.5 * (lo + hi)
 
 
-def continuation_branch(roots):
-    """Per-point sweep continuation over ascending NaN-padded ``roots`` (m, 3):
-    at every point, in array order, the root nearest the previous choice,
-    starting from the first point's lowest root."""
-    n = np.empty(roots.shape[0])
-    previous = roots[0, 0]
-    for i in range(roots.shape[0]):
-        finite = roots[i][np.isfinite(roots[i])]
-        previous = finite[np.argmin(np.abs(finite - previous))]
-        n[i] = previous
-    return n
-
-
 def central_jacobian(residual, x, x_scale):
     """Central-difference Jacobian with steps tied to the parameter scales."""
     m = residual(x).size

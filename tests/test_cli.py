@@ -197,11 +197,20 @@ class TestErrors:
         assert code == 4
         assert doc["error"]["type"] == "DomainError"
 
-    def test_failed_fit_exit_code(self, tmp_path, capsys):
-        csv = synth_linear_csv(tmp_path, capsys)
-        code, doc = run_cli(capsys, "fit-linear", str(csv), "--max-iterations", "1")
+    @pytest.mark.parametrize("command", ["fit-linear", "fit-kerr"])
+    def test_failed_fit_exit_code(self, tmp_path, capsys, command):
+        # both notch fits raise from the one solve they share when the budget
+        # runs out; fit-kerr's budget binds its stage-1 linear fit too
+        if command == "fit-linear":
+            csv = synth_linear_csv(tmp_path, capsys)
+        else:
+            csv = tmp_path / "kerr.csv"
+            argv = ["synth", "kerr", "--out-csv", str(csv), "--points", "201"]
+            assert run_cli(capsys, *argv)[0] == 0
+        code, doc = run_cli(capsys, command, str(csv), "--max-iterations", "1")
         assert code == 3
         assert doc["error"]["type"] == "ConvergenceError"
+        assert "no convergence within 1 iterations" in doc["error"]["message"]
 
     @pytest.mark.parametrize("command", ["fit-linear", "fit-power-sweep", "fit-kerr"])
     @pytest.mark.parametrize("value", ["0", "-3"])

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -291,6 +292,21 @@ print(json.dumps({
     assert len(resonatorlab.__all__) == len(set(resonatorlab.__all__))
     with pytest.raises(AttributeError):
         resonatorlab.no_such_name
+
+
+def test_every_submodule_binds_its_all():
+    # a name left in a submodule's __all__ after the name is gone breaks
+    # ``from resonatorlab.<module> import *``
+    checked, unbound = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"resonatorlab.{path.stem}")
+        if not hasattr(module, "__all__"):
+            continue
+        checked.append(path.stem)
+        unbound += [f"{path.stem}.{name}" for name in module.__all__ if not hasattr(module, name)]
+    assert checked and unbound == []
 
 
 def test_one_version_string(cli_inputs, capsys):

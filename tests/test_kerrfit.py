@@ -9,7 +9,6 @@ from conftest import grid_around, kerr_recovery_draws, linewidth_hz, resonator
 from oracles import (
     brute_force_roots,
     central_jacobian,
-    continuation_branch,
     cubic_value,
     reference_photon_cubic_roots,
     scanned_roots,
@@ -17,7 +16,6 @@ from oracles import (
 from resonatorlab.kerrfit import (
     RANK_ROWS,
     XI_NEWTON,
-    _select_branch,
     _sweep_model,
     _sweep_vector,
 )
@@ -233,22 +231,42 @@ class TestKerrModel:
         cont = rl.model_s21_kerr(params, f, p, "sweep-continuation")
         assert cont.shape == low.shape
 
-    def test_sweep_continuation_matches_per_point_loop(self, sample_resonator):
-        res = sample_resonator
-        f = grid_around(res, span_linewidths=14.0, points=2001)
-        delta = TWO_PI * (res.f_r - f) / res.kappa_l
-        bistable = moved = 0
-        for kerr in (99.5e3, -99.5e3):
-            for p in np.arange(-130.0, -111.0, 2.0):  # up to the -112 dBm slice above
-                alpha_in_sq = rl.dbm_to_watts(p) / (rl.HBAR * TWO_PI * f)
-                xi = alpha_in_sq * res.kappa_c * TWO_PI * kerr / res.kappa_l**3
-                roots = rl.photon_cubic_roots(np.sign(kerr) * delta, np.abs(xi))
-                n = _select_branch(roots, "sweep-continuation")
-                np.testing.assert_array_equal(n, continuation_branch(roots))
-                bistable += np.count_nonzero(np.isfinite(roots[:, 2]))
-                moved += np.count_nonzero(n != roots[:, 0])
-        # the grid reaches the bistable regime, where the rule leaves the lowest root
-        assert bistable > 0 and moved > 0
+    @pytest.mark.parametrize("points", [101, 401, 2001])
+    def test_no_rule_selects_the_middle_root(self, monkeypatch, sample_resonator, points):
+        # every frequency grid increases, so sweep-continuation is an up-sweep:
+        # it stays on the lowest root where K >= 0 and on the highest where
+        # K < 0. The middle root is unstable, and no rule may select it.
+        res, kernel, calls = sample_resonator, rl.kerrfit.photon_cubic_roots, []
+        monkeypatch.setattr(
+            rl.kerrfit, "photon_cubic_roots", lambda *a: calls.append(kernel(*a)) or calls[-1]
+        )
+        bistable = {1.0: 0, -1.0: 0}
+        grid = itertools.product((1.0, -1.0), (3.0, 10.0, 30.0), (0.5, 2.0, 8.0, 30.0))
+        for sign, half_span, xi in grid:
+            kerr = sign * 99.5e3
+            # the bistable region spans up to ~2 xi linewidths from f_r, below
+            # it for K > 0 and above it for K < 0
+            centre = res.f_r - sign * xi * linewidth_hz(res)
+            f = grid_around(res, 2.0 * half_span, points, centre)
+            # the feedline power of reduced drive xi at f_r
+            watts = xi * res.kappa_l**3 * rl.HBAR * res.f_r / (res.kappa_c * abs(kerr))
+            p = _sweep_vector(res, rl.EnvironmentParams(1.0, 0.0, 0.0), kerr, res.phi0)
+            picks = {}
+            for branch in rl.kerrfit.BRANCH_RULES:
+                calls.clear()
+                picks[branch] = _sweep_model(p, f, [watts], branch)[2].n[0]
+            [roots] = calls  # the same on every rule
+            low, mid, high = roots.T
+            three = (low < mid) & (mid < high)
+            for branch, n in picks.items():
+                assert not np.any(n[three] == mid[three]), (sign, half_span, xi, branch)
+            up = low if sign > 0.0 else np.nanmax(roots, axis=1)
+            np.testing.assert_array_equal(
+                picks["sweep-continuation"], up, err_msg=str((sign, half_span, xi))
+            )
+            bistable[sign] += np.count_nonzero(three)
+        # the grid reaches the bistable regime of both signs of K
+        assert all(bistable.values())
 
     def test_invalid_branch(self, sample_resonator, environment):
         # every public entry point reaches the one check, in _select_branch
@@ -507,7 +525,7 @@ class TestSolveReuse:
         # on every draw tried; the draws are tried in order up to the first
         # whose fit ends on the wanted kind of step, since which draws do
         # depends on the last bits of the solve.
-        kernel, solver = rl.kerrfit.photon_cubic_roots, rl.kerrfit.least_squares
+        kernel, solver = rl.kerrfit.photon_cubic_roots, rl.linfit.least_squares
         model = rl.kerrfit._sweep_model
         calls, runs, jacobians = [], [], []
 
@@ -530,7 +548,7 @@ class TestSolveReuse:
         monkeypatch.setattr(
             rl.kerrfit, "photon_cubic_roots", lambda *a: calls.append(1) or kernel(*a)
         )
-        monkeypatch.setattr(rl.kerrfit, "least_squares", counted_solver)
+        monkeypatch.setattr(rl.linfit, "least_squares", counted_solver)
         monkeypatch.setattr(rl.kerrfit, "_sweep_model", counted_model)
         for _, sweep in itertools.islice(kerr_recovery_draws(), 12):
             lin = rl.fit_linear(sweep.traces[0])
@@ -565,13 +583,13 @@ class TestSolverProblem:
         """A bistable draw, and the residual, start, Jacobian and scales of its fit."""
         _, sweep = next(itertools.islice(kerr_recovery_draws(), 4, None))
         lin = rl.fit_linear(sweep.traces[0])
-        solver, problems = rl.kerrfit.least_squares, []
+        solver, problems = rl.linfit.least_squares, []
 
         def spy(fun, x0, jac, **kwargs):
             problems.append((fun, x0.copy(), jac, kwargs["x_scale"]))
             return solver(fun, x0, jac=jac, **kwargs)
 
-        monkeypatch.setattr(rl.kerrfit, "least_squares", spy)
+        monkeypatch.setattr(rl.linfit, "least_squares", spy)
         rl.fit_kerr(sweep, lin, options)
         [problem] = problems
         return sweep, problem

@@ -18,7 +18,7 @@ from scipy.optimize import least_squares as scipy_least_squares
 
 import resonatorlab as rl
 from conftest import grid_around, kerr_recovery_draws, resonator
-from resonatorlab import _lsq, fieldmodel, kerrfit, linfit
+from resonatorlab import _lsq, fieldmodel, linfit
 from resonatorlab._lsq import QR_BLOCK_ROWS, _normal_matrix, least_squares
 from resonatorlab.kerrfit import SWEEP_PARAM_NAMES, KerrFitOptions, _sweep_model, _sweep_vector
 from resonatorlab.linfit import _refinement_problem
@@ -36,7 +36,7 @@ def captured(monkeypatch):
         problems.append((fun, np.array(x0, dtype=float), jac, kwargs, sol))
         return sol
 
-    for module in (linfit, kerrfit, fieldmodel):
+    for module in (linfit, fieldmodel):
         monkeypatch.setattr(module, "least_squares", capture)
     return problems
 
@@ -216,7 +216,7 @@ def test_a_failed_fit_carries_its_last_iterate_as_reported_parameters(monkeypatc
         runs.append(_lsq.least_squares(fun, x0, jac=jac, **{**kwargs, "max_nfev": 3}))
         return runs[-1]
 
-    for module in (linfit, kerrfit, fieldmodel):
+    for module in (linfit, fieldmodel):
         monkeypatch.setattr(module, "least_squares", cut_short)
     with pytest.raises(rl.ConvergenceError) as failed:
         fit()
