@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 # --version and design load no numpy, and no fit loads the others' modules.
 from . import __version__
 from .constants import BRANCH_RULES
-from .errors import DataError, ResonatorLabError
+from .errors import ConvergenceError, DataError, ResonatorLabError
 from .reports import (
     EXIT_DATA,
     EXIT_OK,
@@ -197,6 +197,14 @@ def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
     return results, plots
 
 
+def _stage(name: str, fit, *args):
+    """``fit(*args)``; a fit that runs out of its budget names ``name`` in its message."""
+    try:
+        return fit(*args)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{name}: {exc}", last_params=exc.last_params) from exc
+
+
 def _handle_fit_kerr(opts) -> tuple[dict, dict]:
     from .core import dip_frequency
     from .io import parse_trace_csv
@@ -206,7 +214,9 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
     # Stage 1, the lowest slice alone, seeds the joint fit of every slice and
     # fills the report's stage1 block.
-    stage1 = fit_linear(sweep.traces[0], _fit_options(opts))
+    stage1 = _stage(
+        "stage 1 (linear fit of the lowest slice)", fit_linear, sweep.traces[0], _fit_options(opts)
+    )
     if stage1.n_photons > 1.0:
         logger.warning(
             "lowest sweep power already drives %.2f photons; the stage-1 "
@@ -219,7 +229,7 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
         mask_bistable=opts["mask_bistable"],
         max_iterations=opts["max_iterations"],
     )
-    fit = fit_kerr(sweep, stage1, kerr_opts)
+    fit = _stage("joint Kerr fit", fit_kerr, sweep, stage1, kerr_opts)
     params = fit.params
     results = {
         "kerr_hz": params.kerr,

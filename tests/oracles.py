@@ -5,9 +5,12 @@ refines them by bisection; it never touches the closed-form solver under
 test. Scan windows come from the Fujiwara bound on the monic cubic, so
 every real root is inside the scanned interval by construction. The
 central-difference Jacobian is the reference for the closed-form Jacobians
-of the linear, Kerr and field models. :func:`reference_photon_cubic_roots`
-is the earlier photon-cubic kernel, kept verbatim as the bit-for-bit
-reference of the current one. :func:`dense_seed_drops` is the dense
+of the linear, Kerr and field models. :func:`exact_backward_errors` and
+:func:`exact_root_counts` judge computed photon-cubic roots in exact
+rational arithmetic on the float inputs, and
+:func:`reference_photon_cubic_roots`, the earlier photon-cubic kernel kept
+verbatim, is the baseline the current kernel must do no worse than on
+them. :func:`dense_seed_drops` is the dense
 per-level loop that the FFT correlation of the linear fit's seed scan
 replaced, kept as its reference on the same binned problem, and
 :func:`reference_seed_drops` is the FFT scan as it was before its kernel
@@ -17,6 +20,7 @@ was cached, kept verbatim as the bit-for-bit reference of the current one.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -135,6 +139,35 @@ def central_jacobian(residual, x, x_scale):
         xm[j] -= h
         jac[:, j] = (residual(xp) - residual(xm)) / (2.0 * h)
     return jac
+
+
+def exact_backward_errors(roots, delta, xi):
+    """Backward error of each finite root in ``roots`` (m, 3), in units of
+    the float epsilon: ``|F(n)|`` over the sum of the absolute values of the
+    cubic's terms, ``xi^2 n^3 + 2 |delta| xi n^2 + (delta^2 + 1/4) n + 1/2``,
+    both exact at the float inputs ``delta`` and ``xi`` (m,)."""
+    out = []
+    for row, d, x in zip(roots, np.asarray(delta).tolist(), np.asarray(xi).tolist()):
+        d, x = Fraction(d), Fraction(x)
+        c3, c2, c1 = x * x, 2 * d * x, d * d + Fraction(1, 4)
+        for n in map(Fraction, row[np.isfinite(row)].tolist()):
+            f = ((c3 * n - c2) * n + c1) * n - Fraction(1, 2)
+            scale = ((c3 * n + abs(c2)) * n + c1) * n + Fraction(1, 2)
+            out.append(float(abs(f) / scale))
+    return np.array(out) / np.finfo(float).eps
+
+
+def exact_root_counts(delta, xi):
+    """Number of real roots of the photon cubic at each float input pair,
+    from the sign of its exact discriminant: 3 where it is positive, else 1
+    (every real root is positive). ``xi = 0`` leaves the linear equation."""
+    counts = []
+    for d, x in zip(np.asarray(delta).tolist(), np.asarray(xi).tolist()):
+        d, x = Fraction(d), Fraction(x)
+        a, b, c, e = x * x, -2 * d * x, d * d + Fraction(1, 4), Fraction(-1, 2)
+        disc = 18 * a * b * c * e - 4 * b**3 * e + b * b * c * c - 4 * a * c**3 - 27 * a * a * e * e
+        counts.append(3 if x != 0 and disc > 0 else 1)
+    return np.array(counts)
 
 
 def reference_photon_cubic_roots(delta, xi, xi_newton=1e-8):

@@ -13,8 +13,8 @@ import pytest
 
 import resonatorlab as rl
 from conftest import resonator
-from resonatorlab.cli import COMMANDS, POSITIONAL, build_parser, main
-from resonatorlab.errors import ReportSchemaError
+from resonatorlab.cli import COMMANDS, POSITIONAL, _stage, build_parser, main
+from resonatorlab.errors import ConvergenceError, ReportSchemaError
 from resonatorlab.io import write_field_csv, write_trace_csv
 from resonatorlab.fieldmodel import MIN_FIELD_POINTS
 from resonatorlab.linfit import MIN_FIT_SAMPLES, segment_trace
@@ -522,6 +522,26 @@ class TestPowerSweepAndKerr:
         code, doc = run_cli(capsys, *argv)
         assert code == 2
         assert doc["error"]["type"] == "DataError"
+
+    @pytest.mark.parametrize(
+        "budget, stage",
+        [(1, "stage 1 (linear fit of the lowest slice)"), (6, "joint Kerr fit")],
+        ids=["stage1", "joint"],
+    )
+    def test_failed_fit_names_its_stage(self, sweep_csv, capsys, budget, stage):
+        # on this sweep the stage-1 fit converges within 5 evaluations and the
+        # joint fit within 7, so budgets 1-4 exhaust stage 1 and 5-6 the joint fit
+        code, doc = run_cli(capsys, "fit-kerr", str(sweep_csv), "--max-iterations", str(budget))
+        assert code == 3
+        assert doc["error"]["message"] == f"{stage}: no convergence within {budget} iterations"
+
+    def test_stage_name_keeps_the_last_iterate(self):
+        def exhausted():
+            raise ConvergenceError("no convergence within 3 iterations", last_params={"kerr": 1.0})
+
+        with pytest.raises(ConvergenceError, match="^joint Kerr fit: no convergence") as failed:
+            _stage("joint Kerr fit", exhausted)
+        assert failed.value.last_params == {"kerr": 1.0}
 
     def test_stage1_warns_when_the_lowest_slice_holds_photons(self, tmp_path, capsys, caplog):
         path = tmp_path / "high.csv"

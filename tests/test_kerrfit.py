@@ -10,6 +10,8 @@ from oracles import (
     brute_force_roots,
     central_jacobian,
     cubic_value,
+    exact_backward_errors,
+    exact_root_counts,
     reference_photon_cubic_roots,
     scanned_roots,
 )
@@ -101,7 +103,7 @@ class TestPhotonCubic:
             np.testing.assert_allclose(mine, oracle, rtol=1e-7, atol=1e-12)
 
 
-    def test_bit_identical_to_the_reference_kernel(self):
+    def test_roots_hold_in_exact_arithmetic(self):
         rng = np.random.default_rng(21)
         # The discriminant changes sign at the folds: y = xi n solves
         # 3 y^2 - 4 delta y + delta^2 + 1/4 = 0 there, at xi = 2 y ((y - delta)^2 + 1/4).
@@ -123,18 +125,28 @@ class TestPhotonCubic:
         )
         # -delta: a negative K, folded into a non-negative xi
         for d in (-deltas, deltas):
+            mine = rl.photon_cubic_roots(d, xis)
             reference = reference_photon_cubic_roots(d, xis)
-            assert np.array_equal(rl.photon_cubic_roots(d, xis), reference, equal_nan=True)
-        three = np.isfinite(reference[3000:3400, 2])
+            # measured: at most 0.79 eps here, and 2.50 eps for the reference
+            for roots in (mine, reference):
+                assert exact_backward_errors(roots, d, xis).max() <= 4.0
+            # near the folds a count can be wrong by a last bit of the
+            # discriminant; none the reference gets right may go wrong
+            exact = exact_root_counts(d, xis)
+            kept = np.sum(np.isfinite(reference), axis=1) == exact
+            assert np.array_equal(np.sum(np.isfinite(mine), axis=1)[kept], exact[kept])
+        # the loop ends on +delta, where the folds lie
+        three = exact[3000:3400] == 3
         assert three.any() and not three.all()  # both sides of the folds
-        for d, x in zip(deltas[::97].tolist(), xis[::97].tolist()):  # scalars
-            mine = rl.photon_cubic_roots(d, x)
-            assert mine.shape == (3,)
-            assert np.array_equal(mine, reference_photon_cubic_roots(d, x), equal_nan=True)
+        for i in range(0, deltas.size, 97):  # scalars
+            scalar = rl.photon_cubic_roots(deltas[i].item(), xis[i].item())
+            assert scalar.shape == (3,)
+            assert np.array_equal(scalar, mine[i], equal_nan=True)
         grid = (deltas[::80, None], xis[None, ::70])  # 2-D broadcast
         mine = rl.photon_cubic_roots(*grid)
         assert mine.shape == (deltas[::80].size, xis[::70].size, 3)
-        assert np.array_equal(mine, reference_photon_cubic_roots(*grid), equal_nan=True)
+        flat = rl.photon_cubic_roots(*(a.ravel() for a in np.broadcast_arrays(*grid)))
+        assert np.array_equal(mine, flat.reshape(mine.shape), equal_nan=True)
 
     @pytest.mark.parametrize("branch", rl.kerrfit.BRANCH_RULES)
     def test_sweep_model_unchanged_by_the_kernel(self, branch, monkeypatch):
@@ -148,8 +160,13 @@ class TestPhotonCubic:
         ref_s21, ref_jac, ref_solve = _sweep_model(*args)
         assert solve.three.any()  # the draw is bistable at its true K
         assert np.array_equal(solve.three, ref_solve.three)
-        assert np.array_equal(s21, ref_s21, equal_nan=True)
-        assert np.array_equal(jac, ref_jac, equal_nan=True)
+        # about 10x the largest differences measured over the branch rules:
+        # 8e-15 relative in n, 4e-14 in S21 (|S21| <= 1.1) and 1.3e-12 of a
+        # Jacobian column's largest entry
+        np.testing.assert_allclose(solve.n, ref_solve.n, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(s21, ref_s21, rtol=0.0, atol=5e-13)
+        for col, ref_col in zip(jac, ref_jac):
+            np.testing.assert_allclose(col, ref_col, rtol=0.0, atol=2e-11 * np.abs(ref_col).max())
 
 
 class TestKerrModel:
@@ -349,6 +366,13 @@ def _synthetic_sweep(res, env, kerr, seed, snr=40.0, phi=None):
 
 
 class TestFitKerr:
+    def test_options_reject_an_unknown_branch(self):
+        # refused where the options are made, not inside a fit
+        with pytest.raises(ValueError, match="unknown branch rule 'foo'"):
+            rl.KerrFitOptions(branch="foo")
+        for branch in rl.kerrfit.BRANCH_RULES:
+            assert rl.KerrFitOptions(branch=branch).branch == branch
+
     def test_recovers_kerr_within_five_percent(self, sample_resonator, environment):
         sweep = _synthetic_sweep(sample_resonator, environment, 100e3, seed=21)
         lin = rl.fit_linear(sweep.traces[0])
