@@ -38,35 +38,11 @@ if TYPE_CHECKING:
     from .linfit import FitOptions
 
 
-class _Logger:
-    """The ``resonatorlab`` logger, with :mod:`logging` imported and the root
-    logger configured on the first record: a run logs only on a warning or an
-    error, so most runs never load :mod:`logging`."""
-
-    def __init__(self):
-        # the root level that main sets once the options parse; a record
-        # before that goes to logging's last-resort handler
-        self.root_level: str | None = None
-
-    def warning(self, msg: str, *args) -> None:
-        self._logger().warning(msg, *args)
-
-    def error(self, msg: str, *args) -> None:
-        self._logger().error(msg, *args)
-
-    def _logger(self):
-        import logging
-
-        if self.root_level is not None:
-            logging.basicConfig(
-                stream=sys.stderr,
-                level=self.root_level,
-                format="%(levelname)s %(name)s: %(message)s",
-            )
-        return logging.getLogger("resonatorlab")
-
-
-logger = _Logger()
+def _log(level: str | None, message: str) -> None:
+    """One line on stderr, ``LEVEL resonatorlab: message``, or the bare
+    message without a level. The CLI writes two kinds: the ``fit-kerr``
+    stage-1 warning and the error line of a failed run."""
+    sys.stderr.write(f"{level} resonatorlab: {message}\n" if level else f"{message}\n")
 
 
 def _flag_warnings(results: dict) -> list[str]:
@@ -149,7 +125,7 @@ def _handle_fit_linear(opts) -> tuple[dict, dict]:
             raise DataError(
                 f"no dips at least {opts['prominence_db']} dB below the median background"
             )
-        fits = [fit_linear(w, fit_opts) for w in windows]
+        fits = [_stage(f"dip {i}", fit_linear, w, fit_opts) for i, w in enumerate(windows)]
         plots = {
             f"dip_{i}_magnitude": _magnitude_plot(
                 w.frequencies, w.values, model_s21_linear(f.resonator, f.environment, w.frequencies)
@@ -168,7 +144,9 @@ def _handle_fit_power_sweep(opts) -> tuple[dict, dict]:
 
     sweep = _require_sweep(parse_trace_csv(opts["csv"]))
     fit_opts = _fit_options(opts)
-    fits = [fit_linear(t, fit_opts) for t in sweep.traces]
+    fits = [
+        _stage(f"slice at {t.drive_power:.1f} dBm", fit_linear, t, fit_opts) for t in sweep.traces
+    ]
     reference = fits[0].resonator
     slices = []
     for trace, fit in zip(sweep.traces, fits):
@@ -218,10 +196,10 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
         "stage 1 (linear fit of the lowest slice)", fit_linear, sweep.traces[0], _fit_options(opts)
     )
     if stage1.n_photons > 1.0:
-        logger.warning(
-            "lowest sweep power already drives %.2f photons; the stage-1 "
+        _log(
+            "WARNING",
+            f"lowest sweep power already drives {stage1.n_photons:.2f} photons; the stage-1 "
             "linear fit may be biased by the nonlinearity",
-            stage1.n_photons,
         )
     kerr_opts = KerrFitOptions(
         branch=opts["branch"],
@@ -703,7 +681,6 @@ def main(argv: list[str] | None = None) -> int:
     args = argparse.Namespace(command=None)
     try:
         args = parser.parse_args(argv)
-        logger.root_level = "INFO" if getattr(args, "verbose", False) else "WARNING"
         if args.command is None:
             parser.print_help(sys.stderr)
             return EXIT_DATA
@@ -718,7 +695,9 @@ def main(argv: list[str] | None = None) -> int:
         payload = dump_report(doc)
     except (ResonatorLabError, ValueError, OSError) as exc:
         code = exit_code_for(exc)
-        logger.error("%s: %s", type(exc).__name__, exc)
+        # a usage error leaves args.command unset, and its line bare
+        level = None if args.command is None else "ERROR"
+        _log(level, f"{type(exc).__name__}: {exc}")
         sys.stdout.write(dump_report(error_report(exc, args.command)))
         return code
     out = getattr(args, "out", None)

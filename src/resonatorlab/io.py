@@ -121,6 +121,12 @@ def parse_trace_csv(path: str | Path) -> FrequencyTrace | PowerSweep:
         return FrequencyTrace(frequencies=freq, values=values, drive_power=None)
 
     power = _column(header, rows, "power_dbm", path)
+    bad = np.flatnonzero(~np.isfinite(power))
+    if bad.size:  # a NaN power would group no rows
+        row = int(bad[0]) + 2  # +2: header line and 1-based lines
+        raise DataError(
+            f"{path}: row {row}, column 'power_dbm': must be finite, got {power[bad[0]]}"
+        )
     traces = []
     for p in sorted(set(power.tolist())):
         sel = np.flatnonzero(power == p)

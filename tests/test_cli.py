@@ -1,8 +1,8 @@
 import json
-import logging
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -13,7 +13,7 @@ import pytest
 
 import resonatorlab as rl
 from conftest import resonator
-from resonatorlab.cli import COMMANDS, POSITIONAL, _stage, build_parser, main
+from resonatorlab.cli import COMMANDS, POSITIONAL, _resolve_options, _stage, build_parser, main
 from resonatorlab.errors import ConvergenceError, ReportSchemaError
 from resonatorlab.io import write_field_csv, write_trace_csv
 from resonatorlab.fieldmodel import MIN_FIELD_POINTS
@@ -48,6 +48,16 @@ def synth_linear_csv(tmp_path, capsys, **extra):
     code, doc = run_cli(capsys, *args)
     assert code == 0
     return path
+
+
+def _failed_run(argv) -> ConvergenceError:
+    """The error a subcommand's handler raises on ``argv``, checked to keep
+    the fit's last iterate."""
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ConvergenceError) as failed:
+        COMMANDS[args.command][0](_resolve_options(args))
+    assert set(failed.value.last_params) == set(rl.linfit.PARAM_NAMES)
+    return failed.value
 
 
 class TestSynthAndFitLinear:
@@ -543,18 +553,26 @@ class TestPowerSweepAndKerr:
             _stage("joint Kerr fit", exhausted)
         assert failed.value.last_params == {"kerr": 1.0}
 
-    def test_stage1_warns_when_the_lowest_slice_holds_photons(self, tmp_path, capsys, caplog):
+    def test_failed_slice_names_its_power(self, sweep_csv, capsys):
+        argv = ["fit-power-sweep", str(sweep_csv), "--max-iterations", "1"]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 3
+        message = "slice at -150.0 dBm: no convergence within 1 iterations"
+        assert doc["error"]["message"] == message
+        assert _failed_run(argv).args == (message,)
+
+    def test_stage1_warns_when_the_lowest_slice_holds_photons(self, tmp_path, capsys):
         path = tmp_path / "high.csv"
         code, _ = run_cli(
             capsys, "synth", "kerr", "--out-csv", str(path), "--snr-db", "40",
             "--points", "301", "--power-min", "-128", "--power-max", "-123",
         )
         assert code == 0
-        with caplog.at_level(logging.WARNING, logger="resonatorlab"):
-            code, doc = run_cli(capsys, "fit-kerr", str(path))
+        code = main(["fit-kerr", str(path)])
+        captured = capsys.readouterr()
         assert code == 0
-        assert "lowest sweep power already drives" in caplog.text
-        assert doc["results"]["stage1"]["n_photons"] > 1.0
+        assert "lowest sweep power already drives" in captured.err
+        assert json.loads(captured.out)["results"]["stage1"]["n_photons"] > 1.0
 
     def test_fit_flags_reach_the_report_warnings(self, tmp_path, capsys):
         path = tmp_path / "narrow.csv"
@@ -602,6 +620,21 @@ class TestSegmentation:
         assert dips[0]["q_i"] == pytest.approx(12000, rel=0.05)
         assert dips[1]["q_i"] == pytest.approx(20000, rel=0.05)
 
+    def test_failed_dip_names_its_index(self, tmp_path, capsys):
+        f = np.linspace(5.95e9, 6.35e9, 8001)
+        values = np.ones(f.size, complex)
+        for f_r in (6.05e9, 6.25e9):
+            values *= rl.model_s21_linear(resonator(f_r=f_r), rl.EnvironmentParams(), f)
+        csv = tmp_path / "two_dips.csv"
+        write_trace_csv(csv, rl.FrequencyTrace(frequencies=f, values=values, drive_power=-140.0))
+        argv = ["fit-linear", str(csv), "--segment", "--max-iterations", "1"]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 3
+        # indexed as in the report's dips list and dip_<i>_magnitude plots
+        message = "dip 0: no convergence within 1 iterations"
+        assert doc["error"]["message"] == message
+        assert _failed_run(argv).args == (message,)
+
     def test_no_dips_is_data_error(self, tmp_path, capsys):
         f = np.linspace(5e9, 6e9, 2001)
         trace = rl.FrequencyTrace(frequencies=f, values=np.ones(2001), drive_power=-140.0)
@@ -640,6 +673,17 @@ class TestNegativeValues:
         assert main([*base, "--out-csv", str(separate), "--tau", "-4e-8"]) == 0
         assert main([*base, "--out-csv", str(attached), "--tau=-4e-8"]) == 0
         assert separate.read_bytes() == attached.read_bytes()
+
+
+def test_readme_examples_parse():
+    # the shell examples in README.md cannot drift from COMMANDS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    examples = [words[1:] for words in lines if words[:1] == ["resonatorlab"]]
+    assert examples
+    for argv in examples:
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_help_without_command(capsys):

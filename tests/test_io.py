@@ -286,6 +286,16 @@ REFUSED = {
         rl.DataError,
         "row 3: frequency must be positive and finite",
     ),
+    "nan_power": (
+        HEADER + ",power_dbm\n1e9,1.0,0.0,-140\n2e9,0.5,0.1,nan\n",
+        rl.DataError,
+        "row 3, column 'power_dbm': must be finite, got nan",
+    ),
+    "inf_power_after_blank_lines": (
+        HEADER + ",power_dbm\n\n1e9,1.0,0.0,-inf\n\n2e9,0.5,0.1,-140\n",
+        rl.DataError,
+        "row 2, column 'power_dbm': must be finite, got -inf",
+    ),
     "header_only": (HEADER + "\n", rl.DataError, "no data rows"),
     "header_only_no_newline": (HEADER, rl.DataError, "no data rows"),
     "header_then_blank_lines": (HEADER + "\n\n  \r\n", rl.DataError, "no data rows"),

@@ -35,6 +35,18 @@ class TestPhotonCubic:
             assert roots[0] == pytest.approx(0.5 / (delta**2 + 0.25), rel=1e-14)
         assert rl.photon_cubic_roots(0.0, 0.0)[0] == pytest.approx(2.0, rel=1e-14)
 
+    def test_xi_zero_root_is_the_linear_root_within_one_ulp(self):
+        # xi = 0 takes the small-xi path: one Newton step from the linear root
+        rng = np.random.default_rng(3)
+        magnitudes = np.concatenate(
+            [[0.0, 1e8], rng.uniform(0.0, 10.0, 5000), 10.0 ** rng.uniform(-8.0, 8.0, 5000)]
+        )
+        delta = np.concatenate([magnitudes, -magnitudes])  # -0.0 included
+        roots = rl.photon_cubic_roots(delta, 0.0)
+        linear = 0.5 / (delta * delta + 0.25)
+        assert np.all(np.abs(roots[:, 0] - linear) <= np.spacing(linear))
+        assert np.isnan(roots[:, 1:]).all()
+
     def test_single_root_back_substitutes(self):
         roots = rl.photon_cubic_roots(0.0, 0.1)
         roots = roots[np.isfinite(roots)]
