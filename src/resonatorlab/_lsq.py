@@ -81,13 +81,13 @@ def _normal_matrix(jmat: np.ndarray) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
-def _trust_step(w, v, gv, radius, lam, full_rank, rtol=0.01, max_iter=10):
+def _trust_step(w, v, gv, radius, lam, full_rank):
     """Scaled step ``p`` and damping ``lam`` with ``||p|| <= radius``.
 
     ``w, v`` is the eigendecomposition of ``H`` and ``gv = v^T g``. The
     undamped step is taken when ``H`` is safely invertible and the step fits;
-    otherwise ``lam`` solves ``||p(lam)|| = radius`` to within ``rtol``,
-    starting from the previous ``lam``.
+    otherwise ``lam`` solves ``||p(lam)|| = radius`` to within 1 %, in at
+    most 10 iterations from the previous ``lam``.
     """
     if full_rank:
         p = -v @ (gv / w)
@@ -105,7 +105,7 @@ def _trust_step(w, v, gv, radius, lam, full_rank, rtol=0.01, max_iter=10):
         lower = -value / slope
     else:
         lower = 0.0
-    for _ in range(max_iter):
+    for _ in range(10):
         if lam < lower or lam > upper or lam <= 0.0:
             lam = max(0.001 * upper, (lower * upper) ** 0.5)
         value, slope = phi(lam)
@@ -114,7 +114,7 @@ def _trust_step(w, v, gv, radius, lam, full_rank, rtol=0.01, max_iter=10):
         ratio = value / slope
         lower = max(lower, lam - ratio)
         lam -= (value + radius) * ratio / radius
-        if abs(value) < rtol * radius:
+        if abs(value) < 0.01 * radius:
             break
     p = -v @ (gv / (w + lam))
     return p * (radius / _norm(p)), lam

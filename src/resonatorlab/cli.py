@@ -617,7 +617,7 @@ def _add_options(p: argparse.ArgumentParser, options: dict) -> None:
         action="store_true",
         help="include a generated_at field (breaks byte-level report reproducibility)",
     )
-    p.add_argument("-v", "--verbose", action="store_true", help="info-level logs on stderr")
+    p.add_argument("-v", "--verbose", action="store_true", help="has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -108,25 +108,23 @@ def parse_trace_csv(path: str | Path) -> FrequencyTrace | PowerSweep:
             f"(or the other form)"
         )
 
+    def finite(name):
+        return _check_finite(_column(header, rows, name, path), name, path)
+
     freq = _column(header, rows, "freq_hz", path)
     if has_cartesian:
-        values = _column(header, rows, "re", path) + 1j * _column(header, rows, "im", path)
+        values = finite("re") + 1j * finite("im")
     else:
-        mag = 10.0 ** (_column(header, rows, "mag_db", path) / 20.0)
-        phase = _column(header, rows, "phase_rad", path)
-        values = mag * np.exp(1j * phase)
+        with np.errstate(over="ignore"):
+            mag = 10.0 ** (finite("mag_db") / 20.0)
+        _check_finite(mag, "mag_db", path, "magnitude must be finite")
+        values = mag * np.exp(1j * finite("phase_rad"))
 
     if "power_dbm" not in header:
         _check_monotone(freq, np.arange(len(rows)), path)
         return FrequencyTrace(frequencies=freq, values=values, drive_power=None)
 
-    power = _column(header, rows, "power_dbm", path)
-    bad = np.flatnonzero(~np.isfinite(power))
-    if bad.size:  # a NaN power would group no rows
-        row = int(bad[0]) + 2  # +2: header line and 1-based lines
-        raise DataError(
-            f"{path}: row {row}, column 'power_dbm': must be finite, got {power[bad[0]]}"
-        )
+    power = finite("power_dbm")  # a NaN power would group no rows
     traces = []
     for p in sorted(set(power.tolist())):
         sel = np.flatnonzero(power == p)
@@ -140,6 +138,15 @@ def parse_trace_csv(path: str | Path) -> FrequencyTrace | PowerSweep:
         return PowerSweep(traces=tuple(traces))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def _check_finite(column: np.ndarray, name: str, path, what: str = "must be finite") -> np.ndarray:
+    """``column``, refused at its first non-finite cell by row and ``name``."""
+    bad = np.flatnonzero(~np.isfinite(column))
+    if bad.size:
+        row = int(bad[0]) + 2  # +2: header line and 1-based lines
+        raise DataError(f"{path}: row {row}, column {name!r}: {what}, got {column[bad[0]]}")
+    return column
 
 
 def _check_monotone(freq: np.ndarray, row_indices: np.ndarray, path) -> None:

@@ -359,7 +359,7 @@ def _param_scale(f_r: float, kappa_l: float, amplitude: float, span: float) -> n
 
 
 def _refinement_problem(
-    freqs: np.ndarray, values: np.ndarray, seed_delay: tuple[float, np.ndarray] | None = None
+    freqs: np.ndarray, values: np.ndarray, tau0: float = math.nan, delay0: np.ndarray | None = None
 ):
     """Residual and closed-form Jacobian of the 7-parameter refinement.
 
@@ -368,19 +368,17 @@ def _refinement_problem(
     C-ordered (7, 2F) view, one contiguous row per parameter. The solver
     asks for each Jacobian at the point of the residual just before it, so
     the problem keeps the forward terms of the latest residual, and a
-    Jacobian at that point, bit for bit, reuses them. ``seed_delay``, if
-    given, is a delay ``tau0`` and its phasor ``e^{-2 pi i f tau0}``: a
-    residual at ``tau == tau0``, as the solver's first one at the seed,
-    takes that phasor instead of computing it again. A zero ``tau0`` is
-    never reused: there the imaginary zeros of the conjugated
-    ``e^{2 pi i f tau0}`` and of the notch's own phasor differ in sign.
+    Jacobian at that point, bit for bit, reuses them. ``delay0``, if given,
+    is the notch's delay term at ``tau0``: a residual whose ``tau`` has the
+    bits of ``tau0``, as the solver's first one at the seed, takes it
+    instead of computing it again.
     """
     kept: tuple[bytes, _Terms | None] = (b"", None)  # the latest residual's key and terms
-    tau0, phasor = seed_delay or (math.nan, None)
+    tau0_bits = np.float64(tau0).tobytes()
 
     def residual(p):
         nonlocal kept
-        terms = _notch(p, freqs, None, phasor if p[6] == tau0 != 0.0 else None)
+        terms = _notch(p, freqs, None, delay0 if p[6:].tobytes() == tau0_bits else None)
         kept = (p.tobytes(), terms)
         return (terms.s - values).view(float)
 
@@ -459,17 +457,16 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
 
     # Stage 1: delay estimate from the wings, then removed.
     tau0 = estimate_delay(trace, options.wing_fraction)
-    rotate = np.exp(2j * math.pi * freqs * tau0)
+    delay0 = np.exp(-2j * math.pi * freqs * tau0)  # _notch's delay term at tau0
 
     # Stage 2: start values from the global scan of the profiled cost.
-    f_r0, kappa_c0, kappa_l0, phi0, a = _profiled_seed(freqs, values * rotate)
+    f_r0, kappa_c0, kappa_l0, phi0, a = _profiled_seed(freqs, values * delay0.conj())
     a0 = abs(a)
     p0 = np.array([f_r0, kappa_c0, kappa_l0 - kappa_c0, phi0, a0, float(np.angle(a)), tau0])
 
     # Stage 3: full complex least-squares refinement of all 7 parameters and
-    # their covariance. The conjugate of the de-rotation is the phasor
-    # e^{-2 pi i f tau0} of the solver's first residual, which is at tau0.
-    problem = _refinement_problem(freqs, values, (tau0, np.conjugate(rotate, out=rotate)))
+    # their covariance; the solver's first residual, at tau0, reuses delay0.
+    problem = _refinement_problem(freqs, values, tau0, delay0)
     span = trace.span
     x_scale = _param_scale(f_r0, kappa_l0, a0, span)
     p, covariance, sigmas, residual_rms = _fit_notch(

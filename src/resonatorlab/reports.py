@@ -209,22 +209,19 @@ def validate_report(doc: Any, schema: Mapping[str, Any] = REPORT_SCHEMA) -> None
     _validate(doc, schema, "$")
 
 
-def _validate(doc: Any, schema: Mapping[str, Any], path: str, index: int | None = None) -> None:
-    """``path`` is the JSON path of ``doc``, or of its array when ``index`` is
-    given; the two are joined only for a message or for ``doc``'s children."""
+def _validate(doc: Any, schema: Mapping[str, Any], path: str) -> None:
     kinds = schema.get("type")
     if kinds is not None:
         kinds = [kinds] if isinstance(kinds, str) else kinds
         if not any(_TYPES[kind](doc) for kind in kinds):
             raise ReportSchemaError(
-                f"{_at(path, index)}: expected {' or '.join(kinds)}, got {type(doc).__name__}"
+                f"{path}: expected {' or '.join(kinds)}, got {type(doc).__name__}"
             )
     if "const" in schema:
         const = schema["const"]
         if isinstance(doc, bool) != isinstance(const, bool) or doc != const:
-            raise ReportSchemaError(f"{_at(path, index)}: expected {const!r}, got {doc!r}")
+            raise ReportSchemaError(f"{path}: expected {const!r}, got {doc!r}")
     if isinstance(doc, dict):
-        path = _at(path, index)
         for key in schema.get("required", ()):
             if key not in doc:
                 raise ReportSchemaError(f"{path}: required key {key!r} is missing")
@@ -243,13 +240,8 @@ def _validate(doc: Any, schema: Mapping[str, Any], path: str, index: int | None 
         # a float or None; any other array is checked value by value
         if items == _NUMBER_OR_NULL and set(map(type, doc)) <= {float, type(None)}:
             return
-        path = _at(path, index)
         for i, value in enumerate(doc):
-            _validate(value, items, path, i)
-
-
-def _at(path: str, index: int | None) -> str:
-    return path if index is None else f"{path}[{index}]"
+            _validate(value, items, f"{path}[{i}]")
 
 
 def series(label: str, values) -> dict:

@@ -24,7 +24,6 @@ from .core import (
     LinearResonatorParams,
     PowerSweep,
 )
-from .errors import DomainError
 from .fieldmodel import FieldModelParams, fr_vs_field
 from .kerrfit import KerrParams, model_s21_kerr
 from .linfit import model_s21_linear
@@ -143,10 +142,6 @@ def generate_field_sweep(
     if sigma_f < 0.0:
         raise ValueError(f"sigma_f must be non-negative, got {sigma_f}")
     b = np.asarray(fields, dtype=float)
-    if np.any(b < 0.0) or np.any(b >= params.b_max):
-        raise DomainError(
-            f"fields must lie in [0, {params.b_max}) T for the requested parameters"
-        )
     clean = np.atleast_1d(fr_vs_field(params, b))
     if sigma_f > 0.0:
         rng = np.random.default_rng(seed)

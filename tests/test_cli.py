@@ -321,6 +321,43 @@ class TestErrors:
         assert code == 0
         validate_report(doc)
 
+    @pytest.mark.parametrize("seed", [10, 14])
+    def test_fit_ending_at_no_coupling_is_failed_fit(self, tmp_path, capsys, seed):
+        # a flat trace with noise and no dip: these draws end the refinement
+        # at kappa_c <= 0, within the iteration budget
+        f = np.linspace(6.10e9, 6.11e9, 401)
+        rng = np.random.default_rng(seed)
+        n_re, n_im = rng.standard_normal(401), rng.standard_normal(401)
+        csv = tmp_path / "flat.csv"
+        write_trace_csv(csv, rl.FrequencyTrace(frequencies=f, values=1 + 0.01 * (n_re + 1j * n_im)))
+        code, doc = run_cli(capsys, "fit-linear", str(csv))
+        assert code == 3
+        assert doc["error"]["type"] == "ConvergenceError"
+        assert "non-positive coupling rate" in doc["error"]["message"]
+        assert "non-positive coupling rate" in str(_failed_run(["fit-linear", str(csv)]))
+
+    def test_sweep_of_powers_on_different_grids_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "sweep.csv"
+        rows = [f"{f!r},1.0,0.0,-140.0" for f in np.linspace(6.0e9, 6.1e9, 50).tolist()]
+        rows += [f"{f!r},1.0,0.0,-130.0" for f in np.linspace(6.0e9, 6.2e9, 50).tolist()]
+        csv.write_text("freq_hz,re,im,power_dbm\n" + "\n".join(rows) + "\n")
+        code, doc = run_cli(capsys, "fit-power-sweep", str(csv))
+        assert code == 2
+        assert doc["error"]["type"] == "DataError"
+        assert doc["error"]["message"] == (
+            f"{csv}: all traces in a power sweep must share one frequency grid"
+        )
+
+    def test_synth_field_beyond_the_model_domain_is_domain_error(self, tmp_path, capsys):
+        out_csv = tmp_path / "field.csv"
+        code, doc = run_cli(capsys, "synth", "field", "--out-csv", str(out_csv), "--b-max", "0.2")
+        assert code == 4
+        assert doc["error"]["type"] == "DomainError"
+        assert doc["error"]["message"] == (
+            "field must lie in [0, 0.066) T for f0=7000000000.0, b_crit=0.066, b_phi0=0.102"
+        )
+        assert not out_csv.exists()
+
     def test_sweep_required_for_fit_kerr(self, tmp_path, capsys):
         csv = synth_linear_csv(tmp_path, capsys)
         code, doc = run_cli(capsys, "fit-kerr", str(csv))
@@ -730,8 +767,8 @@ class TestLogging:
             f"ERROR resonatorlab: FileNotFoundError: [Errno 2] No such file or directory: "
             f"'{missing}'\n"
         )
-        # a usage error comes before the options that set the log level, so
-        # logging's last-resort handler writes the bare message after the usage
+        # a usage error leaves no subcommand set, so cli._log writes the
+        # bare message, with no level, after the usage
         proc = _child_cli("fit-linear")
         assert proc.returncode == 2
         assert proc.stderr.endswith("\nDataError: the following arguments are required: csv\n")

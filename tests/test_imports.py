@@ -1,8 +1,10 @@
 import ast
 import importlib
+import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tomllib
@@ -11,7 +13,7 @@ import pytest
 
 import resonatorlab
 from resonatorlab import constants
-from resonatorlab.cli import main
+from resonatorlab.cli import COMMANDS, main
 
 PACKAGE = pathlib.Path(constants.__file__).resolve().parent
 
@@ -257,6 +259,42 @@ def test_each_subcommand_imports_only_what_it_runs(command, cli_inputs):
     code, *modules = _python(RUN_CLI, *argv).splitlines()[-1].split()
     assert code in ("0", "None")
     assert [m for m in ABSENT[command] if m in modules] == []
+
+
+#: The package modules that ``import resonatorlab.cli`` loads, which README's
+#: table of the modules each subcommand loads leaves out.
+CLI_MODULES = {"cli", "constants", "errors", "reports"}
+
+
+def _readme_module_table() -> dict[str, tuple[str, str]]:
+    """Each subcommand's (modules, numpy) cells in README's table."""
+    text = (PACKAGE.parents[1] / "README.md").read_text()
+    lines = text[text.index("| Subcommand | Package modules loaded") :].splitlines()
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[2:]):
+        commands, modules, numpy = (cell.strip() for cell in line.strip("|").split("|"))
+        table.update(dict.fromkeys(re.findall(r"`([^`]+)`", commands), (modules, numpy)))
+    return table
+
+
+@pytest.mark.parametrize("command", ["--version", *COMMANDS])
+def test_readme_module_table_lists_what_each_subcommand_loads(command, cli_inputs):
+    modules_cell, numpy_cell = _readme_module_table()[command]
+    named = set(re.findall(r"`([^`]+)`", modules_cell))
+    if modules_cell.startswith("all but"):
+        named = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} - CLI_MODULES - named
+    argv = [command]
+    if command in INPUT:
+        argv += [str(cli_inputs / f"{INPUT[command]}.csv")]
+    if command == "synth":
+        argv += ["field", "--out-csv", str(cli_inputs / "table.csv")]
+    if command != "--version":
+        argv += ["--out", str(cli_inputs / f"table-{command}.json")]
+    code, *modules = _python(RUN_CLI, *argv).splitlines()[-1].split()
+    assert code in ("0", "None")
+    loaded = {m.split(".")[1] for m in modules if m.startswith("resonatorlab.")}
+    assert loaded - CLI_MODULES == named and CLI_MODULES <= loaded
+    assert ("numpy" in modules) == {"yes": True, "no": False}[numpy_cell]
 
 
 def test_public_namespace_resolves_lazily_to_the_defining_modules():

@@ -202,6 +202,7 @@ class TestWriteBytes:
 
 
 HEADER = "freq_hz,re,im"
+POLAR = "freq_hz,mag_db,phase_rad"
 
 #: Spellings of the rows (1 GHz, 1 + 0j) and (2 GHz, 0.5 + 0.1j) that parse alike.
 TWO_ROWS = {
@@ -273,8 +274,33 @@ REFUSED = {
     ),
     "nan_value": (
         HEADER + "\n1e9,nan,0.0\n2e9,0.5,0.1\n",
-        ValueError,
-        "transmission values must be finite",
+        rl.DataError,
+        "row 2, column 're': must be finite, got nan",
+    ),
+    "inf_im": (
+        HEADER + "\n1e9,1.0,0.0\n2e9,0.5,-inf\n",
+        rl.DataError,
+        "row 3, column 'im': must be finite, got -inf",
+    ),
+    "nan_mag_db": (
+        POLAR + "\n1e9,0.0,0.0\n2e9,nan,0.1\n",
+        rl.DataError,
+        "row 3, column 'mag_db': must be finite, got nan",
+    ),
+    "minus_inf_mag_db": (
+        POLAR + "\n1e9,-inf,0.0\n2e9,-3.0,0.1\n",
+        rl.DataError,
+        "row 2, column 'mag_db': must be finite, got -inf",
+    ),
+    "inf_phase_after_blank_lines": (
+        POLAR + "\n\n1e9,0.0,0.0\n\n2e9,-3.0,inf\n",
+        rl.DataError,
+        "row 3, column 'phase_rad': must be finite, got inf",
+    ),
+    "mag_db_overflowing_the_magnitude": (
+        POLAR + "\n1e9,0.0,0.0\n1.5e9,-3.0,0.1\n2e9,7000,0\n",
+        rl.DataError,
+        "row 4, column 'mag_db': magnitude must be finite, got inf",
     ),
     "inf_frequency": (
         HEADER + "\n1e9,1.0,0.0\ninf,0.5,0.1\n",

@@ -292,23 +292,25 @@ def _bits(a):
 
 
 def test_conjugate_seed_phasor_is_the_notch_delay(monkeypatch):
-    # fit_linear de-rotates the trace by e^{2 pi i f tau0} and hands the
-    # conjugate to the refinement, whose residual at tau0 takes it as the
-    # delay term of the notch model; the terms must keep their bits. At
-    # tau0 = +-0 the imaginary zeros of the two phasors differ in sign, so
-    # there the refinement computes its own.
+    # fit_linear de-rotates the trace by the conjugate of the notch's delay
+    # term at tau0 and hands that term to the refinement. A residual takes it
+    # where tau has the bits of tau0, so -0.0 and 0.0 apart, and computes its
+    # own elsewhere; either way the term must have the notch's bits.
     f = np.concatenate([np.linspace(1e9, 12e9, 20001), [4.2e9, 6.117e9, 7.9999e9]])
     values = np.full(f.size, 0.5 + 0.25j)
     forward = rl.linfit._notch
     terms = []
     monkeypatch.setattr(rl.linfit, "_notch", lambda *a: terms.append(forward(*a)) or terms[-1])
     taus = (-1e-7, -80e-9, -3.3e-9, -1e-15, -5e-324, -0.0, 0.0, 5e-324, 2.7e-12, 41.3e-9, 1e-7)
-    for tau in taus:
-        p = np.array([6e9, 1e6, 1e5, 0.2, 0.9, 0.3, tau])
-        seed = np.conjugate(np.exp(2j * math.pi * f * tau))
-        _refinement_problem(f, values, (tau, seed))[0](p)
-        assert (terms[-1].delay is seed) == (tau != 0.0), tau
-        assert np.array_equal(_bits(terms[-1].delay), _bits(forward(p, f).delay)), tau
+    for tau0 in taus:
+        delay0 = np.exp(-2j * math.pi * f * tau0)
+        residual = _refinement_problem(f, values, tau0, delay0)[0]
+        for tau in (tau0, -tau0, np.nextafter(tau0, 1.0)):
+            p = np.array([6e9, 1e6, 1e5, 0.2, 0.9, 0.3, tau])
+            residual(p)
+            same_bits = _bits(np.float64(tau)) == _bits(np.float64(tau0))
+            assert (terms[-1].delay is delay0) == same_bits, (tau0, tau)
+            assert np.array_equal(_bits(terms[-1].delay), _bits(forward(p, f).delay)), (tau0, tau)
 
 
 def test_notch_without_a_shift_is_the_notch_at_zero_shift(sample_resonator, environment):
