@@ -8,9 +8,11 @@ ball comes from Moré's iteration on the secular equation ``||p(lam)|| =
 Delta``. ``H = J_s^T J_s`` is the small scaled normal matrix, so one
 eigendecomposition of it per Jacobian serves every ``lam``. The ratio
 test, the radius update and the stopping rules are those of scipy's
-``least_squares(method="trf")`` without bounds, and the result carries the
-attributes of its result that the package reads, the Jacobian at the
-solution among them. The normal matrix squares the conditioning of ``J_s``:
+``least_squares(method="trf")`` without bounds, plus MINPACK's test on the
+predicted reduction: an undamped step whose Gauss-Newton decrement is below
+``ftol`` of the cost ends the solve unevaluated. The result carries the
+scipy attributes that the package reads, the Jacobian at the solution
+among them. The normal matrix squares the conditioning of ``J_s``:
 callers parametrize their fits so that ``J_s`` stays well conditioned.
 
 ``J^T J`` is summed over row blocks of :data:`QR_BLOCK_ROWS` rows, each
@@ -44,8 +46,8 @@ QR_BLOCK_ROWS = 1024
 class LeastSquaresResult(NamedTuple):
     """Outcome of :func:`least_squares`.
 
-    ``status`` is 0 when ``max_nfev`` ran out, 1 for ``gtol``, 2 for
-    ``ftol``, 3 for ``xtol`` and 4 for both ``ftol`` and ``xtol``.
+    ``status`` is 0 when ``max_nfev`` ran out, 1 for ``gtol``, 2 for either
+    ``ftol`` test, 3 for ``xtol`` and 4 for both ``ftol`` and ``xtol``.
     """
 
     x: np.ndarray
@@ -129,8 +131,9 @@ def least_squares(
     ``max_nfev`` (default ``100 len(x0)``) counts residual evaluations, the
     first one included. A trial point with non-finite residuals shrinks the
     trust region. Stops when ``||g||_inf < gtol``, when an accepted step
-    lowers the cost by less than ``ftol`` of it, or when a step is shorter
-    than ``xtol (xtol + ||x||)``, unscaled in both tests.
+    lowers the cost by less than ``ftol`` of it or the undamped step is
+    predicted to (status 2 for both), or when a step is shorter than
+    ``xtol (xtol + ||x||)``, unscaled in both tests.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -167,6 +170,9 @@ def least_squares(
         while reduction <= 0.0 and nfev < max_nfev:
             step_s, lam = _trust_step(w, v, gv, radius, lam, full_rank)
             predicted = -(0.5 * step_s @ hess @ step_s + g_s @ step_s)
+            if lam == 0.0 and predicted < ftol * cost:  # the Gauss-Newton decrement
+                status = 2
+                break
             step = scale * step_s
             x_new = x + step
             f_new = np.asarray(fun(x_new), dtype=float)

@@ -271,6 +271,7 @@ def _sweep_model(
     branch: str,
     jac: bool = False,
     solve: _Solve | None = None,
+    centre: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, _Solve]:
     """S21 over the (power x frequency) grid, with its Jacobian on request.
 
@@ -279,9 +280,10 @@ def _sweep_model(
     ``(8, P, F)`` if ``jac`` is set and ``None`` otherwise; and the solve the
     model used, whose ``three`` flags the points where the cubic has three
     roots. The first seven entries enter as the linear model's, with ``phi``
-    as ``phi0``. ``solve`` is used when it was made at the same cubic inputs
-    as ``p``, bit for bit; otherwise each row's cubic is solved in the same
-    pass over the rows as its model, one kernel call per row.
+    as ``phi0``, and alpha as the phase at ``centre`` as in ``_notch``.
+    ``solve`` is used when it was made at the same cubic inputs as ``p``,
+    bit for bit; otherwise each row's cubic is solved in the same pass over
+    the rows as its model, one kernel call per row.
     """
     f_r, kappa_c, kappa_int, kerr = p[0], p[1], max(p[2], 0.0), p[7]
     # the cubic depends on these four only, not on phi, amplitude, alpha or tau
@@ -312,7 +314,7 @@ def _sweep_model(
         n = solve.n[i]
         # the linear model at the detuning shifted by kappa_L xi n, which is
         # exactly 0 at K = 0
-        terms = _notch(linear, f, kappa_l * xi * n, delay)
+        terms = _notch(linear, f, kappa_l * xi * n, delay, centre)
         delay = terms.delay  # the same on every row
         s21[i] = terms.s
         if not jac:
@@ -323,7 +325,7 @@ def _sweep_model(
         # differentiation of the cubic gives du = g (d delta - n d xi) with
         # g = (u^2 + 1/4)/F_n. phi, amplitude, alpha and tau enter as in the
         # linear model.
-        c = _notch_rows(linear, f, terms, d[:7, i])
+        c = _notch_rows(linear, terms, d[:7, i])
         u = delta - xi * n
         xn_3 = 3.0 * xi * n
         f_n = (xn_3 - delta_4) * xi * n + delta_sq + 0.25
@@ -413,6 +415,7 @@ def fit_kerr(
     watts = [dbm_to_watts(t.drive_power) for t in sweep.traces]
     data = [t.values for t in sweep.traces]  # rows, not a copy of the sweep
     span = sweep.traces[0].span
+    centre = 0.5 * (freqs[0] + freqs[-1])
 
     k0 = options.k_init if options.k_init is not None else _estimate_k_init(sweep, res0)
     k_scale = max(abs(k0), res0.linewidth_hz * 1e-3)
@@ -429,7 +432,7 @@ def fit_kerr(
         nonlocal solve
         if not x[1] > 0.0:  # xi would be negative: neither cubic nor model
             return fitted(np.full((len(watts), freqs.size), complex(np.nan, np.nan)))[0]
-        delta_z, _, solve = _sweep_model(x, freqs, watts, options.branch, solve=solve)
+        delta_z, _, solve = _sweep_model(x, freqs, watts, options.branch, False, solve, centre)
         for row, measured in zip(delta_z, data):
             row -= measured
         return fitted(delta_z)[0]
@@ -437,7 +440,7 @@ def fit_kerr(
     def jacobian(x):
         nonlocal at_x
         at_x = solve  # drop the previous point's solve before the Jacobian is built
-        return fitted(_sweep_model(x, freqs, watts, options.branch, True, solve)[1]).T
+        return fitted(_sweep_model(x, freqs, watts, options.branch, True, solve, centre)[1]).T
 
     # Pick the best of a few starting K values before refining; the SSR
     # landscape is benign but the slope estimate can be off by a factor.
@@ -449,6 +452,7 @@ def fit_kerr(
 
     candidates = {float(k0), float(3.0 * k0), float(k0 / 3.0), float(-k0)}
     x0[7] = min(candidates, key=ssr_at)
+    x0[5] -= 2.0 * math.pi * centre * x0[6]  # alpha at the centre, as the solver takes it
     if options.mask_bistable:
         solve = _sweep_model(x0, freqs, watts, options.branch)[2]  # the first residual's
         keep = ~solve.three.ravel()
@@ -456,7 +460,7 @@ def fit_kerr(
             raise DataError("masking bistable points left no data to fit")
 
     x, _, sigmas, rms = _fit_notch(
-        residual, jacobian, x0, x_scale, freqs, SWEEP_PARAM_NAMES, options.max_iterations
+        residual, jacobian, x0, x_scale, centre, SWEEP_PARAM_NAMES, options.max_iterations
     )
     f_r, kappa_c, kappa_int, phi, amplitude, alpha, tau, kerr = map(float, x)
     params = KerrParams(

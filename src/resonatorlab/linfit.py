@@ -9,9 +9,10 @@ kernel in the lag between bins, so one FFT correlation per linewidth
 level gives the cost at every candidate resonance. The refinement
 and the covariance use a closed-form Jacobian, so neither depends on a
 finite-difference step rule of the optimizer. The Kerr fit shares the
-parameter scales, ``_param_scale``, and the whole solve, ``_fit_notch``: it
-refines alpha at the trace centre, runs the solver of ``_lsq`` with the
-notch tolerances, checks the budget and takes the covariance from ``_lsq``.
+parameter scales, ``_param_scale``, and the whole solve, ``_fit_notch``: its
+model takes the delay phase about the trace centre, so alpha is refined
+there, and it runs the solver of ``_lsq`` with the notch tolerances, checks
+the budget and takes the covariance from ``_lsq`` for alpha at 0 Hz.
 The model is written once, in a forward step, ``_notch``, and a derivative
 step, ``_notch_rows``, that builds the Jacobian from the forward terms; the
 Kerr model of ``kerrfit`` evaluates both at a shifted detuning. The photon
@@ -67,29 +68,42 @@ class _Terms(NamedTuple):
     """The forward terms of the notch model at one parameter vector.
 
     ``S = B (1 - m/d)`` with ``d = 2i delta_r + kappa_L``,
-    ``m = kappa_c e^{i phi0}/cos(phi0)`` and ``B = A e^{i alpha} e^{-2 pi i f tau}``.
+    ``m = kappa_c e^{i phi0}/cos(phi0)`` and ``B = A e^{i alpha} e^{-2 pi i (f - centre) tau}``.
     """
 
     d: np.ndarray  # 2i delta_r + kappa_L
     tilt: complex  # e^{i phi0}
     mismatch: complex  # m
     resonant: np.ndarray  # (d - m)/d
-    delay: np.ndarray  # e^{-2 pi i f tau}
+    offset: np.ndarray  # f - centre
+    delay: np.ndarray  # e^{-2 pi i (f - centre) tau}
     rotation: complex  # e^{i alpha}
     background: np.ndarray  # B
     s: np.ndarray  # S
 
 
+def _delay(offset: np.ndarray, tau: float) -> np.ndarray:
+    """``e^{-2 pi i offset tau}`` as cos + i sin of its real phase, which
+    costs less than ``np.exp`` at the small phases about a trace centre."""
+    phase = -2.0 * math.pi * offset * tau
+    delay = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=delay.real)
+    np.sin(phase, out=delay.imag)
+    return delay
+
+
 def _notch(
-    p, f: np.ndarray, shift: float | np.ndarray | None = None, delay: np.ndarray | None = None
+    p, f: np.ndarray, shift=None, delay: np.ndarray | None = None, centre: float | None = None
 ) -> _Terms:
     """Forward terms of the notch S21 at the :data:`PARAM_NAMES` vector ``p``.
 
     ``shift`` [rad/s], if given, is subtracted from the detuning ``delta_r =
     omega_0 - omega_d``; the Kerr model is this model at ``shift = kappa_L xi
     n``, and the linear model has none, which gives the bits of a zero shift.
-    ``delay``, if given, is the ``delay`` term ``e^{-2 pi i f tau}`` at the
-    same ``f`` and tau, taken as it is instead of computed again.
+    ``centre`` [Hz], if given, is the delay's phase reference, where alpha is
+    the background phase, as the fits take it; without it that is 0 Hz.
+    ``delay``, if given, is the ``delay`` term at the same ``f``, tau and
+    centre, taken as it is instead of computed again.
     """
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
     delta_r = 2.0 * math.pi * (f_r - f)
@@ -99,14 +113,16 @@ def _notch(
     tilt = np.exp(1j * phi0)
     mismatch = kappa_c * tilt / math.cos(phi0)
     resonant = (d - mismatch) / d
+    offset = f if centre is None else f - centre
     if delay is None:
-        delay = np.exp(-2j * math.pi * f * tau)
+        delay = np.exp(-2j * math.pi * f * tau) if centre is None else _delay(offset, tau)
     rotation = np.exp(1j * alpha)
     background = amplitude * rotation * delay
-    return _Terms(d, tilt, mismatch, resonant, delay, rotation, background, background * resonant)
+    s = background * resonant
+    return _Terms(d, tilt, mismatch, resonant, offset, delay, rotation, background, s)
 
 
-def _notch_rows(p, f: np.ndarray, t: _Terms, rows: np.ndarray) -> np.ndarray:
+def _notch_rows(p, t: _Terms, rows: np.ndarray) -> np.ndarray:
     """The complex derivatives of S21 in :data:`PARAM_NAMES` order at fixed
     shift, from the forward terms ``t`` of :func:`_notch` at ``p``, written
     into the complex ``(7, F)`` array ``rows`` and returned. ``rows`` may be
@@ -122,7 +138,7 @@ def _notch_rows(p, f: np.ndarray, t: _Terms, rows: np.ndarray) -> np.ndarray:
     np.multiply(t.delay, t.rotation, out=rows[4])
     rows[4] *= t.resonant
     np.multiply(t.s, 1j, out=rows[5])
-    np.multiply(f, -2j * math.pi, out=rows[6])
+    np.multiply(t.offset, -2j * math.pi, out=rows[6])
     rows[6] *= t.s
     return rows
 
@@ -358,10 +374,9 @@ def _param_scale(f_r: float, kappa_l: float, amplitude: float, span: float) -> n
     return np.array([f_scale, kappa_l, kappa_l, 0.3, amplitude, 0.3, 1.0 / (2.0 * math.pi * span)])
 
 
-def _refinement_problem(
-    freqs: np.ndarray, values: np.ndarray, tau0: float = math.nan, delay0: np.ndarray | None = None
-):
-    """Residual and closed-form Jacobian of the 7-parameter refinement.
+def _refinement_problem(freqs, values, tau0=math.nan, delay0=None, centre=None):
+    """Residual and closed-form Jacobian of the 7-parameter refinement, with
+    alpha the background phase at ``centre``, or at 0 Hz without it.
 
     Both are float views of the complex arrays, the real and imaginary part
     of each point side by side. The Jacobian is the transpose of the
@@ -369,65 +384,54 @@ def _refinement_problem(
     asks for each Jacobian at the point of the residual just before it, so
     the problem keeps the forward terms of the latest residual, and a
     Jacobian at that point, bit for bit, reuses them. ``delay0``, if given,
-    is the notch's delay term at ``tau0``: a residual whose ``tau`` has the
-    bits of ``tau0``, as the solver's first one at the seed, takes it
-    instead of computing it again.
+    is the notch's delay term at ``tau0`` and ``centre``: a residual whose
+    ``tau`` has the bits of ``tau0``, as the solver's first one at the seed,
+    takes it instead of computing it again.
     """
     kept: tuple[bytes, _Terms | None] = (b"", None)  # the latest residual's key and terms
     tau0_bits = np.float64(tau0).tobytes()
 
     def residual(p):
         nonlocal kept
-        terms = _notch(p, freqs, None, delay0 if p[6:].tobytes() == tau0_bits else None)
+        kept = (b"", None)  # free the previous terms before these are built
+        terms = _notch(p, freqs, None, delay0 if p[6:].tobytes() == tau0_bits else None, centre)
         kept = (p.tobytes(), terms)
         return (terms.s - values).view(float)
 
     def jacobian(p):
         key, terms = kept
         if key != p.tobytes():
-            terms = _notch(p, freqs)
+            terms = _notch(p, freqs, None, None, centre)
         rows = np.empty((len(PARAM_NAMES), freqs.size), dtype=complex)
-        return _notch_rows(p, freqs, terms, rows).view(float).T
+        return _notch_rows(p, terms, rows).view(float).T
 
     return residual, jacobian
 
 
-def _fit_notch(residual, jacobian, x0, x_scale, freqs, names, max_iterations):
-    """Solve a notch fit over ``freqs`` from ``x0``; returns the reported
-    parameters ``names``, their covariance and 1-sigma, and the rms per point.
+def _fit_notch(residual, jacobian, x0, x_scale, centre, names, max_iterations):
+    """Solve a notch fit from ``x0``; returns the reported parameters
+    ``names``, their covariance and 1-sigma, and the rms per point.
 
-    The first seven entries of ``x0`` are :data:`PARAM_NAMES`. ``alpha``
-    (position 5) is the background phase at 0 Hz, so at high Q its Jacobian
-    column nearly parallels that of ``tau`` (position 6). The solver refines
-    ``alpha_c = alpha - turn tau`` in its place, with ``turn = 2 pi f_mid``:
-    the phase at the trace centre, which keeps the scaled Jacobian well
-    conditioned; ``x = back @ x_c`` maps it back. Raises
+    The first seven entries of ``x0`` are :data:`PARAM_NAMES`; ``x0`` and the
+    problem take ``alpha`` (position 5) as the background phase at
+    ``centre``, the trace centre. At 0 Hz, at high Q, its Jacobian column
+    would nearly parallel that of ``tau`` (position 6); at the centre the
+    scaled Jacobian stays well conditioned. The reported alpha is the phase
+    at 0 Hz, ``alpha_c + 2 pi centre tau``: ``x = back @ x_c``. Raises
     :class:`ConvergenceError` with the last iterate when ``max_iterations``
     residual evaluations run out.
     """
-    turn = math.pi * (freqs[0] + freqs[-1])
     back = np.eye(x0.size)
-    back[5, 6] = turn
-
-    def residual_c(xc):
-        return residual(back @ xc)
-
-    def jacobian_c(xc):
-        jac = jacobian(back @ xc)
-        jac[:, 6] += turn * jac[:, 5]
-        return jac
-
-    x0_c = x0.copy()
-    x0_c[5] -= turn * x0[6]
+    back[5, 6] = 2.0 * math.pi * centre
     sol = least_squares(
-        residual_c,
-        x0_c,
-        jac=jacobian_c,
+        residual,
+        x0,
+        jac=jacobian,
         x_scale=x_scale,
         ftol=1e-12,
         xtol=1e-12,
         gtol=1e-14,
-        # Each iteration costs one Jacobian and at least one residual.
+        # One residual per accepted step, more after rejected ones.
         max_nfev=max_iterations,
     )
     x = back @ sol.x
@@ -455,9 +459,10 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     values = trace.values
     flags: list[str] = []
 
-    # Stage 1: delay estimate from the wings, then removed.
+    # Stage 1: delay estimate from the wings, then removed about the trace centre.
     tau0 = estimate_delay(trace, options.wing_fraction)
-    delay0 = np.exp(-2j * math.pi * freqs * tau0)  # _notch's delay term at tau0
+    centre = 0.5 * (freqs[0] + freqs[-1])
+    delay0 = _delay(freqs - centre, tau0)  # _notch's delay term at tau0
 
     # Stage 2: start values from the global scan of the profiled cost.
     f_r0, kappa_c0, kappa_l0, phi0, a = _profiled_seed(freqs, values * delay0.conj())
@@ -466,11 +471,11 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
 
     # Stage 3: full complex least-squares refinement of all 7 parameters and
     # their covariance; the solver's first residual, at tau0, reuses delay0.
-    problem = _refinement_problem(freqs, values, tau0, delay0)
+    problem = _refinement_problem(freqs, values, tau0, delay0, centre)
     span = trace.span
     x_scale = _param_scale(f_r0, kappa_l0, a0, span)
     p, covariance, sigmas, residual_rms = _fit_notch(
-        *problem, p0, x_scale, freqs, PARAM_NAMES, options.max_iterations
+        *problem, p0, x_scale, centre, PARAM_NAMES, options.max_iterations
     )
 
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p

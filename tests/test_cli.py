@@ -572,12 +572,12 @@ class TestPowerSweepAndKerr:
 
     @pytest.mark.parametrize(
         "budget, stage",
-        [(1, "stage 1 (linear fit of the lowest slice)"), (6, "joint Kerr fit")],
+        [(1, "stage 1 (linear fit of the lowest slice)"), (5, "joint Kerr fit")],
         ids=["stage1", "joint"],
     )
     def test_failed_fit_names_its_stage(self, sweep_csv, capsys, budget, stage):
         # on this sweep the stage-1 fit converges within 5 evaluations and the
-        # joint fit within 7, so budgets 1-4 exhaust stage 1 and 5-6 the joint fit
+        # joint fit within 6, so budgets 1-4 exhaust stage 1 and 5 the joint fit
         code, doc = run_cli(capsys, "fit-kerr", str(sweep_csv), "--max-iterations", str(budget))
         assert code == 3
         assert doc["error"]["message"] == f"{stage}: no convergence within {budget} iterations"

@@ -347,8 +347,7 @@ class TestParseSyntax:
             warnings.simplefilter("always")
             with pytest.raises(error) as exc:
                 parse_trace_csv(path)
-        message = message if error is ValueError else f"{path}: {message}"
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{path}: {message}"
         assert caught == []  # e.g. no "input contained no data" from numpy
 
     def test_power_sweep_rows_grouped_by_power(self, tmp_path):

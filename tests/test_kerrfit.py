@@ -558,17 +558,18 @@ class TestSolveReuse:
         # one kernel call per row for each residual of the solver, and one per
         # ranked row for each start candidate; no more for the Jacobians, the
         # covariance at the solution, the mask or model_s21. The counts hold
-        # on every draw tried; the draws are tried in order up to the first
-        # whose fit ends on the wanted kind of step, since which draws do
-        # depends on the last bits of the solve.
+        # on every fit tried; the draws are tried in order, each on the lowest
+        # and the highest branch, up to the first fit that ends on the wanted
+        # kind of step, since which fits do depends on the branch and on the
+        # last bits of the solve.
         kernel, solver = rl.kerrfit.photon_cubic_roots, rl.linfit.least_squares
         model = rl.kerrfit._sweep_model
         calls, runs, jacobians = [], [], []
 
-        def counted_model(p, f, watts, branch, jac=False, solve=None):
+        def counted_model(p, f, watts, branch, jac=False, solve=None, centre=None):
             if jac:
                 jacobians.append(1)
-            return model(p, f, watts, branch, jac, solve)
+            return model(p, f, watts, branch, jac, solve, centre)
 
         def counted_solver(fun, x0, jac, **kwargs):
             points = []
@@ -586,11 +587,17 @@ class TestSolveReuse:
         )
         monkeypatch.setattr(rl.linfit, "least_squares", counted_solver)
         monkeypatch.setattr(rl.kerrfit, "_sweep_model", counted_model)
-        for _, sweep in itertools.islice(kerr_recovery_draws(), 12):
-            lin = rl.fit_linear(sweep.traces[0])
+
+        def fits():
+            for _, sweep in itertools.islice(kerr_recovery_draws(), 16):
+                lin = rl.fit_linear(sweep.traces[0])
+                for branch in ("lowest", "highest"):
+                    yield sweep, lin, rl.KerrFitOptions(branch=branch, mask_bistable=mask)
+
+        for sweep, lin, options in fits():
             for counts in (calls, runs, jacobians):
                 counts.clear()
-            rl.fit_kerr(sweep, lin, rl.KerrFitOptions(mask_bistable=mask))
+            rl.fit_kerr(sweep, lin, options)
             [(sol, last_point)] = runs
             assert len(calls) == len(sweep) * sol.nfev + 4 * RANK_ROWS
             # the covariance takes the solver's Jacobian at sol.x: none is built after it returns

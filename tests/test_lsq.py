@@ -3,10 +3,13 @@
 Every fit problem the package poses is captured at its ``least_squares``
 call and solved again by ``scipy.optimize.least_squares(method="trf")``,
 whose ratio test, radius update and stopping rules the package solver
-shares. The two must agree on the outcome (converged or out of budget), and
-the package must end at a final cost no higher than scipy's by more than
-1e-9 relative. The stopping code itself (ftol, xtol or both) is not
-compared: rounding decides it at the edge of the tolerances.
+shares; the package adds one rule, a stop on the Gauss-Newton decrement
+before an undamped step is evaluated. The two must agree on the outcome
+(converged or out of budget), and the package must end at a final cost no
+higher than scipy's by more than 1e-9 relative. The stopping code itself
+(ftol, xtol or both) is not compared: rounding decides it at the edge of
+the tolerances. On the linear pool the package must also take no more
+residual evaluations than scipy.
 """
 
 import math
@@ -85,6 +88,37 @@ def test_linear_pool_matches_scipy(captured):
             rl.fit_linear(trace)
     assert len(captured) == 24
     assert_matches_scipy(captured)
+
+
+def test_linear_pool_takes_no_more_evaluations_than_scipy(monkeypatch):
+    # the solver stops on the Gauss-Newton decrement instead of evaluating a
+    # step whose predicted gain is rounding, so on the pool every residual
+    # gets its Jacobian and the solution is the last point evaluated. The
+    # counts do not depend on the machine.
+    runs = []
+
+    def record(fun, x0, jac, **kwargs):
+        points = []
+
+        def residual(x):
+            points.append(x.copy())
+            return fun(x)
+
+        sol = _lsq.least_squares(residual, x0, jac=jac, **kwargs)
+        runs.append((fun, np.array(x0, dtype=float), jac, kwargs, sol, points))
+        return sol
+
+    monkeypatch.setattr(linfit, "least_squares", record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trace in linear_pool(24):
+            rl.fit_linear(trace)
+    assert len(runs) == 24
+    for fun, x0, jac, kwargs, sol, points in runs:
+        assert sol.nfev == sol.njev == len(points)
+        assert np.array_equal(points[-1], sol.x)
+        ref = scipy_least_squares(fun, x0, jac=jac, method="trf", **kwargs)
+        assert sol.nfev <= ref.nfev
 
 
 #: Every 25th criterion-4(c) draw, and three whose sweeps hold points next
