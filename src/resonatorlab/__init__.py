@@ -21,7 +21,6 @@ _EXPORTS = {
         "LinearResonatorParams",
         "PowerSweep",
         "dbm_to_watts",
-        "photon_flux",
         "watts_to_dbm",
     ),
     "designer": (
@@ -52,7 +51,6 @@ _EXPORTS = {
         "fit_field_sweep",
         "flux_quantum_field",
         "fr_vs_field",
-        "gap_suppression",
         "parallel_critical_field",
     ),
     "kerrfit": (

@@ -426,6 +426,9 @@ def _handle_synth(opts) -> tuple[dict, dict]:
     elif kind == "kerr":
         if not opts["power_step"] > 0.0:
             raise ValueError(f"--power-step must be positive, got {opts['power_step']}")
+        count = (opts["power_max"] - opts["power_min"]) / opts["power_step"] + 1
+        if count > MAX_SYNTH_POWERS:
+            raise ValueError(f"--power-step gives {count:.6g} powers, over {MAX_SYNTH_POWERS}")
         res, env, grid = _synth_inputs(opts)
         powers = np.arange(opts["power_min"], opts["power_max"] + 1e-9, opts["power_step"])
         params = KerrParams(
@@ -439,7 +442,7 @@ def _handle_synth(opts) -> tuple[dict, dict]:
         results = {"n_powers": len(sweep), "n_samples": len(grid)}
         dips = dip_frequency(grid, [t.values for t in sweep.traces])
         plots = {"dip_trajectory": plot_group("power_dbm", powers, series("dip_freq_hz", dips))}
-    elif kind == "field":
+    else:  # field
         params = FieldModelParams(
             f0=opts["f0"], b_crit=opts["b_crit"], b_phi0=opts["b_phi0"]
         )
@@ -452,8 +455,6 @@ def _handle_synth(opts) -> tuple[dict, dict]:
                 "field_t", fields, series("fr_hz", [p.resonance for p in points])
             )
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown synth kind {kind!r}")
     return {"kind": kind, "csv": str(out_csv), **results}, plots
 
 
@@ -463,6 +464,8 @@ def _handle_synth(opts) -> tuple[dict, dict]:
 # help)``; ``kind`` is float, int, bool (a --x/--no-x flag), a tuple of
 # choices, or str (a required flag). ``csv`` and ``kind`` are positional.
 POSITIONAL = ("csv", "kind")
+
+MAX_SYNTH_POWERS = 1000  # most powers synth kerr writes; checked before they are allocated
 
 # the options that several subcommands share
 _FIT_OPTIONS = {
@@ -557,7 +560,7 @@ COMMANDS: dict[str, tuple] = {
         "branch": _BRANCH,
         "power_min": (float, -150.0, "sweep start power [dBm]"),
         "power_max": (float, -115.0, "sweep stop power [dBm]"),
-        "power_step": (float, 2.5, "sweep power step [dB]"),
+        "power_step": (float, 2.5, f"sweep power step [dB]; at most {MAX_SYNTH_POWERS} powers"),
         "f0": (float, 7.0e9, "zero-field resonance [Hz] for kind=field"),
         "b_crit": (float, 66e-3, "critical field [T]"),
         "b_phi0": (float, 102e-3, "flux-quantum field [T]"),
@@ -617,7 +620,6 @@ def _add_options(p: argparse.ArgumentParser, options: dict) -> None:
         action="store_true",
         help="include a generated_at field (breaks byte-level report reproducibility)",
     )
-    p.add_argument("-v", "--verbose", action="store_true", help="has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

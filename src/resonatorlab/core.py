@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PLANCK
 from .errors import DomainError
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "EnvironmentParams",
     "dbm_to_watts",
     "watts_to_dbm",
-    "photon_flux",
     "dip_frequency",
 ]
 
@@ -39,7 +37,10 @@ def dbm_to_watts(p_dbm: float) -> float:
     """Convert a power from dBm to watts."""
     if not math.isfinite(p_dbm):
         raise ValueError(f"power must be finite, got {p_dbm}")
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {p_dbm} dBm overflows in watts") from None
 
 
 def watts_to_dbm(p_watts: float) -> float:
@@ -47,19 +48,6 @@ def watts_to_dbm(p_watts: float) -> float:
     if not (p_watts > 0.0 and math.isfinite(p_watts)):
         raise DomainError(f"power must be positive and finite, got {p_watts}")
     return 10.0 * math.log10(p_watts) + 30.0
-
-
-def photon_flux(p_watts: float, frequency: float) -> float:
-    """Photon arrival rate [1/s] carried by power ``p_watts`` at ``frequency``.
-
-    Equals ``P / (h f)``; identical to ``P / (hbar omega)`` for
-    ``omega = 2 pi f``.
-    """
-    if frequency <= 0.0:
-        raise DomainError(f"frequency must be positive, got {frequency}")
-    if p_watts < 0.0:
-        raise DomainError(f"power must be non-negative, got {p_watts}")
-    return p_watts / (PLANCK * frequency)
 
 
 def dip_frequency(frequencies: np.ndarray, values) -> np.ndarray:
@@ -140,10 +128,6 @@ class PowerSweep:
     @property
     def frequencies(self) -> np.ndarray:
         return self.traces[0].frequencies
-
-    @property
-    def powers(self) -> np.ndarray:
-        return _freeze_array([t.drive_power for t in self.traces], float)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import ELEMENTARY_CHARGE, FLUX_QUANTUM, PLANCK, VACUUM_PERMITTIVITY
+from .errors import DomainError
 
 __all__ = [
     "JunctionSpec",
@@ -92,6 +93,17 @@ class ArrayDesignReport:
     kerr_estimate: float  # Hz, E_C / N^2
 
 
+def _formed(name: str, inputs, formula) -> float:
+    """``formula()``; a DomainError naming ``name`` and ``inputs`` unless positive and finite."""
+    try:
+        value = formula()
+    except (ZeroDivisionError, OverflowError):  # a product underflowed to 0, a power overflowed
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} leaves the positive finite floats for {inputs}")
+    return value
+
+
 def junction_electrical(spec: JunctionSpec) -> tuple[float, float, float]:
     """Critical current, Josephson inductance and Josephson energy.
 
@@ -99,19 +111,19 @@ def junction_electrical(spec: JunctionSpec) -> tuple[float, float, float]:
     ``I_c = pi Delta / (2 e R_N)``; then ``L_J = Phi0 / (2 pi I_c)`` and
     ``E_J = Phi0 I_c / (2 pi h)`` in Hz.
     """
-    delta_joule = spec.delta0 * ELEMENTARY_CHARGE
-    i_c = math.pi * delta_joule / (2.0 * ELEMENTARY_CHARGE * spec.r_normal)
-    l_j = FLUX_QUANTUM / (2.0 * math.pi * i_c)
-    e_j = FLUX_QUANTUM * i_c / (2.0 * math.pi * PLANCK)
+    delta = spec.delta0 * ELEMENTARY_CHARGE  # J
+    i_c = _formed("i_c", spec, lambda: math.pi * delta / (2.0 * ELEMENTARY_CHARGE * spec.r_normal))
+    l_j = _formed("l_j", spec, lambda: FLUX_QUANTUM / (2.0 * math.pi * i_c))
+    e_j = _formed("e_j", spec, lambda: FLUX_QUANTUM * i_c / (2.0 * math.pi * PLANCK))
     return i_c, l_j, e_j
 
 
 def junction_capacitive(spec: JunctionSpec) -> tuple[float, float, float]:
     """Self-capacitance, charging energy [Hz] and plasma frequency [Hz]."""
     c_j = VACUUM_PERMITTIVITY * spec.epsilon_r * spec.width * spec.length / spec.t_ox
-    e_c = ELEMENTARY_CHARGE**2 / (2.0 * c_j * PLANCK)
+    e_c = _formed("e_c", spec, lambda: ELEMENTARY_CHARGE**2 / (2.0 * c_j * PLANCK))
     _, l_j, _ = junction_electrical(spec)
-    plasma = 1.0 / (2.0 * math.pi * math.sqrt(l_j * c_j))
+    plasma = _formed("plasma_frequency", spec, lambda: 1.0 / (2.0 * math.pi * math.sqrt(l_j * c_j)))
     return c_j, e_c, plasma
 
 
@@ -148,7 +160,7 @@ def quarter_wave(array: ArraySpec, l_eq_override: float | None = None) -> ArrayD
     c_total = array.c_per_length * array.total_length
     l_eq = l_eq_override if l_eq_override is not None else quarter_wave_inductance(l_total)
     c_eq = c_total / 2.0
-    f_bare = 1.0 / (2.0 * math.pi * math.sqrt(l_eq * c_eq))
+    f_bare = _formed("f_bare", array, lambda: 1.0 / (2.0 * math.pi * math.sqrt(l_eq * c_eq)))
     z_eq = characteristic_impedance(l_eq, c_eq)
     return ArrayDesignReport(
         i_c=i_c,
@@ -180,12 +192,13 @@ def loaded_capacitance_from_frequency(f_loaded: float, l_eq: float) -> float:
     """
     if not (f_loaded > 0.0 and l_eq > 0.0):
         raise ValueError("f_loaded and l_eq must be positive")
-    return 1.0 / ((2.0 * math.pi * f_loaded) ** 2 * l_eq)
+    inputs = f"f_loaded={f_loaded}, l_eq={l_eq}"
+    return _formed("c_eq_loaded", inputs, lambda: 1.0 / ((2.0 * math.pi * f_loaded) ** 2 * l_eq))
 
 
 def characteristic_impedance(l_eq: float, c_eq: float) -> float:
     """Impedance ``Z = sqrt(L_eq / C_eq)`` [Ohm] of a lumped LC mode."""
-    return math.sqrt(l_eq / c_eq)
+    return _formed("z_eq", f"l_eq={l_eq}, c_eq={c_eq}", lambda: math.sqrt(l_eq / c_eq))
 
 
 def kerr_from_array(e_c: float, n: int) -> float:

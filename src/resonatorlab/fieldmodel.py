@@ -32,7 +32,6 @@ __all__ = [
     "FieldFitResult",
     "effective_penetration_depth",
     "parallel_critical_field",
-    "gap_suppression",
     "flux_quantum_field",
     "fr_vs_field",
     "fit_field_sweep",
@@ -104,17 +103,6 @@ def parallel_critical_field(film: FilmSpec) -> float:
     """In-plane critical field ``B_bulk (lambda_eff / d) sqrt(24)`` of a thin film."""
     lam = effective_penetration_depth(film)
     return film.bulk_critical_field * lam / film.thickness * SQRT24
-
-
-def gap_suppression(delta0: float, b: float, b_crit: float) -> float:
-    """Superconducting gap at in-plane field ``b``: ``Delta0 sqrt(1 - (b/b_crit)^2)``."""
-    if not (b_crit > 0.0 and math.isfinite(b_crit)):
-        raise ValueError(f"b_crit must be positive and finite, got {b_crit}")
-    if b < 0.0:
-        raise DomainError(f"field must be non-negative, got {b}")
-    if b >= b_crit:
-        raise DomainError(f"gap closed: field {b} T is at or above the critical field {b_crit} T")
-    return delta0 * math.sqrt(1.0 - (b / b_crit) ** 2)
 
 
 def flux_quantum_field(

@@ -9,14 +9,14 @@ when they clash):
 * ``freq_hz, mag_db, phase_rad`` - magnitude in dB (20 log10) and phase,
 
 each optionally extended by ``power_dbm``, which promotes the file to a
-power sweep (rows grouped by power). Field sweeps use
+power sweep (rows grouped by power). Both forms are read; traces and sweeps
+are written as ``freq_hz, re, im``. Field sweeps use
 ``field_t, fr_hz, sigma_hz``.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from pathlib import Path
 from typing import Sequence
@@ -159,31 +159,20 @@ def _check_monotone(freq: np.ndarray, row_indices: np.ndarray, path) -> None:
         raise DataError(f"{path}: row {row}: frequency must be positive and finite")
 
 
-def write_trace_csv(
-    path: str | Path,
-    data: FrequencyTrace | PowerSweep,
-    form: str = "re_im",
-) -> None:
-    """Write a trace or sweep; ``form`` is ``re_im`` or ``mag_phase``."""
-    if form not in ("re_im", "mag_phase"):
-        raise ValueError(f"form must be 're_im' or 'mag_phase', got {form!r}")
+def write_trace_csv(path: str | Path, data: FrequencyTrace | PowerSweep) -> None:
+    """Write a trace or sweep as ``freq_hz, re, im`` (and ``power_dbm``) rows."""
     traces = data.traces if isinstance(data, PowerSweep) else (data,)
     include_power = isinstance(data, PowerSweep) or traces[0].drive_power is not None
-    value_cols = ["re", "im"] if form == "re_im" else ["mag_db", "phase_rad"]
-    header = ["freq_hz", *value_cols] + (["power_dbm"] if include_power else [])
+    header = ["freq_hz", *_CARTESIAN] + (["power_dbm"] if include_power else [])
     blocks = [",".join(header)]
     # the traces of a PowerSweep share one grid, so it is formatted once
     freqs = [repr(f) for f in traces[0].frequencies.tolist()]
     for trace in traces:
-        if form == "re_im":
-            first, second = trace.values.real.tolist(), trace.values.imag.tolist()
-        else:
-            first = [20.0 * math.log10(abs(v)) for v in trace.values]
-            second = [float(np.angle(v)) for v in trace.values]
+        real, imag = trace.values.real.tolist(), trace.values.imag.tolist()
         power = f",{float(trace.drive_power)!r}" if include_power else ""
         # one string per trace, so only one trace's row strings are held at a time
         blocks.append(
-            "\r\n".join([f"{f},{a!r},{b!r}{power}" for f, a, b in zip(freqs, first, second)])
+            "\r\n".join([f"{f},{a!r},{b!r}{power}" for f, a, b in zip(freqs, real, imag)])
         )
     _write_lines(path, blocks)
 

@@ -83,8 +83,8 @@ class _Terms(NamedTuple):
 
 
 def _delay(offset: np.ndarray, tau: float) -> np.ndarray:
-    """``e^{-2 pi i offset tau}`` as cos + i sin of its real phase, which
-    costs less than ``np.exp`` at the small phases about a trace centre."""
+    """``e^{-2 pi i offset tau}`` as cos + i sin of its real phase, cheaper than
+    ``np.exp``: the one delay phasor of every notch model and fit."""
     phase = -2.0 * math.pi * offset * tau
     delay = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=delay.real)
@@ -101,8 +101,8 @@ def _notch(
     omega_0 - omega_d``; the Kerr model is this model at ``shift = kappa_L xi
     n``, and the linear model has none, which gives the bits of a zero shift.
     ``centre`` [Hz], if given, is the delay's phase reference, where alpha is
-    the background phase, as the fits take it; without it that is 0 Hz.
-    ``delay``, if given, is the ``delay`` term at the same ``f``, tau and
+    the background phase, as the fits take it; the public models take 0 Hz.
+    ``delay``, if given, is the :func:`_delay` term at the same ``f``, tau and
     centre, taken as it is instead of computed again.
     """
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = p
@@ -115,7 +115,7 @@ def _notch(
     resonant = (d - mismatch) / d
     offset = f if centre is None else f - centre
     if delay is None:
-        delay = np.exp(-2j * math.pi * f * tau) if centre is None else _delay(offset, tau)
+        delay = _delay(offset, tau)
     rotation = np.exp(1j * alpha)
     background = amplitude * rotation * delay
     s = background * resonant

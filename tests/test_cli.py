@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -13,12 +14,23 @@ import pytest
 
 import resonatorlab as rl
 from conftest import resonator
-from resonatorlab.cli import COMMANDS, POSITIONAL, _resolve_options, _stage, build_parser, main
+from resonatorlab.cli import (
+    COMMANDS,
+    MAX_SYNTH_POWERS,
+    POSITIONAL,
+    _resolve_options,
+    _stage,
+    build_parser,
+    main,
+)
+from resonatorlab.designer import DEFAULT_BARRIER_EPSILON, DEFAULT_GAP_EV
 from resonatorlab.errors import ConvergenceError, ReportSchemaError
 from resonatorlab.io import write_field_csv, write_trace_csv
 from resonatorlab.fieldmodel import MIN_FIELD_POINTS
-from resonatorlab.linfit import MIN_FIT_SAMPLES, segment_trace
-from resonatorlab.reports import validate_report
+from resonatorlab.kerrfit import KerrFitOptions
+from resonatorlab.linfit import MIN_FIT_SAMPLES, FitOptions, segment_trace
+from resonatorlab.reports import ERROR_SCHEMA, validate_report
+from resonatorlab.synth import NoiseSpec
 
 
 def run_cli(capsys, *argv):
@@ -363,6 +375,76 @@ class TestErrors:
         code, doc = run_cli(capsys, "fit-kerr", str(csv))
         assert code == 2
         assert "power sweep" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["fit-linear", "fit-power-sweep", "fit-kerr"])
+    def test_power_overflowing_in_watts_is_data_error(self, tmp_path, capsys, command):
+        # 100000 dBm is 1e9997 W, beyond the floats: refused by name, not a traceback
+        if command == "fit-linear":
+            csv, extra = synth_linear_csv(tmp_path, capsys), ["--power-dbm", "100000"]
+        else:
+            csv, extra = tmp_path / "sweep.csv", []
+            assert run_cli(capsys, "synth", "kerr", "--out-csv", str(csv), "--points", "201")[0] == 0
+            text = csv.read_text()
+            assert text.endswith(",-115.0\n")  # the top power's rows
+            csv.write_text(text.replace(",-115.0\n", ",100000\n"))
+        code, doc = run_cli(capsys, command, str(csv), *extra)
+        assert code == 2
+        validate_report(doc, ERROR_SCHEMA)
+        assert doc["error"]["type"] == "ValueError"
+        assert doc["error"]["message"] == "power 100000.0 dBm overflows in watts"
+
+    def test_synth_power_list_over_the_cap_is_refused_unallocated(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 35 dB in steps of 1e-12 dB would be 3.5e13 powers, 255 TiB as float64
+        def arange(*args, **kwargs):
+            raise AssertionError("the power list was allocated")
+
+        monkeypatch.setattr(np, "arange", arange)
+        out_csv = tmp_path / "x.csv"
+        argv = ["synth", "kerr", "--out-csv", str(out_csv), "--power-step", "1e-12"]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        validate_report(doc, ERROR_SCHEMA)
+        assert doc["error"]["message"] == (
+            f"--power-step gives 3.5e+13 powers, over {MAX_SYNTH_POWERS}"
+        )
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "argv, quantity, given",
+        [
+            (["--epsilon-r", "1e-300"], "e_c", "epsilon_r=1e-300"),
+            (["--delta0-ev", "1e300"], "e_j", "delta0=1e+300"),
+            (["--f-loaded", "1e-300"], "c_eq_loaded", "f_loaded=1e-300"),
+            (["--f-loaded", "1e300"], "c_eq_loaded", "f_loaded=1e+300"),
+            (["--c-per-length", "1e-300", "--f-loaded", "inf"], "c_eq_loaded", "f_loaded=inf"),
+        ],
+        ids=["tiny-epsilon", "huge-gap", "tiny-f-loaded", "huge-f-loaded", "infinite-f-loaded"],
+    )
+    def test_design_value_out_of_float_range_is_domain_error(
+        self, capsys, argv, quantity, given
+    ):
+        code, doc = run_cli(capsys, "design", *argv)
+        assert code == 4
+        validate_report(doc, ERROR_SCHEMA)
+        assert doc["error"]["type"] == "DomainError"
+        message = doc["error"]["message"]
+        assert message.startswith(f"{quantity} leaves the positive finite floats for ")
+        assert given in message
+
+    @pytest.mark.parametrize("flag", ["-v", "--verbose"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_verbose_flag_is_unknown(self, capsys, command, flag):
+        argv = [command]
+        for key, (kind, _, _) in COMMANDS[command][2].items():
+            if key in POSITIONAL:
+                argv.append(kind[0] if isinstance(kind, tuple) else "x.csv")
+            elif kind is str:  # a required flag
+                argv += ["--" + key.replace("_", "-"), "x.csv"]
+        code, doc = run_cli(capsys, *argv, flag)
+        assert code == 2
+        assert doc["error"]["message"] == f"unrecognized arguments: {flag}"
 
 
 class TestDesign:
@@ -803,7 +885,7 @@ def test_subcommand_help_lists_every_option(command, capsys, monkeypatch):
                 assert f"--no-{flag[2:]}" in text
         if help_text is not None:
             assert help_text in text
-    for flag in ("--out OUT", "--config CONFIG", "--timestamp", "-v, --verbose"):
+    for flag in ("--out OUT", "--config CONFIG", "--timestamp"):
         assert re.search(rf"^ +{flag}", text, re.M)
 
 
@@ -813,3 +895,38 @@ def test_one_parser_parses_a_subcommand_twice():
     assert parser.parse_args(["design"]).n_junctions is None
     assert parser.parse_args(["design", "--n-junctions", "3"]).n_junctions == 3
     assert parser.parse_args(["fit-linear", "x.csv", "--segment"]).segment is True
+
+
+_FIT, _KERR, _ENV, _NOISE = FitOptions(), KerrFitOptions(), rl.EnvironmentParams(), NoiseSpec()
+_SEGMENT = inspect.signature(segment_trace).parameters
+_FROM_Q = inspect.signature(rl.LinearResonatorParams.from_q).parameters
+
+
+@pytest.mark.parametrize(
+    "command, key, library",
+    [
+        *[
+            (command, key, getattr(_FIT, key))
+            for command in ("fit-linear", "fit-power-sweep")
+            for key in ("wing_fraction", "max_iterations")
+        ],
+        ("fit-kerr", "wing_fraction", _FIT.wing_fraction),
+        *[
+            ("fit-kerr", key, getattr(_KERR, key))
+            for key in ("branch", "k_init", "mask_bistable", "max_iterations")
+        ],
+        *[
+            ("fit-linear", key, _SEGMENT[key].default)
+            for key in ("prominence_db", "window_linewidths", "baseline_percentile")
+        ],
+        ("design", "epsilon_r", DEFAULT_BARRIER_EPSILON),
+        ("design", "delta0_ev", DEFAULT_GAP_EV),
+        *[("synth", key, getattr(_NOISE, key)) for key in ("snr_db", "seed")],
+        *[("synth", key, getattr(_ENV, key)) for key in ("amplitude", "alpha", "tau")],
+        ("synth", "phi0", _FROM_Q["phi0"].default),
+    ],
+)
+def test_cli_default_is_the_library_default(command, key, library):
+    # cli.py imports no numpy module, so these defaults are written twice
+    default = COMMANDS[command][2][key][1]
+    assert (default, type(default)) == (library, type(library))

@@ -84,29 +84,6 @@ class TestThinFilmFormulas:
         assert b == pytest.approx(expected, rel=1e-12)
 
 
-class TestGapSuppression:
-    def test_anchors(self):
-        assert rl.gap_suppression(180e-6, 0.0, 66e-3) == 180e-6
-        assert rl.gap_suppression(1.0, 66e-3 / SQRT2, 66e-3) == pytest.approx(1 / SQRT2, rel=1e-12)
-        assert rl.gap_suppression(1.0, 66e-3 * (1 - 1e-12), 66e-3) < 2e-6
-
-    def test_pythagorean_identity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            b_crit = rng.uniform(1e-3, 1.0)
-            b = rng.uniform(0.0, b_crit * 0.999999)
-            delta0 = rng.uniform(1e-6, 1e-3)
-            gap = rl.gap_suppression(delta0, b, b_crit)
-            identity = gap**2 + delta0**2 * (b / b_crit) ** 2
-            assert identity == pytest.approx(delta0**2, rel=1e-12)
-
-    def test_closed_gap_rejected(self):
-        with pytest.raises(rl.DomainError):
-            rl.gap_suppression(1.0, 66e-3, 66e-3)
-        with pytest.raises(rl.DomainError):
-            rl.gap_suppression(1.0, -1e-3, 66e-3)
-
-
 class TestTuningCurve:
     def test_zero_field_anchor(self):
         params = rl.FieldModelParams(f0=7e9, b_crit=66e-3, b_phi0=102e-3)

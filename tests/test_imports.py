@@ -106,12 +106,16 @@ def _names(node) -> set[str]:
 
 def _notch_forward_term(node) -> str | None:
     """The notch model's forward term that ``node`` writes out, if any: the
-    delay phasor ``exp(-2 pi i f tau)`` or the mismatch ``kappa_c .../cos(phi0)``."""
-    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "exp":
-        imaginary = any(
-            isinstance(n, ast.Constant) and isinstance(n.value, complex) for n in ast.walk(node)
-        )
-        return "delay phasor" if imaginary and "tau" in _names(node) else None
+    delay phase ``-2 pi f tau``, which the delay phasor needs whether it is
+    taken as ``exp(-2j pi f tau)`` or as cos + i sin of the real phase, or the
+    mismatch ``kappa_c .../cos(phi0)``."""
+    if (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and "tau" in _names(node)
+        and any(getattr(n, "attr", getattr(n, "id", None)) == "pi" for n in ast.walk(node))
+    ):
+        return "delay phasor"
     if (
         isinstance(node, ast.BinOp)
         and isinstance(node.op, ast.Div)
@@ -124,21 +128,23 @@ def _notch_forward_term(node) -> str | None:
 
 
 def test_notch_model_is_written_once():
-    # the forward terms live in linfit._notch alone; the Jacobian and the Kerr
-    # model take them from there instead of a copy of the model
-    found = set()
+    # the forward terms live in linfit._delay and linfit._notch alone; the
+    # Jacobian, the seed and the Kerr model take them from there instead of a
+    # copy of the model
+    found = []
 
     def visit(node, module, function):
         term = _notch_forward_term(node)
         if term is not None:
-            found.add((module, function, term))
+            found.append((module, function, term))
+            return  # a term's own sub-expressions are not a second copy
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, ast.FunctionDef) else function
             visit(child, module, inner)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert found == {("linfit", "_notch", "delay phasor"), ("linfit", "_notch", "mismatch")}
+    assert sorted(found) == [("linfit", "_delay", "delay phasor"), ("linfit", "_notch", "mismatch")]
 
 
 def test_cli_holds_no_physics_formulas():

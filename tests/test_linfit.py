@@ -316,6 +316,35 @@ def test_conjugate_seed_phasor_is_the_notch_delay(monkeypatch):
             assert np.array_equal(_bits(terms[-1].delay), _bits(own)), (tau0, tau)
 
 
+def test_public_models_take_np_exp_bits_of_the_delay(monkeypatch):
+    # the public models take the delay about 0 Hz as cos + i sin of the real
+    # phase, like the fits; on arrays that gives np.exp's bits, signed zeros
+    # included
+    rng = np.random.default_rng(36)
+    f_r = 6.117e9
+    f = np.linspace(f_r - 4e6, f_r + 4e6, 101)
+    f[50] = f_r  # a grid point on the resonance
+    cases = [
+        (tau, alpha, phi0)
+        for tau in (0.0, -0.0, 5e-324, rng.uniform(-50e-9, 50e-9))
+        for alpha in (0.0, -0.0, rng.uniform(-np.pi, np.pi))
+        for phi0 in (0.0, -0.0, rng.uniform(-1.2, 1.2))
+    ]
+
+    def models():
+        out = []
+        for tau, alpha, phi0 in cases:
+            res = rl.LinearResonatorParams.from_q(f_r, 1500.0, 15800.0, phi0)
+            env = rl.EnvironmentParams(amplitude=0.8, alpha=alpha, tau=tau)
+            kerr = rl.KerrParams(linear=res, environment=env, kerr=99.5e3, phi=phi0)
+            out += [rl.model_s21_linear(res, env, f), rl.model_s21_kerr(kerr, f, -120.0)]
+        return np.array(out)
+
+    cos_sin = models()
+    monkeypatch.setattr(rl.linfit, "_delay", lambda x, tau: np.exp(-2j * math.pi * x * tau))
+    assert np.array_equal(_bits(cos_sin), _bits(models()))
+
+
 def test_notch_without_a_shift_is_the_notch_at_zero_shift(sample_resonator, environment):
     res, env = sample_resonator, environment
     f = grid_around(res, points=2001)
