@@ -2,9 +2,9 @@
 
 Subcommands: ``fit-linear``, ``fit-power-sweep``, ``fit-kerr``,
 ``fit-field``, ``design``, ``predict-field`` and ``synth``. Every run
-writes one JSON report (stdout or ``--out``); logs go to stderr only.
-Options resolve as flag > config file > built-in default. Exit codes:
-0 success, 2 schema/data error, 3 convergence error, 4 domain error.
+writes one JSON report (stdout or ``--out``); only a failed run writes to
+stderr. Options resolve as flag > config file > built-in default. Exit
+codes: 0 success, 2 schema/data error, 3 convergence error, 4 domain error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from . import __version__
 from .constants import BRANCH_RULES
 from .errors import ConvergenceError, DataError, ResonatorLabError
 from .reports import (
-    EXIT_DATA,
     EXIT_OK,
     dump_report,
     error_report,
@@ -36,13 +35,6 @@ if TYPE_CHECKING:
 
     from .core import FrequencyTrace, PowerSweep
     from .linfit import FitOptions
-
-
-def _log(level: str | None, message: str) -> None:
-    """One line on stderr, ``LEVEL resonatorlab: message``, or the bare
-    message without a level. The CLI writes two kinds: the ``fit-kerr``
-    stage-1 warning and the error line of a failed run."""
-    sys.stderr.write(f"{level} resonatorlab: {message}\n" if level else f"{message}\n")
 
 
 def _flag_warnings(results: dict) -> list[str]:
@@ -195,12 +187,6 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
     stage1 = _stage(
         "stage 1 (linear fit of the lowest slice)", fit_linear, sweep.traces[0], _fit_options(opts)
     )
-    if stage1.n_photons > 1.0:
-        _log(
-            "WARNING",
-            f"lowest sweep power already drives {stage1.n_photons:.2f} photons; the stage-1 "
-            "linear fit may be biased by the nonlinearity",
-        )
     kerr_opts = KerrFitOptions(
         branch=opts["branch"],
         k_init=opts["k_init"],
@@ -218,6 +204,11 @@ def _handle_fit_kerr(opts) -> tuple[dict, dict]:
         "residual_rms": fit.residual_rms,
         "stage1": {**linear_payload(stage1), "stage1_slices": [sweep.traces[0].drive_power]},
     }
+    if stage1.n_photons > 1.0:
+        results["stage1"]["flags"].append(
+            f"lowest sweep power already drives {stage1.n_photons:.2f} photons; the stage-1 "
+            "linear fit may be biased by the nonlinearity"
+        )
     powers = [t.drive_power for t in sweep.traces]
     freqs = sweep.frequencies
     data = [t.values for t in sweep.traces]
@@ -628,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Notch-resonator spectroscopy fits and JJ-array design calculations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", action=_Subcommands)
+    subs = parser.add_subparsers(dest="command", action=_Subcommands, required=True)
     for command, (_, help_line, _) in COMMANDS.items():
         subs.add_parser(command, help=help_line)
     return parser
@@ -683,9 +674,6 @@ def main(argv: list[str] | None = None) -> int:
     args = argparse.Namespace(command=None)
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_help(sys.stderr)
-            return EXIT_DATA
         opts = _resolve_options(args)
         results, plots = COMMANDS[args.command][0](opts)
         timestamp = None
@@ -698,8 +686,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ResonatorLabError, ValueError, OSError) as exc:
         code = exit_code_for(exc)
         # a usage error leaves args.command unset, and its line bare
-        level = None if args.command is None else "ERROR"
-        _log(level, f"{type(exc).__name__}: {exc}")
+        prefix = "" if args.command is None else "ERROR resonatorlab: "
+        sys.stderr.write(f"{prefix}{type(exc).__name__}: {exc}\n")
         sys.stdout.write(dump_report(error_report(exc, args.command)))
         return code
     out = getattr(args, "out", None)

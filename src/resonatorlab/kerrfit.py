@@ -42,6 +42,7 @@ from .core import (
     EnvironmentParams,
     LinearResonatorParams,
     PowerSweep,
+    _freeze_array,
     dbm_to_watts,
     dip_frequency,
 )
@@ -124,6 +125,7 @@ class KerrFitResult:
     def __post_init__(self):
         if self.k_uncertainty < 0.0 or self.phi_uncertainty < 0.0:
             raise ValueError("uncertainties must be non-negative")
+        object.__setattr__(self, "model_s21", _freeze_array(self.model_s21, complex))
 
 
 def photon_cubic_roots(delta, xi) -> np.ndarray:

@@ -153,8 +153,8 @@ def model_s21_linear(
     ``phi0 -> phi0 + pi``, so ``phi0`` is reported in (-pi/2, pi/2).
     """
     p = (res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau)
-    out = _notch(p, np.asarray(f, dtype=float)).s
-    return out if out.ndim else complex(out)
+    out = _notch(p, np.atleast_1d(np.asarray(f, dtype=float))).s
+    return out if np.ndim(f) else complex(out[0])
 
 
 def _wing_size(n: int, wing_fraction: float) -> int:
@@ -374,36 +374,34 @@ def _param_scale(f_r: float, kappa_l: float, amplitude: float, span: float) -> n
     return np.array([f_scale, kappa_l, kappa_l, 0.3, amplitude, 0.3, 1.0 / (2.0 * math.pi * span)])
 
 
-def _refinement_problem(freqs, values, tau0=math.nan, delay0=None, centre=None):
+def _refinement_problem(freqs, values, centre=None, start=None):
     """Residual and closed-form Jacobian of the 7-parameter refinement, with
     alpha the background phase at ``centre``, or at 0 Hz without it.
 
     Both are float views of the complex arrays, the real and imaginary part
     of each point side by side. The Jacobian is the transpose of the
-    C-ordered (7, 2F) view, one contiguous row per parameter. The solver
-    asks for each Jacobian at the point of the residual just before it, so
-    the problem keeps the forward terms of the latest residual, and a
-    Jacobian at that point, bit for bit, reuses them. ``delay0``, if given,
-    is the notch's delay term at ``tau0`` and ``centre``: a residual whose
-    ``tau`` has the bits of ``tau0``, as the solver's first one at the seed,
-    takes it instead of computing it again.
+    C-ordered (7, 2F) view, one contiguous row per parameter. The problem
+    keeps the forward terms of the latest vector it was asked about, by a
+    residual or a Jacobian, and a vector with the same bits reuses them: the
+    solver asks for each Jacobian at the point of the residual just before
+    it. ``start``, if given, is the first vector kept and its terms from
+    :func:`_notch` at ``centre``: the fit hands over the seed's.
     """
-    kept: tuple[bytes, _Terms | None] = (b"", None)  # the latest residual's key and terms
-    tau0_bits = np.float64(tau0).tobytes()
+    kept = (b"", None) if start is None else (start[0].tobytes(), start[1])
+
+    def terms(p) -> _Terms:
+        nonlocal kept
+        if kept[0] != p.tobytes():
+            kept = (b"", None)  # free the previous terms before these are built
+            kept = (p.tobytes(), _notch(p, freqs, None, None, centre))
+        return kept[1]
 
     def residual(p):
-        nonlocal kept
-        kept = (b"", None)  # free the previous terms before these are built
-        terms = _notch(p, freqs, None, delay0 if p[6:].tobytes() == tau0_bits else None, centre)
-        kept = (p.tobytes(), terms)
-        return (terms.s - values).view(float)
+        return (terms(p).s - values).view(float)
 
     def jacobian(p):
-        key, terms = kept
-        if key != p.tobytes():
-            terms = _notch(p, freqs, None, None, centre)
         rows = np.empty((len(PARAM_NAMES), freqs.size), dtype=complex)
-        return _notch_rows(p, terms, rows).view(float).T
+        return _notch_rows(p, terms(p), rows).view(float).T
 
     return residual, jacobian
 
@@ -470,8 +468,9 @@ def fit_linear(trace: FrequencyTrace, options: FitOptions | None = None) -> Line
     p0 = np.array([f_r0, kappa_c0, kappa_l0 - kappa_c0, phi0, a0, float(np.angle(a)), tau0])
 
     # Stage 3: full complex least-squares refinement of all 7 parameters and
-    # their covariance; the solver's first residual, at tau0, reuses delay0.
-    problem = _refinement_problem(freqs, values, tau0, delay0, centre)
+    # their covariance, from the seed's terms, which reuse delay0.
+    start = (p0, _notch(p0, freqs, None, delay0, centre))
+    problem = _refinement_problem(freqs, values, centre, start)
     span = trace.span
     x_scale = _param_scale(f_r0, kappa_l0, a0, span)
     p, covariance, sigmas, residual_rms = _fit_notch(

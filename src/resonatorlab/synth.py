@@ -84,6 +84,10 @@ def frequency_grid(
     over ``span_hz``, or else over ``span_linewidths`` loaded linewidths
     ``kappa_L / 2 pi``."""
     center = f_center if f_center is not None else res.f_r
+    span = ("span_linewidths", span_linewidths) if span_hz is None else ("span_hz", span_hz)
+    for name, value in (("f_center", center), span):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if span_hz is None:
         span_hz = span_linewidths * res.linewidth_hz
     return np.linspace(center - span_hz / 2.0, center + span_hz / 2.0, points)

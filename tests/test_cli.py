@@ -294,6 +294,26 @@ class TestErrors:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--span-hz", "inf"),
+            ("--f-center", "nan"),
+            ("--span-linewidths", "inf"),
+            ("--span-hz", "0"),
+            ("--span-hz", "-1e6"),
+            ("--span-linewidths", "0"),
+            ("--f-center", "-6e9"),
+        ],
+    )
+    def test_bad_synth_grid_is_named(self, tmp_path, capsys, flag, value):
+        out_csv = tmp_path / "x.csv"
+        argv = ["synth", "linear", "--out-csv", str(out_csv), f"{flag}={value}"]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 2
+        assert flag[2:].replace("-", "_") in doc["error"]["message"]
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
         "argv, smallest",
         [
             (["linear", "--points", "1"], MIN_FIT_SAMPLES),
@@ -690,8 +710,12 @@ class TestPowerSweepAndKerr:
         code = main(["fit-kerr", str(path)])
         captured = capsys.readouterr()
         assert code == 0
-        assert "lowest sweep power already drives" in captured.err
-        assert json.loads(captured.out)["results"]["stage1"]["n_photons"] > 1.0
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        stage1 = doc["results"]["stage1"]
+        assert stage1["n_photons"] > 1.0
+        assert any(flag.startswith("lowest sweep power already drives") for flag in stage1["flags"])
+        assert any(w.startswith("stage1: lowest sweep power already drives") for w in doc["warnings"])
 
     def test_fit_flags_reach_the_report_warnings(self, tmp_path, capsys):
         path = tmp_path / "narrow.csv"
@@ -806,7 +830,10 @@ def test_readme_examples_parse():
 
 
 def test_help_without_command(capsys):
-    assert main([]) == 2
+    code, doc = run_cli(capsys)
+    assert code == 2
+    assert doc["error"]["type"] == "DataError"
+    assert "command" in doc["error"]["message"]
 
 
 def test_predict_field_lead_defaults_are_nominal_over_sqrt2():
@@ -825,20 +852,64 @@ def _child_cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.fixture(scope="module")
+def pipeline_inputs(tmp_path_factory):
+    """A trace, a Kerr sweep, a field scan and a sweep whose lowest slice
+    already holds photons, each written by ``synth``."""
+    tmp = tmp_path_factory.mktemp("pipeline")
+    noise = ["--snr-db", "40", "--seed", "1"]
+    runs = {
+        "trace": ["linear", "--points", "401", *noise],
+        "sweep": ["kerr", "--points", "401", "--kerr-hz", "99.5e3", *noise],
+        "field": ["field", "--seed", "1"],
+        "photons": ["kerr", "--points", "301", "--power-min", "-128", "--power-max", "-123", *noise],
+    }
+    for name, (kind, *extra) in runs.items():
+        out = ["--out-csv", str(tmp / f"{name}.csv"), "--out", str(tmp / "synth.json")]
+        assert main(["synth", kind, *out, *extra]) == 0
+    return tmp
+
+
 class TestLogging:
-    def test_stage1_warning_reaches_stderr_in_a_fresh_process(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design"],
+            ["synth", "kerr", "--out-csv", "{dir}/synth.csv", "--kerr-hz", "99.5e3", "--snr-db", "40"],
+            ["fit-linear", "{dir}/trace.csv"],
+            ["fit-field", "{dir}/field.csv"],
+            ["fit-power-sweep", "{dir}/sweep.csv"],
+            ["fit-kerr", "{dir}/sweep.csv"],
+            ["fit-kerr", "{dir}/photons.csv"],
+        ],
+        ids=["design", "synth", "fit-linear", "fit-field", "fit-power-sweep", "fit-kerr", "photons"],
+    )
+    def test_successful_runs_write_nothing_to_stderr(self, pipeline_inputs, capsys, argv):
+        # a fit's flags and caveats go to the report; stderr carries only a
+        # failed run's error line
+        argv = [arg.format(dir=pipeline_inputs) for arg in argv]
+        assert main([*argv, "--out", str(pipeline_inputs / "report.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_stage1_warning_reaches_the_report_in_a_fresh_process(self, tmp_path, capsys):
         path = tmp_path / "high.csv"
         code, _ = run_cli(
             capsys, "synth", "kerr", "--out-csv", str(path), "--snr-db", "40",
             "--points", "301", "--power-min", "-128", "--power-max", "-123",
         )
         assert code == 0
-        proc = _child_cli("fit-kerr", str(path), "--out", str(tmp_path / "kerr.json"))
+        out = tmp_path / "kerr.json"
+        proc = _child_cli("fit-kerr", str(path), "--out", str(out))
         assert proc.returncode == 0
-        assert re.fullmatch(
-            r"WARNING resonatorlab: lowest sweep power already drives \d+\.\d\d photons; "
-            r"the stage-1 linear fit may be biased by the nonlinearity\n",
-            proc.stderr,
+        assert proc.stderr == ""
+        listed = json.loads(out.read_text())["warnings"]
+        assert any(
+            re.fullmatch(
+                r"stage1: lowest sweep power already drives \d+\.\d\d photons; "
+                r"the stage-1 linear fit may be biased by the nonlinearity",
+                w,
+            )
+            for w in listed
         )
 
     def test_errors_reach_stderr_in_a_fresh_process(self, tmp_path):
@@ -849,8 +920,8 @@ class TestLogging:
             f"ERROR resonatorlab: FileNotFoundError: [Errno 2] No such file or directory: "
             f"'{missing}'\n"
         )
-        # a usage error leaves no subcommand set, so cli._log writes the
-        # bare message, with no level, after the usage
+        # a usage error leaves no subcommand set, so main writes the bare
+        # message, with no level, after the usage
         proc = _child_cli("fit-linear")
         assert proc.returncode == 2
         assert proc.stderr.endswith("\nDataError: the following arguments are required: csv\n")

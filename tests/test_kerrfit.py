@@ -392,6 +392,13 @@ class TestFitKerr:
         assert fit.params.kerr == pytest.approx(100e3, rel=0.05)
         assert fit.k_uncertainty > 0
 
+    def test_model_s21_is_read_only(self, sample_resonator, environment):
+        sweep = _synthetic_sweep(sample_resonator, environment, 100e3, seed=21)
+        fit = rl.fit_kerr(sweep, rl.fit_linear(sweep.traces[0]))
+        assert not fit.model_s21.flags.writeable
+        with pytest.raises(ValueError):
+            fit.model_s21[0, 0] = 0.0
+
     def test_null_case_consistent_with_zero(self, sample_resonator, environment):
         sweep = _synthetic_sweep(sample_resonator, environment, 0.0, seed=42)
         lin = rl.fit_linear(sweep.traces[0])

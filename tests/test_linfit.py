@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -293,10 +294,10 @@ def _bits(a):
 
 def test_conjugate_seed_phasor_is_the_notch_delay(monkeypatch):
     # fit_linear de-rotates the trace by the conjugate of the notch's delay
-    # term about the trace centre at tau0 and hands that term to the
-    # refinement. A residual takes it where tau has the bits of tau0, so -0.0
-    # and 0.0 apart, and computes its own elsewhere; either way the term must
-    # have the notch's bits.
+    # term about the trace centre at tau0 and hands the seed's terms, built
+    # with that term, to the refinement. A residual at the seed's vector
+    # computes nothing; one whose tau differs in its bits, -0.0 from 0.0
+    # included, computes its own terms, with the notch's delay bits.
     f = np.concatenate([np.linspace(1e9, 12e9, 20001), [4.2e9, 6.117e9, 7.9999e9]])
     centre = 0.5 * (f[0] + f[-1])
     values = np.full(f.size, 0.5 + 0.25j)
@@ -305,14 +306,17 @@ def test_conjugate_seed_phasor_is_the_notch_delay(monkeypatch):
     monkeypatch.setattr(rl.linfit, "_notch", lambda *a: terms.append(forward(*a)) or terms[-1])
     taus = (-1e-7, -80e-9, -3.3e-9, -1e-15, -5e-324, -0.0, 0.0, 5e-324, 2.7e-12, 41.3e-9, 1e-7)
     for tau0 in taus:
-        delay0 = rl.linfit._delay(f - centre, tau0)
-        residual = _refinement_problem(f, values, tau0, delay0, centre)[0]
-        for tau in (tau0, -tau0, np.nextafter(tau0, 1.0)):
-            p = np.array([6e9, 1e6, 1e5, 0.2, 0.9, 0.3, tau])
-            residual(p)
-            same_bits = _bits(np.float64(tau)) == _bits(np.float64(tau0))
-            assert (terms[-1].delay is delay0) == same_bits, (tau0, tau)
-            own = forward(p, f, None, None, centre).delay
+        p0 = np.array([6e9, 1e6, 1e5, 0.2, 0.9, 0.3, tau0])
+        start = forward(p0, f, None, rl.linfit._delay(f - centre, tau0), centre)
+        residual = _refinement_problem(f, values, centre, (p0, start))[0]
+        calls = len(terms)
+        assert np.array_equal(_bits(residual(p0.copy())), _bits((start.s - values).view(float)))
+        assert len(terms) == calls, tau0
+        for tau in (-tau0, np.nextafter(tau0, 1.0)):
+            calls = len(terms)
+            residual(np.array([6e9, 1e6, 1e5, 0.2, 0.9, 0.3, tau]))
+            assert len(terms) == calls + 1, (tau0, tau)
+            own = rl.linfit._delay(f - centre, tau)
             assert np.array_equal(_bits(terms[-1].delay), _bits(own)), (tau0, tau)
 
 
@@ -343,6 +347,33 @@ def test_public_models_take_np_exp_bits_of_the_delay(monkeypatch):
     cos_sin = models()
     monkeypatch.setattr(rl.linfit, "_delay", lambda x, tau: np.exp(-2j * math.pi * x * tau))
     assert np.array_equal(_bits(cos_sin), _bits(models()))
+
+
+def test_public_models_give_a_scalar_the_bits_of_a_one_element_array():
+    # both public models evaluate a scalar f as a one-element array, so the
+    # scalar takes the array's arithmetic and bits, signed zeros included
+    f_r = 6.117e9
+    differ = []
+    for tau, alpha, phi0, amplitude, f in itertools.product(
+        (0.0, -0.0, 5e-324, -5e-324, 25e-9, -37e-9),
+        (0.0, -0.0, math.pi, 1.3, -2.0),
+        (0.0, 0.4, -0.3),
+        (1.0, 0.87),
+        (f_r - 2e6, f_r, f_r + 3.3e5),
+    ):
+        res = rl.LinearResonatorParams.from_q(f_r, 1500.0, 15800.0, phi0)
+        env = rl.EnvironmentParams(amplitude=amplitude, alpha=alpha, tau=tau)
+        kerr = rl.KerrParams(linear=res, environment=env, kerr=99.5e3, phi=phi0)
+        models = {
+            "linear": lambda x: rl.model_s21_linear(res, env, x),
+            "kerr": lambda x: rl.model_s21_kerr(kerr, x, -120.0),
+        }
+        for name, model in models.items():
+            scalar = model(f)
+            assert isinstance(scalar, complex)
+            if not np.array_equal(_bits(np.array([scalar])), _bits(model(np.array([f])))):
+                differ.append((name, tau, alpha, phi0, amplitude, f))
+    assert differ == []
 
 
 def test_notch_without_a_shift_is_the_notch_at_zero_shift(sample_resonator, environment):
