@@ -6,25 +6,42 @@ within a ball of radius ``Delta`` in the scaled variables ``x / x_scale``;
 the damping ``lam`` of ``(H + lam I) p = -g`` that puts the step on the
 ball comes from Moré's iteration on the secular equation ``||p(lam)|| =
 Delta``. ``H = J_s^T J_s`` is the small scaled normal matrix, so one
-eigendecomposition of it per Jacobian serves every ``lam``. The ratio
+eigendecomposition of it per accepted point serves every ``lam``. The ratio
 test, the radius update and the stopping rules are those of scipy's
 ``least_squares(method="trf")`` without bounds, plus MINPACK's test on the
 predicted reduction: an undamped step whose Gauss-Newton decrement is below
-``ftol`` of the cost ends the solve unevaluated. The result carries the
-scipy attributes that the package reads, the Jacobian at the solution
-among them. The normal matrix squares the conditioning of ``J_s``:
-callers parametrize their fits so that ``J_s`` stays well conditioned.
+``ftol`` of the cost ends the solve unevaluated. The normal matrix squares
+the conditioning of ``J_s``: callers parametrize their fits so that ``J_s``
+stays well conditioned.
 
-``J^T J`` is summed over row blocks of :data:`QR_BLOCK_ROWS` rows, each
-multiplied by BLAS ``gemm`` against a small copy of itself: numpy sends the
-product of an array with its own transpose to ``syrk``, which is about
-twice as slow as ``gemm`` on so few columns, and the blocks keep the copy
-small next to a tall Jacobian. The cost is a pairwise sum of the squared
-residuals, not a BLAS dot product, so it does not depend on the BLAS
-thread count.
+The solver never sees a Jacobian. It asks the problem for its normal
+equations ``J^T J`` and ``J^T f`` at each accepted point, so a problem
+whose Jacobian has few independent rows can form them without writing it
+out: the linear notch fit builds them from the Gram matrix of four complex
+base vectors. A problem given by its Jacobian goes through
+:func:`from_jacobian`, which sums ``J^T J`` over row blocks of
+:data:`QR_BLOCK_ROWS` rows, each multiplied by BLAS ``gemm`` against a
+small copy of itself: numpy sends the product of an array with its own
+transpose to ``syrk``, which is about twice as slow as ``gemm`` on so few
+columns, and the blocks keep the copy small next to a tall Jacobian. The
+cost is a pairwise sum of the squared residuals, not a BLAS dot product, so
+it does not depend on the BLAS thread count. The result carries the normal
+equations at the solution and the eigendecomposition of ``H`` there: the
+solver's own when it stopped on the Gauss-Newton decrement, otherwise one
+taken after the last accepted point.
 
 Each fitter calls :func:`least_squares` itself, the two notch fits through
-``linfit._fit_notch``, and takes its covariance from :func:`fit_errors`.
+``linfit._fit_notch``, and takes its covariance from :func:`fit_errors`. The
+notch fits take it from that eigendecomposition. A direction whose
+eigenvalue ``w`` is at most ``eps max(m, n)`` of the largest is one the data
+do not constrain, for ``m`` residuals and ``n`` parameters: rounding alone
+perturbs an eigenvalue of ``H`` by about ``eps`` of the largest. The field
+fit reports its covariance in other coordinates than it solves in, and takes
+it from :func:`_scaled_pinv`, a QR and SVD of its Jacobian that do not square
+its conditioning; there a direction is unconstrained when its singular value
+is at most ``eps max(m, n)`` of the largest. Under either rule a reported
+parameter that moves along such a direction gets infinite variance and NaN
+covariances.
 """
 
 from __future__ import annotations
@@ -56,7 +73,8 @@ class LeastSquaresResult(NamedTuple):
     nfev: int
     njev: int
     status: int
-    jac: np.ndarray  # Jacobian at x, built after every accepted step, the last one included
+    normal: tuple[np.ndarray, np.ndarray]  # J^T J and J^T f at x, as the problem gave them
+    eigen: tuple[np.ndarray, np.ndarray]  # :func:`_eigen` of J_s^T J_s at x
 
 
 def _norm(v: np.ndarray) -> float:
@@ -122,18 +140,38 @@ def _trust_step(w, v, gv, radius, lam, full_rank):
     return p * (radius / _norm(p)), lam
 
 
+def from_jacobian(jac):
+    """The normal equations of a problem given by its Jacobian ``jac(x)``:
+    ``(x, f) -> (J^T J, J^T f)``, from :func:`_normal_matrix` and one
+    ``J.T @ f``. The Jacobian is dropped once both are formed."""
+
+    def normal(x, f):
+        jmat = jac(x)
+        return _normal_matrix(jmat), jmat.T @ f
+
+    return normal
+
+
+def _eigen(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending and clipped at 0, and eigenvectors of ``hess``."""
+    w, v = np.linalg.eigh(hess)
+    np.maximum(w, 0.0, out=w)
+    return w, v
+
+
 def least_squares(
-    fun, x0, jac, x_scale=1.0, ftol=1e-8, xtol=1e-8, gtol=1e-8, max_nfev=None
+    fun, x0, normal, x_scale=1.0, ftol=1e-8, xtol=1e-8, gtol=1e-8, max_nfev=None
 ) -> LeastSquaresResult:
-    """Minimize ``0.5 ||fun(x)||^2`` from ``x0`` with the Jacobian ``jac(x)``.
+    """Minimize ``0.5 ||fun(x)||^2`` from ``x0``, with ``normal(x, f)``
+    returning ``(J^T J, J^T f)`` at ``x`` for the residuals ``f = fun(x)``.
 
     ``x_scale`` sets the unit of each variable in the trust region.
     ``max_nfev`` (default ``100 len(x0)``) counts residual evaluations, the
-    first one included. A trial point with non-finite residuals shrinks the
-    trust region. Stops when ``||g||_inf < gtol``, when an accepted step
-    lowers the cost by less than ``ftol`` of it or the undamped step is
-    predicted to (status 2 for both), or when a step is shorter than
-    ``xtol (xtol + ||x||)``, unscaled in both tests.
+    first one included; ``njev`` counts normal equations. A trial point
+    with non-finite residuals shrinks the trust region. Stops when ``||g||_inf
+    < gtol``, when an accepted step lowers the cost by less than ``ftol`` of
+    it or the undamped step is predicted to (status 2 for both), or when a
+    step is shorter than ``xtol (xtol + ||x||)``, unscaled in both tests.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -144,24 +182,23 @@ def least_squares(
     if not np.isfinite(f).all():
         raise ValueError("residuals are not finite at the initial point")
     nfev = 1
-    jmat = jac(x)
+    equations = normal(x, f)
     njev = 1
     m = f.size
     cost = 0.5 * float(np.add.reduce(f * f))
-    g = jmat.T @ f
     scale2 = np.outer(scale, scale)
     radius = _norm(x / scale) or 1.0
     lam = 0.0
-    status = None
+    status = eigen = None
     while True:
+        g = equations[1]
         if np.abs(g).max() < gtol:
             status = 1
         if status is not None or nfev >= max_nfev:
             break
-        hess = _normal_matrix(jmat) * scale2
+        hess = equations[0] * scale2
         g_s = g * scale
-        w, v = np.linalg.eigh(hess)  # ascending
-        np.maximum(w, 0.0, out=w)
+        w, v = eigen = _eigen(hess)
         gv = v.T @ g_s
         # scipy's rank test on the singular values sqrt(w) of J_s
         full_rank = m >= n and w[0] > (EPS * m) ** 2 * w[-1]
@@ -206,36 +243,22 @@ def least_squares(
 
         if reduction > 0.0:
             x, f, cost = x_new, f_new, cost_new
-            jmat = None  # free the old Jacobian before the next one is built
-            jmat = jac(x)
+            equations = normal(x, f)
             njev += 1
-            g = jmat.T @ f
-    return LeastSquaresResult(x, cost, f, nfev, njev, 0 if status is None else status, jmat)
+            eigen = None
+    if eigen is None:  # no step was taken from x
+        eigen = _eigen(equations[0] * scale2)
+    return LeastSquaresResult(
+        x, cost, f, nfev, njev, 0 if status is None else status, equations, eigen
+    )
 
 
-def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None = None) -> np.ndarray:
-    """``(J^T J)^{-1}`` computed via the scaled Jacobian ``J_s = J diag(x_scale)``.
-
-    Scaling first keeps the problem well conditioned when parameter
-    magnitudes span many decades. The directions come from the SVD of the
-    R factor of a QR of ``J_s``, which, unlike ``J_s^T J_s``, does not
-    square the condition number. R is the QR of the stacked R factors of
-    row blocks of at most :data:`QR_BLOCK_ROWS` rows, so a tall ``J_s`` is
-    never scaled and copied whole. A ``J_s`` of one block is not factored
-    twice: the QR of its triangular R would return R unchanged. ``back``
-    maps the fitted parameters onto the reported ones, ``x = back @
-    x_fit``, and the result is their covariance. A direction
-    whose singular value is below ``eps max(J.shape)`` of the largest is one
-    the data do not constrain: a reported parameter that moves along it gets
-    infinite variance and NaN covariances.
-    """
-    rows = range(0, jac.shape[0], QR_BLOCK_ROWS)
-    r = np.vstack([np.linalg.qr(jac[i : i + QR_BLOCK_ROWS] * x_scale, mode="r") for i in rows])
-    if len(rows) > 1:
-        r = np.linalg.qr(r, mode="r")
-    _, s, vt = np.linalg.svd(r)
-    w, v = s**2, vt.T
-    kept = w > (EPS * max(jac.shape)) ** 2 * w.max()
+def _pinv(w, v, kept, x_scale, back) -> np.ndarray:
+    """``(J^T J)^{-1}`` of the reported parameters from the eigenpairs ``w,
+    v`` of ``J_s^T J_s``, over the directions ``kept``: ``back`` maps the
+    fitted parameters onto the reported ones, ``x = back @ x_fit``. A
+    reported parameter that moves along a dropped direction gets infinite
+    variance and NaN covariances."""
     load = x_scale[:, None] * v  # parameter change per unit of each direction
     if back is not None:
         load = back @ load
@@ -249,10 +272,43 @@ def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None =
     return cov
 
 
-def fit_errors(sol: LeastSquaresResult, jac: np.ndarray, x_scale: np.ndarray, back=None):
-    """Covariance, 1-sigma and ``(J^T J)^{-1}`` of a solve from ``jac`` at
-    ``sol.x``: :func:`_scaled_pinv` times ``ssr/dof``, ``dof = max(m - n, 1)``."""
-    unscaled = _scaled_pinv(jac, x_scale, back)
-    dof = max(sol.fun.size - sol.x.size, 1)
-    covariance = (2.0 * sol.cost / dof) * unscaled
+def _scaled_pinv(jac: np.ndarray, x_scale: np.ndarray, back: np.ndarray | None = None) -> np.ndarray:
+    """``(J^T J)^{-1}`` computed via the scaled Jacobian ``J_s = J diag(x_scale)``.
+
+    Scaling first keeps the problem well conditioned when parameter
+    magnitudes span many decades. The directions come from the SVD of the
+    R factor of a QR of ``J_s``, which, unlike ``J_s^T J_s``, does not
+    square the condition number. R is the QR of the stacked R factors of
+    row blocks of at most :data:`QR_BLOCK_ROWS` rows, so a tall ``J_s`` is
+    never scaled and copied whole. A ``J_s`` of one block is not factored
+    twice: the QR of its triangular R would return R unchanged. ``back``
+    is as in :func:`_pinv`. A direction whose singular value is at most
+    ``eps max(J.shape)`` of the largest is one the data do not constrain.
+    """
+    rows = range(0, jac.shape[0], QR_BLOCK_ROWS)
+    r = np.vstack([np.linalg.qr(jac[i : i + QR_BLOCK_ROWS] * x_scale, mode="r") for i in rows])
+    if len(rows) > 1:
+        r = np.linalg.qr(r, mode="r")
+    _, s, vt = np.linalg.svd(r)
+    w = s**2
+    return _pinv(w, vt.T, w > (EPS * max(jac.shape)) ** 2 * w.max(), x_scale, back)
+
+
+def fit_errors(sol: LeastSquaresResult, x_scale: np.ndarray, back=None, jac=None):
+    """Covariance, 1-sigma and ``(J^T J)^{-1}`` of a solve at ``sol.x``: the
+    pseudo-inverse times ``ssr/dof``, ``dof = max(m - n, 1)``.
+
+    The pseudo-inverse comes from the solver's eigendecomposition
+    ``sol.eigen``, with ``x_scale`` the solver's, and a direction whose
+    eigenvalue is at most ``eps max(m, n)`` of the largest dropped; or, where
+    the Jacobian ``jac`` at ``sol.x`` is given, in the coordinates of its
+    columns, from :func:`_scaled_pinv` at the scales ``x_scale``.
+    """
+    m, n = sol.fun.size, sol.x.size
+    if jac is None:
+        w, v = sol.eigen
+        unscaled = _pinv(w, v, w > EPS * max(m, n) * w[-1], x_scale, back)
+    else:
+        unscaled = _scaled_pinv(jac, x_scale, back)
+    covariance = (2.0 * sol.cost / max(m - n, 1)) * unscaled
     return covariance, np.sqrt(np.clip(np.diag(covariance), 0.0, None)), unscaled

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._lsq import fit_errors, least_squares
+from ._lsq import fit_errors, from_jacobian, least_squares
 from .constants import FLUX_QUANTUM
 from .core import FieldSweepPoint, _freeze_array
 from .errors import ConvergenceError, DomainError, InsufficientDataError
@@ -243,7 +243,7 @@ def fit_field_sweep(
     sol = least_squares(
         residual,
         x0,
-        jac=jacobian,
+        normal=from_jacobian(jacobian),
         x_scale=[guess.f0, 1.0, 1.0],
         ftol=1e-14,
         xtol=1e-14,
@@ -260,7 +260,7 @@ def fit_field_sweep(
     # the covariance in (f0, b_crit, b_phi0), not in the fitted log-lifts
     jac = _tuning(x, fields, jac=True)[1] / sigmas[:, None]
     x_scale = np.array([guess.f0, guess.b_crit, guess.b_phi0])
-    covariance, sigmas_fit, unscaled = fit_errors(sol, jac, x_scale)
+    covariance, sigmas_fit, unscaled = fit_errors(sol, x_scale, jac=jac)
     # The correlation structure comes from (J^T J)^-1 alone, so it stays
     # defined for noiseless data where the residual variance vanishes.
     denom = np.sqrt(np.outer(np.diag(unscaled), np.diag(unscaled)))

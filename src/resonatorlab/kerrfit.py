@@ -37,6 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._lsq import from_jacobian
 from .constants import BRANCH_RULES, HBAR
 from .core import (
     EnvironmentParams,
@@ -389,14 +390,19 @@ def fit_kerr(
     of the same sweep; a resonance outside the sweep's grid is rejected as a
     mismatch. The fit starts from the best of four K values by the unmasked
     sum of squares over the :data:`RANK_ROWS` highest-power slices, and
-    ``mask_bistable`` drops the points with three roots at that start.
+    ``mask_bistable`` drops the points with three roots at that start. A
+    start whose candidates, up to three times it, give a drive term that is
+    not finite on the sweep is refused as a :class:`DataError` naming
+    ``k_init``, before any model evaluation.
     The fit solves for the :data:`SWEEP_PARAM_NAMES` vector over every
     slice, with alpha refined at the sweep centre; ``params.linear.phi0``
     stays the seed's, as ``phi`` takes its role. ``k_uncertainty`` is
     marginal: it comes from the joint covariance of all eight parameters.
 
-    The solver gets the complex residual and ``dS21/dp`` of the kept points
-    as float views, the real and imaginary part of each point side by side.
+    The solver gets the complex residual of the kept points as a float
+    view, the real and imaginary part of each point side by side, and the
+    normal equations of ``dS21/dp`` at the same points, taken in the same
+    view, through ``_lsq.from_jacobian``.
     A trial point with ``kappa_c <= 0`` gets a NaN residual, on which the
     solver shrinks its step. The photon cubic is solved once per distinct
     (f_r, kappa_c, kappa_int, K): a Jacobian reuses the solve of the
@@ -420,6 +426,12 @@ def fit_kerr(
     centre = 0.5 * (freqs[0] + freqs[-1])
 
     k0 = options.k_init if options.k_init is not None else _estimate_k_init(sweep, res0)
+    # the drive term of _sweep_model at the largest start candidate, 3 |k0|,
+    # at the top power and the lowest frequency, where it is largest
+    top = max(watts) / (HBAR * (2.0 * math.pi * float(freqs[0])))
+    xi = top * res0.kappa_c * (2.0 * math.pi * (3.0 * abs(k0))) / res0.kappa_l**3
+    if not math.isfinite(xi):
+        raise DataError(f"k_init {k0} Hz makes the drive term xi overflow on the sweep")
     k_scale = max(abs(k0), res0.linewidth_hz * 1e-3)
     x0 = _sweep_vector(res0, env0, k0, res0.phi0)
     x_scale = np.append(_param_scale(res0.f_r, res0.kappa_l, env0.amplitude, span), k_scale)
@@ -461,8 +473,9 @@ def fit_kerr(
         if not np.any(keep):
             raise DataError("masking bistable points left no data to fit")
 
+    normal = from_jacobian(jacobian)
     x, _, sigmas, rms = _fit_notch(
-        residual, jacobian, x0, x_scale, centre, SWEEP_PARAM_NAMES, options.max_iterations
+        residual, normal, x0, x_scale, centre, SWEEP_PARAM_NAMES, options.max_iterations
     )
     f_r, kappa_c, kappa_int, phi, amplitude, alpha, tau, kerr = map(float, x)
     params = KerrParams(

@@ -7,17 +7,21 @@ with one Levenberg-Marquardt pass on the complex residuals. The scan runs
 on count-weighted means over bins of equal width, where each dip is a
 kernel in the lag between bins, so one FFT correlation per linewidth
 level gives the cost at every candidate resonance. The refinement
-and the covariance use a closed-form Jacobian, so neither depends on a
+and the covariance use closed-form derivatives, so neither depends on a
 finite-difference step rule of the optimizer. The Kerr fit shares the
 parameter scales, ``_param_scale``, and the whole solve, ``_fit_notch``: its
 model takes the delay phase about the trace centre, so alpha is refined
 there, and it runs the solver of ``_lsq`` with the notch tolerances, checks
-the budget and takes the covariance from ``_lsq`` for alpha at 0 Hz.
+the budget and takes the covariance, for alpha at 0 Hz, from the solver's
+own eigendecomposition of the normal matrix at the solution.
 The model is written once, in a forward step, ``_notch``, and a derivative
 step, ``_notch_rows``, that builds the Jacobian from the forward terms; the
-Kerr model of ``kerrfit`` evaluates both at a shifted detuning. The photon
-calibration of a linear fit, :func:`photon_number` and its inverse
-:func:`single_photon_power`, lives here too.
+Kerr model of ``kerrfit`` evaluates both at a shifted detuning. The seven
+Jacobian rows are fixed combinations, ``_notch_mix``, of four complex
+vectors, ``_notch_base``, so the linear refinement forms its normal
+equations from their 4 x 4 Gram matrix and never writes the Jacobian out.
+The photon calibration of a linear fit, :func:`photon_number` and its
+inverse :func:`single_photon_power`, lives here too.
 """
 
 from __future__ import annotations
@@ -126,7 +130,10 @@ def _notch_rows(p, t: _Terms, rows: np.ndarray) -> np.ndarray:
     """The complex derivatives of S21 in :data:`PARAM_NAMES` order at fixed
     shift, from the forward terms ``t`` of :func:`_notch` at ``p``, written
     into the complex ``(7, F)`` array ``rows`` and returned. ``rows`` may be
-    a slice of a larger array, as the Kerr model's ``(8, P, F)`` Jacobian."""
+    a slice of a larger array, as the Kerr model's ``(8, P, F)`` Jacobian.
+    The rows are ``C.T @ U``, ``C`` from :func:`_notch_mix` and ``U`` from
+    :func:`_notch_base`; the linear refinement takes its normal equations
+    from that form instead."""
     kappa_c, phi0 = p[1], p[3]
     q = np.divide(t.background, t.d, out=rows[3])  # B/d
     b_m_d2 = np.divide(q, t.d, out=rows[2])
@@ -141,6 +148,36 @@ def _notch_rows(p, t: _Terms, rows: np.ndarray) -> np.ndarray:
     np.multiply(t.offset, -2j * math.pi, out=rows[6])
     rows[6] *= t.s
     return rows
+
+
+def _notch_base(t: _Terms, base: np.ndarray) -> np.ndarray:
+    """The four complex vectors whose fixed combinations, :func:`_notch_mix`,
+    are the rows of :func:`_notch_rows`, written into the rows of the complex
+    ``(4, F)`` array ``base`` and returned: ``B/d``, ``B/d^2``, ``e = S/A``
+    and ``(f - centre) e``, the last formed from the centred offsets so that
+    it keeps its digits at high Q."""
+    np.divide(t.background, t.d, out=base[0])
+    np.divide(base[0], t.d, out=base[1])
+    np.multiply(t.delay, t.rotation, out=base[2])
+    base[2] *= t.resonant
+    np.multiply(base[2], t.offset, out=base[3])
+    return base
+
+
+def _notch_mix(p, t: _Terms) -> np.ndarray:
+    """The complex ``(4, 7)`` matrix ``C`` of :func:`_notch_rows` at ``p``:
+    its rows are ``C.T @ U`` for the base vectors ``U`` of
+    :func:`_notch_base`, in :data:`PARAM_NAMES` order."""
+    kappa_c, phi0, amplitude = p[1], p[3], p[4]
+    cos = math.cos(phi0)
+    m = t.mismatch
+    mix = np.zeros((4, 7), dtype=complex)
+    mix[0, 1] = -t.tilt / cos
+    mix[0, 3] = -1j * kappa_c / cos**2
+    mix[1, :3] = 4j * math.pi * m, m, m
+    mix[2, 4:6] = 1.0, 1j * amplitude
+    mix[3, 6] = -2j * math.pi * amplitude
+    return mix
 
 
 def model_s21_linear(
@@ -375,19 +412,28 @@ def _param_scale(f_r: float, kappa_l: float, amplitude: float, span: float) -> n
 
 
 def _refinement_problem(freqs, values, centre=None, start=None):
-    """Residual and closed-form Jacobian of the 7-parameter refinement, with
+    """Residual and normal equations of the 7-parameter refinement, with
     alpha the background phase at ``centre``, or at 0 Hz without it.
 
-    Both are float views of the complex arrays, the real and imaginary part
-    of each point side by side. The Jacobian is the transpose of the
-    C-ordered (7, 2F) view, one contiguous row per parameter. The problem
-    keeps the forward terms of the latest vector it was asked about, by a
-    residual or a Jacobian, and a vector with the same bits reuses them: the
-    solver asks for each Jacobian at the point of the residual just before
-    it. ``start``, if given, is the first vector kept and its terms from
-    :func:`_notch` at ``centre``: the fit hands over the seed's.
+    The residual is a float view of the complex residual, the real and
+    imaginary part of each point side by side. The Jacobian ``J`` of that
+    view is never written out: its complex rows are ``C.T @ U``, with ``U``
+    the four base vectors of :func:`_notch_base` and ``C`` the matrix of
+    :func:`_notch_mix`, so ``J^T J = Re(C^H G C)`` with ``G = U^* U^T``, one
+    ``zgemm``, and ``J^T r = Re(C^H (U^* r))`` for the complex residual
+    ``r``. ``G`` and ``U^* r`` are separate products: stacking ``r`` as a
+    fifth row of ``U`` makes BLAS slower. The problem keeps the forward terms
+    of the latest vector it was asked about, by a residual or the normal
+    equations, and a vector with the same bits reuses them: the solver asks
+    for the normal equations at the point of the residual just before. ``start``,
+    if given, is the first vector kept and its terms from :func:`_notch` at
+    ``centre``: the fit hands over the seed's. ``U`` and ``U^*`` go into two
+    buffers kept for the whole fit, so that glibc does not hand them back to
+    the system after each call, for the next one to fault them in again.
     """
     kept = (b"", None) if start is None else (start[0].tobytes(), start[1])
+    base = np.empty((4, freqs.size), dtype=complex)
+    conj = np.empty_like(base)
 
     def terms(p) -> _Terms:
         nonlocal kept
@@ -399,16 +445,21 @@ def _refinement_problem(freqs, values, centre=None, start=None):
     def residual(p):
         return (terms(p).s - values).view(float)
 
-    def jacobian(p):
-        rows = np.empty((len(PARAM_NAMES), freqs.size), dtype=complex)
-        return _notch_rows(p, terms(p), rows).view(float).T
+    def normal(p, r):
+        t = terms(p)
+        np.conjugate(_notch_base(t, base), out=conj)
+        mix = _notch_mix(p, t)
+        mix_h = mix.conj().T
+        hess = (mix_h @ (conj @ base.T) @ mix).real
+        return 0.5 * (hess + hess.T), (mix_h @ (conj @ r.view(complex))).real
 
-    return residual, jacobian
+    return residual, normal
 
 
-def _fit_notch(residual, jacobian, x0, x_scale, centre, names, max_iterations):
-    """Solve a notch fit from ``x0``; returns the reported parameters
-    ``names``, their covariance and 1-sigma, and the rms per point.
+def _fit_notch(residual, normal, x0, x_scale, centre, names, max_iterations):
+    """Solve a notch fit from ``x0`` on the residual and normal equations of
+    ``_lsq.least_squares``; returns the reported parameters ``names``, their
+    covariance and 1-sigma, and the rms per point.
 
     The first seven entries of ``x0`` are :data:`PARAM_NAMES`; ``x0`` and the
     problem take ``alpha`` (position 5) as the background phase at
@@ -417,14 +468,16 @@ def _fit_notch(residual, jacobian, x0, x_scale, centre, names, max_iterations):
     scaled Jacobian stays well conditioned. The reported alpha is the phase
     at 0 Hz, ``alpha_c + 2 pi centre tau``: ``x = back @ x_c``. Raises
     :class:`ConvergenceError` with the last iterate when ``max_iterations``
-    residual evaluations run out.
+    residual evaluations run out. The covariance comes from the solver's own
+    eigendecomposition of the scaled normal matrix at the solution, mapped
+    through ``back``.
     """
     back = np.eye(x0.size)
     back[5, 6] = 2.0 * math.pi * centre
     sol = least_squares(
         residual,
         x0,
-        jac=jacobian,
+        normal=normal,
         x_scale=x_scale,
         ftol=1e-12,
         xtol=1e-12,
@@ -436,7 +489,7 @@ def _fit_notch(residual, jacobian, x0, x_scale, centre, names, max_iterations):
     if sol.status == 0:
         message = f"no convergence within {max_iterations} iterations"
         raise ConvergenceError(message, last_params=dict(zip(names, x)))
-    covariance, sigmas, _ = fit_errors(sol, sol.jac, x_scale, back)
+    covariance, sigmas, _ = fit_errors(sol, x_scale, back)
     # two residuals, re and im, per point
     return x, covariance, sigmas, math.sqrt(2.0 * sol.cost / (sol.fun.size / 2))
 

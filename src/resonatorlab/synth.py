@@ -12,6 +12,7 @@ order-independent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +40,10 @@ __all__ = [
 
 #: Sigma recorded for noiseless field sweeps so 1/sigma^2 weighting stays defined.
 NOISELESS_FIELD_SIGMA = 1.0  # Hz
+
+#: Highest frequency of a :func:`frequency_grid`: below it ``2 pi f``, and
+#: ``2 pi (f_r - f)`` for an ``f_r`` as high, stay finite in every model.
+F_MAX = sys.float_info.max / 8.0  # Hz
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,13 @@ def frequency_grid(
 ) -> np.ndarray:
     """``points`` evenly spaced frequencies around ``f_center`` (default ``f_r``)
     over ``span_hz``, or else over ``span_linewidths`` loaded linewidths
-    ``kappa_L / 2 pi``."""
+    ``kappa_L / 2 pi``.
+
+    The centre and the span given must be positive and finite, the grid must
+    lie in (0, :data:`F_MAX`] Hz, and its step must exceed 4 eps of its top
+    frequency, so that rounding keeps the points strictly increasing. Each
+    refusal names the centre and the span given, before any array is made.
+    """
     center = f_center if f_center is not None else res.f_r
     span = ("span_linewidths", span_linewidths) if span_hz is None else ("span_hz", span_hz)
     for name, value in (("f_center", center), span):
@@ -90,7 +101,25 @@ def frequency_grid(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if span_hz is None:
         span_hz = span_linewidths * res.linewidth_hz
-    return np.linspace(center - span_hz / 2.0, center + span_hz / 2.0, points)
+    low, high = center - span_hz / 2.0, center + span_hz / 2.0
+    given = f"f_center {center} Hz and {span[0]} {span[1]}"
+    if not (low > 0.0 and high <= F_MAX):
+        raise ValueError(f"{given} put the grid at [{low}, {high}] Hz, outside (0, {F_MAX:.6g}] Hz")
+    if points > 1 and not span_hz / (points - 1) > 4.0 * sys.float_info.epsilon * high:
+        raise ValueError(
+            f"{given} give {points} points a step of {span_hz / (points - 1)} Hz, "
+            f"not above 4 eps of the top frequency {high} Hz"
+        )
+    return np.linspace(low, high, points)
+
+
+def _check_delay(tau: float, freqs: np.ndarray) -> None:
+    """Refuse a delay whose phase ``2 pi f tau`` may leave the float range on
+    the increasing grid ``freqs``, before the model evaluates it: the
+    phase is finite wherever its bound ``8 |f tau|`` is."""
+    top = max(abs(float(freqs[0])), abs(float(freqs[-1]))) if freqs.size else 0.0
+    if not math.isfinite(8.0 * top * tau):
+        raise ValueError(f"tau {tau} s makes the delay phase 2 pi f tau overflow at {top} Hz")
 
 
 def generate_linear_trace(
@@ -102,6 +131,7 @@ def generate_linear_trace(
 ) -> FrequencyTrace:
     """Evaluate the linear notch model on ``grid`` and add noise."""
     freqs = np.asarray(grid, dtype=float)
+    _check_delay(env.tau, freqs)
     values = _add_noise(model_s21_linear(res, env, freqs), env.amplitude, noise)
     return FrequencyTrace(
         frequencies=freqs,
@@ -124,6 +154,7 @@ def generate_kerr_sweep(
     ``phi`` as ``phi0``) under the matching :func:`derive_seed` child seeds.
     """
     freqs = np.asarray(grid, dtype=float)
+    _check_delay(params.environment.tau, freqs)
     traces = []
     for i, power in enumerate(powers_dbm):
         child = NoiseSpec(snr_db=noise.snr_db, seed=derive_seed(noise.seed, i))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import resonatorlab as rl
+from resonatorlab.linfit import _notch, _notch_rows
 
 TWO_PI = 2.0 * np.pi
 
@@ -20,6 +21,14 @@ def grid_around(res, span_linewidths=15.0, points=2001, center=None):
     center = res.f_r if center is None else center
     half = span_linewidths / 2.0 * linewidth_hz(res)
     return np.linspace(center - half, center + half, points)
+
+
+def notch_jacobian(f, p, centre=None):
+    """The float ``(2F, 7)`` Jacobian of the linear refinement at ``p`` on the
+    grid ``f``, alpha the phase at ``centre``: ``_notch_rows`` at the terms
+    of ``_notch``, each point's real and imaginary part side by side."""
+    rows = np.empty((7, f.size), dtype=complex)
+    return _notch_rows(p, _notch(p, f, None, None, centre), rows).view(float).T
 
 
 def kerr_recovery_draws():

@@ -303,6 +303,9 @@ class TestErrors:
             ("--span-hz", "-1e6"),
             ("--span-linewidths", "0"),
             ("--f-center", "-6e9"),
+            ("--f-center", "1.7e308"),
+            ("--span-hz", "1e-300"),
+            ("--span-linewidths", "1e-300"),
         ],
     )
     def test_bad_synth_grid_is_named(self, tmp_path, capsys, flag, value):
@@ -312,6 +315,27 @@ class TestErrors:
         assert code == 2
         assert flag[2:].replace("-", "_") in doc["error"]["message"]
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "kind, tau", [("linear", "1e300"), ("linear", "-1e300"), ("kerr", "1e300")]
+    )
+    def test_synth_delay_overflowing_its_phase_is_named(self, tmp_path, capsys, kind, tau):
+        # refused before the model runs: the suite turns a RuntimeWarning
+        # from an overflowing phase into an error
+        out_csv = tmp_path / "x.csv"
+        code, doc = run_cli(capsys, "synth", kind, "--out-csv", str(out_csv), f"--tau={tau}")
+        assert code == 2
+        assert "tau" in doc["error"]["message"]
+        assert not out_csv.exists()
+
+    def test_k_init_overflowing_the_drive_term_is_data_error(self, tmp_path, capsys):
+        # refused before any model evaluation, so no RuntimeWarning either
+        path = tmp_path / "sweep.csv"
+        assert run_cli(capsys, "synth", "kerr", "--out-csv", str(path), "--points", "201")[0] == 0
+        code, doc = run_cli(capsys, "fit-kerr", str(path), "--k-init", "1e300")
+        assert code == 2
+        assert doc["error"]["type"] == "DataError"
+        assert "k_init" in doc["error"]["message"]
 
     @pytest.mark.parametrize(
         "argv, smallest",

@@ -183,9 +183,10 @@ class TestFitFieldSweep:
 
     def test_optimum_at_non_positive_f0_is_a_convergence_error(self, monkeypatch):
         # the solver is unbounded: f0 <= 0 is refused after it returns
-        def solver(fun, x0, jac, **kwargs):
+        def solver(fun, x0, normal, **kwargs):
             x = np.array([-1.0, *x0[1:]])
-            return LeastSquaresResult(x, 0.0, fun(x), 2, 1, 2, jac(x))
+            f = fun(x)
+            return LeastSquaresResult(x, 0.0, f, 2, 1, 2, normal(x, f), None)
 
         monkeypatch.setattr(fieldmodel, "least_squares", solver)
         points = rl.generate_field_sweep(self.truth, np.arange(0.0, 0.0601, 0.005), 0.0)

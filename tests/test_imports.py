@@ -64,8 +64,9 @@ def test_every_scipy_import_is_function_local():
 
 
 def test_every_least_squares_call_passes_an_analytic_jacobian():
-    # without jac= scipy falls back to finite differences, whose step rule
-    # decides where a fit stops
+    # every solve gets its normal equations from closed-form derivatives,
+    # passed as normal=; a solver that differenced the residual would let
+    # its step rule decide where a fit stops
     calls = [
         (path.name, node)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -78,7 +79,7 @@ def test_every_least_squares_call_passes_an_analytic_jacobian():
     offenders = [
         f"{name}:{node.lineno}"
         for name, node in calls
-        if not any(keyword.arg == "jac" for keyword in node.keywords)
+        if not any(keyword.arg == "normal" for keyword in node.keywords)
     ]
     assert offenders == []
 
@@ -87,7 +88,7 @@ FACTORIZATIONS = {"qr", "svd", "eigh", "pinv", "lstsq"}
 
 
 def test_only_lsq_factorizes_a_jacobian():
-    # every covariance comes from _lsq._scaled_pinv, and every solver step
+    # every covariance comes from _lsq.fit_errors, and every solver step
     # from _lsq.least_squares; no other module takes a factorization of its own
     offenders = [
         f"{path.name}:{node.lineno} {name}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import resonatorlab as rl
-from conftest import grid_around, kerr_recovery_draws, linewidth_hz, resonator
+from conftest import grid_around, kerr_recovery_draws, linewidth_hz, notch_jacobian, resonator
 from oracles import (
     brute_force_roots,
     central_jacobian,
@@ -21,7 +21,8 @@ from resonatorlab.kerrfit import (
     _sweep_model,
     _sweep_vector,
 )
-from resonatorlab.linfit import _notch, _refinement_problem
+from resonatorlab._lsq import from_jacobian
+from resonatorlab.linfit import _notch
 
 TWO_PI = 2.0 * np.pi
 
@@ -201,7 +202,7 @@ class TestKerrModel:
         f = grid_around(res, span_linewidths=12.0, points=801)
         watts = [rl.dbm_to_watts(rl.single_photon_power(res) + 10.0)]
         s21, jac, _ = _sweep_model(p, f, watts, branch, True)
-        linear_jac = _refinement_problem(f, np.zeros(f.size, dtype=complex))[1](p[:7])
+        linear_jac = notch_jacobian(f, p[:7])
         assert np.array_equal(s21[0], _notch(p[:7], f).s)
         assert np.array_equal(jac[:7, 0].view(float).T, linear_jac)
         assert np.any(jac[7] != 0.0)
@@ -578,14 +579,14 @@ class TestSolveReuse:
                 jacobians.append(1)
             return model(p, f, watts, branch, jac, solve, centre)
 
-        def counted_solver(fun, x0, jac, **kwargs):
+        def counted_solver(fun, x0, normal, **kwargs):
             points = []
 
             def residual(x):
                 points.append(x.copy())
                 return fun(x)
 
-            sol = solver(residual, x0, jac=jac, **kwargs)
+            sol = solver(residual, x0, normal=normal, **kwargs)
             runs.append((sol, points[-1]))
             return sol
 
@@ -607,7 +608,8 @@ class TestSolveReuse:
             rl.fit_kerr(sweep, lin, options)
             [(sol, last_point)] = runs
             assert len(calls) == len(sweep) * sol.nfev + 4 * RANK_ROWS
-            # the covariance takes the solver's Jacobian at sol.x: none is built after it returns
+            # the covariance takes the solver's factorization at sol.x: no
+            # Jacobian is built after it returns
             assert len(jacobians) == sol.njev
             # the covariance Jacobian at sol.x follows an accepted or a rejected step
             if (not np.array_equal(last_point, sol.x)) == rejected_last:
@@ -633,12 +635,17 @@ class TestSolverProblem:
         """A bistable draw, and the residual, start, Jacobian and scales of its fit."""
         _, sweep = next(itertools.islice(kerr_recovery_draws(), 4, None))
         lin = rl.fit_linear(sweep.traces[0])
-        solver, problems = rl.linfit.least_squares, []
+        solver, problems, jacobians = rl.linfit.least_squares, [], []
 
-        def spy(fun, x0, jac, **kwargs):
-            problems.append((fun, x0.copy(), jac, kwargs["x_scale"]))
-            return solver(fun, x0, jac=jac, **kwargs)
+        def jacobian_problem(jac):
+            jacobians.append(jac)
+            return from_jacobian(jac)
 
+        def spy(fun, x0, normal, **kwargs):
+            problems.append((fun, x0.copy(), jacobians[-1], kwargs["x_scale"]))
+            return solver(fun, x0, normal=normal, **kwargs)
+
+        monkeypatch.setattr(rl.kerrfit, "from_jacobian", jacobian_problem)
         monkeypatch.setattr(rl.linfit, "least_squares", spy)
         rl.fit_kerr(sweep, lin, options)
         [problem] = problems

@@ -7,7 +7,7 @@ import pytest
 
 import resonatorlab as rl
 import conftest
-from conftest import grid_around, linewidth_hz, resonator
+from conftest import grid_around, linewidth_hz, notch_jacobian, resonator
 from oracles import central_jacobian, dense_seed_drops, reference_seed_drops
 from resonatorlab._lsq import QR_BLOCK_ROWS, _scaled_pinv
 from resonatorlab.linfit import (
@@ -253,8 +253,8 @@ def test_refinement_jacobian_matches_central_differences(sample_resonator, envir
     p = np.array([r.f_r, r.kappa_c, r.kappa_int, r.phi0, e.amplitude, e.alpha, e.tau])
     tau_scale = 1.0 / (TWO_PI * trace.span)
     x_scale = np.array([r.kappa_l / TWO_PI, r.kappa_l, r.kappa_l, 0.3, e.amplitude, 0.3, tau_scale])
-    residual, jacobian = _refinement_problem(grid, trace.values)
-    analytic = jacobian(p)
+    residual = _refinement_problem(grid, trace.values)[0]
+    analytic = notch_jacobian(grid, p)
     numeric = central_jacobian(residual, p, x_scale)
     assert analytic.shape == (2 * grid.size, 7)
     # central-difference truncation and rounding stay below ~1e-7 of each column
@@ -268,23 +268,25 @@ def test_refinement_residual_is_the_model_minus_the_data(sample_resonator, envir
     grid = grid_around(res, points=501)
     trace = rl.generate_linear_trace(res, env, grid, -140.0, rl.NoiseSpec(snr_db=40, seed=1))
     p = np.array([res.f_r, res.kappa_c, res.kappa_int, res.phi0, env.amplitude, env.alpha, env.tau])
-    residual, jacobian = _refinement_problem(grid, trace.values)
+    residual, normal = _refinement_problem(grid, trace.values)
     r = rl.model_s21_linear(res, env, grid) - trace.values
-    assert np.array_equal(residual(p), r.view(float))
-    # the Jacobian built from the residual's forward terms is the fresh one,
-    # one contiguous row of 2F values per parameter, each point's real and
-    # imaginary part side by side as in the residual
-    fresh = _refinement_problem(grid, trace.values)[1]
-    jac = jacobian(p)
-    assert jac.shape == (2 * grid.size, 7) and jac.T.flags.c_contiguous
-    assert np.array_equal(jac, fresh(p))
-    # after a residual at a rejected trial point q, the Jacobian at the
-    # current point p still uses p's terms, and one at q its own
+    f = residual(p)
+    assert np.array_equal(f, r.view(float))
+
+    def assert_fresh(q):
+        fresh = _refinement_problem(grid, trace.values)[1](q, f)
+        for built, expected in zip(normal(q, f), fresh):
+            assert np.array_equal(built, expected)
+
+    # the normal equations built from the residual's forward terms are the
+    # fresh ones; after a residual at a rejected trial point q, those at the
+    # current point p still use p's terms, and those at q their own
+    assert_fresh(p)
     q = p.copy()
     q[0] += linewidth_hz(res)
     residual(q)
-    assert np.array_equal(jacobian(p), fresh(p))
-    assert np.array_equal(jacobian(q), fresh(q))
+    assert_fresh(p)
+    assert_fresh(q)
 
 
 def _bits(a):
@@ -436,7 +438,8 @@ def test_one_forward_pass_per_parameter_vector(
     sample_resonator, environment, monkeypatch, seeds, rejected_last
 ):
     # the forward step runs once for each point the solver evaluates; the
-    # Jacobians and the covariance at the solution reuse those terms. The
+    # Gram passes of the normal equations and the covariance at the solution
+    # reuse those terms. The
     # trace is the first noise seed in ``seeds`` whose fit ends on the wanted
     # kind of step, since which seeds do depends on the start values. The
     # solver stops on the Gauss-Newton decrement before it evaluates a step
@@ -450,27 +453,27 @@ def test_one_forward_pass_per_parameter_vector(
         for seed in seeds
     ]
     forward, solver = rl.linfit._notch, rl.linfit.least_squares
-    rows = rl.linfit._notch_rows
-    calls, runs, jacobians = [], [], []
+    base = rl.linfit._notch_base
+    calls, runs, grams = [], [], []
 
-    def counted_solver(fun, x0, jac, **kwargs):
+    def counted_solver(fun, x0, normal, **kwargs):
         points = []
 
         def residual(x):
             points.append(x.copy())
             return fun(x)
 
-        sol = solver(residual, x0, jac=jac, **kwargs)
+        sol = solver(residual, x0, normal=normal, **kwargs)
         runs.append((sol, points))
         return sol
 
     monkeypatch.setattr(rl.linfit, "_notch", lambda p, *a: calls.append(p.copy()) or forward(p, *a))
     monkeypatch.setattr(rl.linfit, "least_squares", counted_solver)
-    monkeypatch.setattr(rl.linfit, "_notch_rows", lambda *a: jacobians.append(1) or rows(*a))
+    monkeypatch.setattr(rl.linfit, "_notch_base", lambda *a: grams.append(1) or base(*a))
     for trace in traces:
         calls.clear()
         runs.clear()
-        jacobians.clear()
+        grams.clear()
         rl.fit_linear(trace)
         [(sol, points)] = runs
         if (not np.array_equal(points[-1], sol.x)) == rejected_last:
@@ -479,25 +482,62 @@ def test_one_forward_pass_per_parameter_vector(
     assert (not np.array_equal(points[-1], sol.x)) == rejected_last, f"no such seed in {seeds}"
     assert sol.njev > 1
     assert len(calls) == len({p.tobytes() for p in calls}) == len(points) == sol.nfev
-    # the covariance takes the solver's Jacobian at sol.x: none is built after it returns
-    assert len(jacobians) == sol.njev
+    # the covariance takes the solver's factorization at sol.x: no Gram
+    # pass runs after it returns
+    assert len(grams) == sol.njev
+
+
+def test_well_conditioned_fit_factors_only_its_normal_matrices(monkeypatch):
+    # the refinement never writes a Jacobian, and the covariance reuses the
+    # solver's eigendecomposition at the solution: no QR or SVD runs, and
+    # one eigh per normal matrix the solver is handed
+    counts = dict.fromkeys(("qr", "svd", "eigh", "_notch_rows"), 0)
+
+    def counted(module, name):
+        call = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("qr", "svd", "eigh"):
+        counted(np.linalg, name)
+    counted(rl.linfit, "_notch_rows")
+    solver, solves = rl.linfit.least_squares, []
+    monkeypatch.setattr(
+        rl.linfit, "least_squares", lambda *a, **k: solves.append(solver(*a, **k)) or solves[-1]
+    )
+    res = resonator(phi0=0.2)
+    env = rl.EnvironmentParams(0.9, 0.3, 40e-9)
+    for points in (501, 2001, 6001):
+        grid = grid_around(res, points=points)
+        noise = rl.NoiseSpec(snr_db=40, seed=points)
+        rl.fit_linear(rl.generate_linear_trace(res, env, grid, -140.0, noise))
+    assert counts == {"qr": 0, "svd": 0, "eigh": sum(sol.njev for sol in solves), "_notch_rows": 0}
 
 
 def test_tau_column_keeps_its_digits_at_high_q(environment, monkeypatch):
-    # the solver's tau column is -2 pi i (f - f_c) S with f_c the trace
-    # centre, formed from the centred offsets; adding 2 pi f_c times the
-    # alpha column to the column at 0 Hz cancels ~5 digits at Q_c = Q_i = 1e5
+    # the solver's tau column is -2 pi i A (f - f_c) e, e = S/A, with f_c the
+    # trace centre: its base vector (f - f_c) e is formed from the centred
+    # offsets; adding 2 pi f_c times the alpha column to the column at 0 Hz
+    # cancels ~5 digits at Q_c = Q_i = 1e5
     res = resonator(q_c=1e5, q_i=1e5, phi0=0.2)
     grid = grid_around(res, points=2001)
     noise = rl.NoiseSpec(snr_db=40, seed=0)
     trace = rl.generate_linear_trace(res, environment, grid, -140.0, noise)
     solver, solves = rl.linfit.least_squares, []
+    base, bases = rl.linfit._notch_base, []
     monkeypatch.setattr(
         rl.linfit, "least_squares", lambda *a, **k: solves.append(solver(*a, **k)) or solves[-1]
     )
+    monkeypatch.setattr(
+        rl.linfit, "_notch_base", lambda t, out: bases.append(base(t, out).copy()) or out
+    )
     rl.fit_linear(trace)
     [sol] = solves
-    column = np.ascontiguousarray(sol.jac[:, 6]).view(complex)
+    column = bases[-1][3]  # the last normal equations are those at sol.x
 
     # the model at sol.x in extended precision, alpha the phase at f_c
     f_r, kappa_c, kappa_int, phi0, amplitude, alpha, tau = sol.x.astype(np.longdouble)
@@ -506,8 +546,8 @@ def test_tau_column_keeps_its_digits_at_high_q(environment, monkeypatch):
     offset = f - np.longdouble(0.5 * (grid[0] + grid[-1]))
     d = 2j * (2 * pi * (f_r - f)) + (kappa_c + kappa_int)
     mismatch = kappa_c * np.exp(1j * phi0) / np.cos(phi0)
-    s = amplitude * np.exp(1j * alpha) * np.exp(-2j * pi * offset * tau) * (1 - mismatch / d)
-    reference = -2j * pi * offset * s
+    e = np.exp(1j * alpha) * np.exp(-2j * pi * offset * tau) * (1 - mismatch / d)
+    reference = offset * e
     assert reference.dtype == np.clongdouble
     error = np.linalg.norm((column - reference).astype(complex)) / np.linalg.norm(column)
     assert error <= 1e-14
@@ -528,7 +568,7 @@ def test_high_q_covariance_matches_svd_reference(environment):
     trace, fit0 = fit(0)
     r, e = fit0.resonator, fit0.environment
     p = np.array([r.f_r, r.kappa_c, r.kappa_int, r.phi0, e.amplitude, e.alpha, e.tau])
-    jac = _refinement_problem(grid, trace.values)[1](p)
+    jac = notch_jacobian(grid, p)
     # reference: SVD of the column-normalized Jacobian, never forming J^T J
     norms = np.linalg.norm(jac, axis=0)
     _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)

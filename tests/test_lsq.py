@@ -20,9 +20,9 @@ import pytest
 from scipy.optimize import least_squares as scipy_least_squares
 
 import resonatorlab as rl
-from conftest import grid_around, kerr_recovery_draws, resonator
-from resonatorlab import _lsq, fieldmodel, linfit
-from resonatorlab._lsq import QR_BLOCK_ROWS, _normal_matrix, least_squares
+from conftest import grid_around, kerr_recovery_draws, notch_jacobian, resonator
+from resonatorlab import _lsq, fieldmodel, kerrfit, linfit
+from resonatorlab._lsq import QR_BLOCK_ROWS, _eigen, _normal_matrix, from_jacobian, least_squares
 from resonatorlab.kerrfit import SWEEP_PARAM_NAMES, KerrFitOptions, _sweep_model, _sweep_vector
 from resonatorlab.linfit import _refinement_problem
 
@@ -31,22 +31,50 @@ TWO_PI = 2.0 * math.pi
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Every problem the fits hand to ``least_squares``, with the package's solution."""
-    problems = []
+    """Every problem the fits hand to ``least_squares``: its residual, start,
+    Jacobian, options, normal equations and the package's solution. The
+    Jacobian is the one a fit gave ``from_jacobian``, or ``None`` for the
+    linear refinement, which forms its normal equations without one."""
+    problems, jacobians = [], {}
 
-    def capture(fun, x0, jac, **kwargs):
-        sol = _lsq.least_squares(fun, x0, jac=jac, **kwargs)
-        problems.append((fun, np.array(x0, dtype=float), jac, kwargs, sol))
+    def jacobian_problem(jac):
+        normal = from_jacobian(jac)
+        jacobians[normal] = jac
+        return normal
+
+    def capture(fun, x0, normal, **kwargs):
+        sol = _lsq.least_squares(fun, x0, normal=normal, **kwargs)
+        x0 = np.array(x0, dtype=float)
+        problems.append((fun, x0, jacobians.get(normal), kwargs, normal, sol))
         return sol
 
     for module in (linfit, fieldmodel):
         monkeypatch.setattr(module, "least_squares", capture)
+    for module in (kerrfit, fieldmodel):
+        monkeypatch.setattr(module, "from_jacobian", jacobian_problem)
     return problems
+
+
+def refinement_jacobian(freqs):
+    """The Jacobian of ``fit_linear``'s refinement on ``freqs``, alpha the
+    phase at the trace centre, as scipy takes it."""
+    centre = 0.5 * (freqs[0] + freqs[-1])
+    return lambda p: notch_jacobian(freqs, p, centre)
+
+
+def with_refinement_jacobians(problems, grids):
+    """``problems``, each linear refinement given, in order, the Jacobian on
+    the next of ``grids``."""
+    grids = iter(grids)
+    return [
+        (fun, x0, refinement_jacobian(next(grids)) if jac is None else jac, *rest)
+        for fun, x0, jac, *rest in problems
+    ]
 
 
 def assert_matches_scipy(problems):
     assert problems
-    for fun, x0, jac, kwargs, sol in problems:
+    for fun, x0, jac, kwargs, _, sol in problems:
         ref = scipy_least_squares(fun, x0, jac=jac, method="trf", **kwargs)
         assert (sol.status > 0) == (ref.status > 0)
         assert sol.cost <= ref.cost * (1.0 + 1e-9)
@@ -82,12 +110,13 @@ def linear_pool(count):
 
 
 def test_linear_pool_matches_scipy(captured):
+    traces = list(linear_pool(24))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for trace in linear_pool(24):
+        for trace in traces:
             rl.fit_linear(trace)
     assert len(captured) == 24
-    assert_matches_scipy(captured)
+    assert_matches_scipy(with_refinement_jacobians(captured, (t.frequencies for t in traces)))
 
 
 def test_linear_pool_takes_no_more_evaluations_than_scipy(monkeypatch):
@@ -97,24 +126,26 @@ def test_linear_pool_takes_no_more_evaluations_than_scipy(monkeypatch):
     # counts do not depend on the machine.
     runs = []
 
-    def record(fun, x0, jac, **kwargs):
+    def record(fun, x0, normal, **kwargs):
         points = []
 
         def residual(x):
             points.append(x.copy())
             return fun(x)
 
-        sol = _lsq.least_squares(residual, x0, jac=jac, **kwargs)
-        runs.append((fun, np.array(x0, dtype=float), jac, kwargs, sol, points))
+        sol = _lsq.least_squares(residual, x0, normal=normal, **kwargs)
+        runs.append((fun, np.array(x0, dtype=float), kwargs, sol, points))
         return sol
 
     monkeypatch.setattr(linfit, "least_squares", record)
+    jacobians = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for trace in linear_pool(24):
             rl.fit_linear(trace)
+            jacobians.append(refinement_jacobian(trace.frequencies))
     assert len(runs) == 24
-    for fun, x0, jac, kwargs, sol, points in runs:
+    for (fun, x0, kwargs, sol, points), jac in zip(runs, jacobians):
         assert sol.nfev == sol.njev == len(points)
         assert np.array_equal(points[-1], sol.x)
         ref = scipy_least_squares(fun, x0, jac=jac, method="trf", **kwargs)
@@ -137,13 +168,15 @@ KERR_DRAWS = (0, 17, 25, 43, 46)
     ids=["default", "sweep-continuation", "mask_bistable"],
 )
 def test_kerr_draws_match_scipy(captured, options):
+    grids = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for i, (_, sweep) in enumerate(kerr_recovery_draws()):
             if i in KERR_DRAWS:
                 rl.fit_kerr(sweep, rl.fit_linear(sweep.traces[0]), options)
+                grids.append(sweep.frequencies)
     assert len(captured) == 2 * len(KERR_DRAWS)
-    assert_matches_scipy(captured)
+    assert_matches_scipy(with_refinement_jacobians(captured, grids))
 
 
 def test_crawling_kerr_draw_converges_within_its_budget(captured):
@@ -176,8 +209,9 @@ def test_field_sweeps_match_scipy(captured):
 
 
 def test_every_solution_carries_the_jacobian_at_its_x(captured):
-    # the fits take their covariance from sol.jac, so it must be the
-    # problem's own Jacobian at sol.x, bit for bit
+    # the notch fits take their covariance from sol.eigen, so it and
+    # sol.normal must be those of the problem's own normal equations at
+    # sol.x, bit for bit
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for trace in linear_pool(6):
@@ -191,8 +225,73 @@ def test_every_solution_carries_the_jacobian_at_its_x(captured):
             fields = np.linspace(0.0, top * truth.b_max, 13)
             rl.fit_field_sweep(rl.generate_field_sweep(truth, fields, 5e6, seed))
     assert len(captured) == 6 + 1 + 2 + 3
-    for _, _, jac, _, sol in captured:
-        assert np.array_equal(sol.jac, jac(sol.x))
+    for _, _, _, kwargs, normal, sol in captured:
+        for carried, fresh in zip(sol.normal, normal(sol.x, sol.fun)):
+            assert np.array_equal(carried, fresh)
+        scale = np.broadcast_to(np.asarray(kwargs["x_scale"], dtype=float), sol.x.shape)
+        for carried, fresh in zip(sol.eigen, _eigen(sol.normal[0] * np.outer(scale, scale))):
+            assert np.array_equal(carried, fresh)
+
+
+def test_refinement_normal_equations_match_the_notch_jacobian():
+    # the refinement forms J^T J and J^T r from the Gram matrix of four base
+    # vectors. At the solutions of the first 24 pool traces and of a Q_c =
+    # Q_i = 1e5 trace, and at three random points about each, they match
+    # _normal_matrix and J.T @ r of the _notch_rows Jacobian within 1e-13 of
+    # the column norms (2e-15 seen)
+    rng = np.random.default_rng(40)
+    env = rl.EnvironmentParams(0.9, 0.3, 40e-9)
+    high_q = resonator(q_c=1e5, q_i=1e5, phi0=0.2)
+    noise = rl.NoiseSpec(snr_db=40, seed=0)
+    high_q_trace = rl.generate_linear_trace(high_q, env, grid_around(high_q), -140.0, noise)
+    traces = [*linear_pool(24), high_q_trace]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trace in traces:
+            f = trace.frequencies
+            centre = 0.5 * (f[0] + f[-1])
+            fit = rl.fit_linear(trace)
+            r, e = fit.resonator, fit.environment
+            alpha_c = e.alpha - TWO_PI * centre * e.tau
+            x = np.array([r.f_r, r.kappa_c, r.kappa_int, r.phi0, e.amplitude, alpha_c, e.tau])
+            x_scale = linfit._param_scale(r.f_r, r.kappa_l, e.amplitude, trace.span)
+            for p in (x, *(x + rng.uniform(-3.0, 3.0, (3, 7)) * x_scale)):
+                residual, normal = _refinement_problem(f, trace.values, centre)
+                res = residual(p)
+                hess, grad = normal(p, res)
+                jac = notch_jacobian(f, p, centre)
+                reference = _normal_matrix(jac)
+                norms = np.sqrt(np.diag(reference))
+                assert np.all(np.abs(hess - reference) <= 1e-13 * np.outer(norms, norms))
+                assert np.all(np.abs(grad - jac.T @ res) <= 1e-13 * norms * np.linalg.norm(res))
+
+
+def test_covariance_from_the_solver_matches_the_qr_route(captured):
+    # the notch fits invert J_s^T J_s through the solver's eigendecomposition
+    # at sol.x; on the first 24 pool traces and the 50 criterion-4(c) draws,
+    # masked and not, it matches _scaled_pinv of the Jacobian at sol.x, which
+    # never forms J^T J: correlations within 1e-9, and each sigma within 1e-8
+    # relative
+    grids = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trace in linear_pool(24):
+            rl.fit_linear(trace)
+            grids.append(trace.frequencies)
+        for _, sweep in kerr_recovery_draws():
+            lin = rl.fit_linear(sweep.traces[0])
+            grids.append(sweep.frequencies)
+            for mask in (False, True):
+                rl.fit_kerr(sweep, lin, KerrFitOptions(mask_bistable=mask))
+    assert len(captured) == 24 + 3 * 50
+    for _, _, jac, kwargs, _, sol in with_refinement_jacobians(captured, grids):
+        x_scale = kwargs["x_scale"]
+        reference = _lsq._scaled_pinv(jac(sol.x), x_scale)
+        unscaled = _lsq.fit_errors(sol, x_scale)[2]
+        sigmas, ref_sigmas = np.sqrt(np.diag(unscaled)), np.sqrt(np.diag(reference))
+        correlation = unscaled / np.outer(sigmas, sigmas)
+        assert np.abs(correlation - reference / np.outer(ref_sigmas, ref_sigmas)).max() <= 1e-9
+        assert np.abs(sigmas / ref_sigmas - 1.0).max() <= 1e-8
 
 
 def _linear_failure():
@@ -246,8 +345,8 @@ def test_a_failed_fit_carries_its_last_iterate_as_reported_parameters(monkeypatc
     fit, names, residual = failure()
     runs = []
 
-    def cut_short(fun, x0, jac, **kwargs):
-        runs.append(_lsq.least_squares(fun, x0, jac=jac, **{**kwargs, "max_nfev": 3}))
+    def cut_short(fun, x0, normal, **kwargs):
+        runs.append(_lsq.least_squares(fun, x0, normal=normal, **{**kwargs, "max_nfev": 3}))
         return runs[-1]
 
     for module in (linfit, fieldmodel):
@@ -270,8 +369,11 @@ def rosenbrock_jac(x):
     return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
+ROSENBROCK = from_jacobian(rosenbrock_jac)
+
+
 def test_converges_on_rosenbrock():
-    sol = least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jac, ftol=1e-12, xtol=1e-12)
+    sol = least_squares(rosenbrock, [-1.2, 1.0], normal=ROSENBROCK, ftol=1e-12, xtol=1e-12)
     assert sol.status > 0
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
     assert sol.cost == pytest.approx(0.5 * float(sol.fun @ sol.fun))
@@ -295,15 +397,19 @@ def test_result_carries_the_jacobian_at_x(kwargs, status, rejected_last):
         points.append(x.copy())
         return rosenbrock(x)
 
-    sol = least_squares(fun, [-1.2, 1.0], jac=rosenbrock_jac, **kwargs)
+    sol = least_squares(fun, [-1.2, 1.0], normal=ROSENBROCK, **kwargs)
     assert sol.status == status
     assert (not np.array_equal(points[-1], sol.x)) == rejected_last
-    assert np.array_equal(sol.jac, rosenbrock_jac(sol.x))
+    jac = rosenbrock_jac(sol.x)
+    assert np.array_equal(sol.normal[0], _normal_matrix(jac))
+    assert np.array_equal(sol.normal[1], jac.T @ sol.fun)
+    for carried, fresh in zip(sol.eigen, _eigen(_normal_matrix(jac))):
+        assert np.array_equal(carried, fresh)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5])
 def test_exhausted_budget_is_status_0(budget):
-    sol = least_squares(rosenbrock, [-1.2, 1.0], jac=rosenbrock_jac, max_nfev=budget)
+    sol = least_squares(rosenbrock, [-1.2, 1.0], normal=ROSENBROCK, max_nfev=budget)
     assert sol.status == 0
     assert sol.nfev == budget
 
@@ -317,7 +423,8 @@ def test_non_finite_trial_shrinks_the_step():
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(x) - math.log(0.01)
 
-    sol = least_squares(fun, [1.0], jac=lambda x: np.diag(1.0 / x), ftol=1e-12, xtol=1e-12)
+    normal = from_jacobian(lambda x: np.diag(1.0 / x))
+    sol = least_squares(fun, [1.0], normal=normal, ftol=1e-12, xtol=1e-12)
     assert trials[1] == 0.0
     assert sol.status > 0
     assert sol.x[0] == pytest.approx(0.01, rel=1e-9)
@@ -325,7 +432,8 @@ def test_non_finite_trial_shrinks_the_step():
 
 def test_non_finite_start_is_rejected():
     with pytest.raises(ValueError):
-        least_squares(lambda x: np.array([np.nan]), [1.0], jac=lambda x: np.ones((1, 1)))
+        normal = from_jacobian(lambda x: np.ones((1, 1)))
+        least_squares(lambda x: np.array([np.nan]), [1.0], normal=normal)
 
 
 @pytest.mark.parametrize("order", ["F", "C"])
